@@ -31,12 +31,10 @@ from .hilbert import (
 )
 from .noise import (
     CountingConfig,
-    DetectionRecord,
     MonteCarloResult,
     NoisyEstimate,
     monte_carlo,
-    sample_counts,
-    sample_detection,
+    noisy_trials,
     sample_pauli_expectations,
     trial_rng,
 )

@@ -53,7 +53,7 @@ from .errors import (
     OrthogonalPostselection,
 )
 from .hilbert import PureState
-from .noise import CountingConfig, monte_carlo, sample_detection, sample_pauli_expectations, trial_rng
+from .noise import CountingConfig, monte_carlo, noisy_trials, sample_pauli_expectations, trial_rng
 from .presets import (
     POSTSELECTION_PRESETS,
     STATE_PRESETS,
@@ -63,16 +63,7 @@ from .presets import (
     uniform_plus,
 )
 from .protocol import ProtocolConfig
-from .reconstruction import (
-    METHODS,
-    Setting,
-    collect_probabilities,
-    definitional_modulars,
-    measurement_plan,
-    reconstruct,
-    reconstruct_state,
-    s_parameter,
-)
+from .reconstruction import METHODS, Setting, reconstruct_state
 from .tomography import fidelity_pure, fidelity_states, linear_inversion, pauli_expectations
 
 SCHEMA_VERSION = 1
@@ -254,8 +245,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _protocol_config(cfg: RunConfig) -> ProtocolConfig:
-    state = _resolve_state(cfg)
+def _protocol_config(cfg: RunConfig, state: PureState) -> ProtocolConfig:
     postselection = _resolve_postselection(cfg, state.dims)
     try:
         return ProtocolConfig(system_state=state, postselection=postselection,
@@ -317,7 +307,7 @@ def _complex_cols(prefix: str, value: complex | None) -> dict:
 
 def cmd_reconstruct(cfg: RunConfig) -> None:
     """Amplitude table for one configuration (exact or noise-propagated)."""
-    pcfg = _protocol_config(cfg)
+    pcfg = _protocol_config(cfg, _resolve_state(cfg))
     m, n = pcfg.dims
     meta = {"method": cfg.method, "epsilon": cfg.epsilon, "g": cfg.g}
     rows = []
@@ -388,19 +378,17 @@ def cmd_sweep_theta(cfg: RunConfig, theta_min: float, theta_max: float, steps: i
     if cfg.noise is not None:
         sys.stderr.write("warning: sweep-theta runs the exact pipeline; noise config ignored\n")
 
-    postselection = _resolve_postselection(cfg, (2, 2))
+    base = _protocol_config(cfg, phase_bell(0.0))
     thetas = np.linspace(theta_min, theta_max, steps)
     methods = ("definitional", "first_order", "exact_inversion")
     a_set, b_set, pair_set = (Setting("single_a", j=1), Setting("single_b", l=1),
                               Setting("pair", j=1, l=1))
     rows = []
     for theta in thetas:
-        state = phase_bell(float(theta))
+        pcfg = replace(base, system_state=phase_bell(float(theta)))
         for method in methods:
             row = {"theta": float(theta), "method": method, "error": None}
             try:
-                pcfg = ProtocolConfig(system_state=state, postselection=postselection,
-                                      epsilon=cfg.epsilon, g=cfg.g)
                 result = reconstruct_state(pcfg, method)
             except ModvalError as exc:
                 row["error"] = exc.code
@@ -430,7 +418,7 @@ def _require_two_qubits(pcfg: ProtocolConfig) -> None:
 
 def cmd_tomography(cfg: RunConfig) -> None:
     """Density-matrix artifact from linear inversion (exact or one noisy draw)."""
-    pcfg = _protocol_config(cfg)
+    pcfg = _protocol_config(cfg, _resolve_state(cfg))
     _require_two_qubits(pcfg)
     expectations = pauli_expectations(pcfg.system_state)
     meta = {}
@@ -451,11 +439,10 @@ def cmd_tomography(cfg: RunConfig) -> None:
 
 def cmd_compare(cfg: RunConfig) -> None:
     """Fidelities: direct reconstruction vs tomography vs the true state."""
-    pcfg = _protocol_config(cfg)
+    pcfg = _protocol_config(cfg, _resolve_state(cfg))
     _require_two_qubits(pcfg)
     truth = pcfg.system_state
     exact_expect = pauli_expectations(truth)
-    s = s_parameter(cfg.g)
     fieldnames = ["trial", "fidelity_direct_vs_truth", "fidelity_tomography_vs_truth",
                   "fidelity_direct_vs_tomography", "error"]
     meta = {"method": cfg.method, "epsilon": cfg.epsilon}
@@ -475,27 +462,15 @@ def cmd_compare(cfg: RunConfig) -> None:
         rho = linear_inversion(exact_expect)
         rows.append(fidelity_row(0, result.state(), rho))
     else:
-        method = cfg.method if cfg.method != "definitional" else "exact_inversion"
-        exact_probs = collect_probabilities(pcfg)
         meta.update(pairs_per_setting=cfg.noise.pairs_per_setting,
                     trials=cfg.noise.trials, seed=cfg.noise.seed)
-        for trial in range(cfg.noise.trials):
-            rng = trial_rng(cfg.noise.seed, trial)
-            probs = {}
-            for setting, (p1, p2) in exact_probs.items():
-                rec = sample_detection(setting, p1, p2, cfg.noise.pairs_per_setting, rng)
-                probs[setting] = (rec.p1, rec.p2)
+        for trial, rng, result in noisy_trials(pcfg, cfg.noise, cfg.method):
+            if result is None:
+                rows.append({"trial": trial, "error": NegativeDiscriminant.code})
+                continue
             noisy_expect = sample_pauli_expectations(exact_expect,
                                                      cfg.noise.pairs_per_setting, rng)
-            try:
-                result = reconstruct(dims=pcfg.dims, postselection=pcfg.postselection,
-                                     s=s, probabilities=probs, epsilon=cfg.epsilon,
-                                     method=method, clamp=cfg.noise.clamp)
-            except NegativeDiscriminant as exc:
-                rows.append({"trial": trial, "error": exc.code})
-                continue
-            rho = linear_inversion(noisy_expect)
-            rows.append(fidelity_row(trial, result.state(), rho))
+            rows.append(fidelity_row(trial, result.state(), linear_inversion(noisy_expect)))
 
     write_table(rows, fieldnames, meta=meta, output_path=cfg.output_path,
                 fmt=cfg.format, timestamp=cfg.timestamp)

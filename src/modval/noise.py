@@ -1,11 +1,13 @@
 """Photon-counting shot noise and Monte Carlo error propagation.
 
-Each detector probability is estimated from an independent binomial draw of
-``pairs_per_setting`` photon pairs; a trial samples every (setting,
-detector) count, runs the inversion and reconstruction on the estimated
-probabilities, and the trial ensemble yields means and standard deviations
-per reconstructed quantity. Trials that hit NegativeDiscriminant are
-counted as rejected, never silently folded into the statistics.
+There is one trial path, ``noisy_trials``. Each trial estimates every
+(setting, detector) probability from a binomial draw of
+``pairs_per_setting`` photon pairs, inverts the estimates to modular values
+and reconstructs the state. ``monte_carlo`` aggregates the trials into
+means and standard deviations per reconstructed quantity; the CLI's
+``compare`` pairs each trial with a tomography draw from the same
+generator. Trials that hit NegativeDiscriminant are counted as rejected,
+never silently folded into the statistics.
 
 Per-trial randomness derives from the run seed through spawn keys
 (seed_i = f(seed, i)), so results do not depend on execution order.
@@ -14,18 +16,18 @@ Per-trial randomness derives from the run seed through spawn keys
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .errors import AllTrialsRejected, NegativeDiscriminant
+from .errors import AllTrialsRejected, ConfigError, NegativeDiscriminant
 from .hilbert import inner
 from .protocol import ProtocolConfig
 from .reconstruction import (
-    MeasurementPlan,
     Method,
+    ReconstructionResult,
     Setting,
     collect_probabilities,
-    measurement_plan,
     reconstruct,
     s_parameter,
 )
@@ -45,18 +47,6 @@ class CountingConfig:
             raise ValueError("pairs_per_setting must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-
-
-@dataclass(frozen=True)
-class DetectionRecord:
-    """Counts (or exact probabilities, pairs=None) for one setting."""
-
-    setting: Setting
-    p1: float
-    p2: float
-    pairs: int | None = None
-    count1: int | None = None
-    count2: int | None = None
 
 
 @dataclass(frozen=True)
@@ -89,24 +79,6 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
 
-def sample_counts(p: float, pairs: int, rng: np.random.Generator | int) -> int:
-    """One binomial(pairs, p) draw of detector clicks."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    if pairs < 1:
-        raise ValueError("pairs must be at least 1")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    return int(rng.binomial(pairs, p))
-
-
-def sample_detection(setting: Setting, p1: float, p2: float, pairs: int,
-                     rng: np.random.Generator) -> DetectionRecord:
-    c1 = sample_counts(p1, pairs, rng)
-    c2 = sample_counts(p2, pairs, rng)
-    return DetectionRecord(setting, c1 / pairs, c2 / pairs, pairs, c1, c2)
-
-
 def _complex_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = samples.mean(axis=0)
     if samples.shape[0] < 2:
@@ -119,7 +91,8 @@ def _complex_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def _estimate(samples: np.ndarray, rejected: int, keep: bool) -> NoisyEstimate:
+def _estimate(samples: list, rejected: int, keep: bool) -> NoisyEstimate:
+    samples = np.array(samples)
     mean, std = _complex_stats(samples)
     if samples.ndim == 1:
         mean = mean.item()
@@ -128,96 +101,79 @@ def _estimate(samples: np.ndarray, rejected: int, keep: bool) -> NoisyEstimate:
                          samples if keep else None)
 
 
-def monte_carlo(cfg: ProtocolConfig, counting: CountingConfig | None,
-                *, method: Method = "exact_inversion",
-                keep_samples: bool = False) -> MonteCarloResult:
-    """Propagate counting noise through the full reconstruction pipeline.
+def noisy_trials(cfg: ProtocolConfig, counting: CountingConfig,
+                 method: Method = "exact_inversion",
+                 ) -> Iterator[tuple[int, np.random.Generator, ReconstructionResult | None]]:
+    """Yield ``(trial, rng, result)`` for each counting-noise trial, in order.
 
-    counting=None runs a single exact trial (the infinite-pairs limit):
-    stds are zero and the means equal the exact pipeline output. The exact
-    probabilities are computed once; OrthogonalPostselection therefore
-    surfaces before any trial runs.
+    The exact probabilities are computed once, before the first trial, so
+    OrthogonalPostselection surfaces before any trial runs. Each trial draws
+    all detector counts with one binomial call over the (setting, detector)
+    probabilities in plan order and reconstructs from the estimated
+    frequencies; ``result`` is None when that inversion hit
+    NegativeDiscriminant. ``rng`` is the trial's generator, positioned after
+    the count draws, for callers that draw further noise per trial.
     """
     if method == "definitional":
-        raise ValueError("counting noise applies to probabilities, not oracle modulars")
-    plan: MeasurementPlan = measurement_plan(*cfg.dims)
-    exact = collect_probabilities(cfg, plan)
+        raise ConfigError("counting noise applies to measured probabilities; "
+                          "definitional modulars have none (use first_order or exact_inversion)")
+    exact = collect_probabilities(cfg)
+    settings = list(exact)
+    probabilities = np.array(list(exact.values()))
+    pairs = counting.pairs_per_setting
     s = s_parameter(cfg.g)
-    truth = cfg.system_state
-    settings = [entry.setting for entry in plan.entries]
-
-    def run_once(probs):
-        res = reconstruct(dims=cfg.dims, postselection=cfg.postselection, s=s,
-                          probabilities=probs, epsilon=cfg.epsilon, method=method,
-                          clamp=counting.clamp if counting else False)
-        fid = abs(inner(truth, res.state())) ** 2
-        mods = np.array([res.modulars[st] for st in settings])
-        return res.amplitudes, res.weak_values, mods, res.normalizer, fid
-
-    if counting is None:
-        amps, weak, mods, norm, fid = run_once(exact)
-        return MonteCarloResult(
-            amplitudes=NoisyEstimate(amps, np.zeros_like(amps), 1, 0),
-            weak_values=NoisyEstimate(weak, np.zeros_like(weak), 1, 0),
-            modulars={st: NoisyEstimate(complex(v), 0j, 1, 0)
-                      for st, v in zip(settings, mods)},
-            normalizer=NoisyEstimate(norm, 0.0, 1, 0),
-            fidelity=NoisyEstimate(fid, 0.0, 1, 0),
-        )
-
-    amp_samples, weak_samples, mod_samples, norm_samples, fid_samples = [], [], [], [], []
-    rejected = 0
     for trial in range(counting.trials):
         rng = trial_rng(counting.seed, trial)
-        probs: dict[Setting, tuple[float, float]] = {}
-        for setting, (p1, p2) in exact.items():
-            rec = sample_detection(setting, p1, p2, counting.pairs_per_setting, rng)
-            probs[setting] = (rec.p1, rec.p2)
+        frequencies = (rng.binomial(pairs, probabilities) / pairs).tolist()
         try:
-            amps, weak, mods, norm, fid = run_once(probs)
+            result = reconstruct(dims=cfg.dims, postselection=cfg.postselection, s=s,
+                                 probabilities=dict(zip(settings, map(tuple, frequencies))),
+                                 epsilon=cfg.epsilon, method=method, clamp=counting.clamp)
         except NegativeDiscriminant:
-            rejected += 1
-            continue
-        amp_samples.append(amps)
-        weak_samples.append(weak)
-        mod_samples.append(mods)
-        norm_samples.append(norm)
-        fid_samples.append(fid)
+            result = None
+        yield trial, rng, result
 
-    if not amp_samples:
+
+def monte_carlo(cfg: ProtocolConfig, counting: CountingConfig,
+                *, method: Method = "exact_inversion",
+                keep_samples: bool = False) -> MonteCarloResult:
+    """Means and spreads of every reconstructed quantity over ``noisy_trials``."""
+    kept = [result for _, _, result in noisy_trials(cfg, counting, method)
+            if result is not None]
+    if not kept:
         raise AllTrialsRejected(
             f"all {counting.trials} trials failed inversion; "
             "increase pairs_per_setting or enable clamping"
         )
-    mod_array = np.array(mod_samples)
+    rejected = counting.trials - len(kept)
+    mod_array = np.array([list(result.modulars.values()) for result in kept])
     mod_estimates = {}
-    for k, st in enumerate(settings):
+    for k, st in enumerate(kept[0].modulars):
         mean, std = _complex_stats(mod_array[:, k])
-        mod_estimates[st] = NoisyEstimate(complex(mean), complex(std),
-                                          mod_array.shape[0], rejected)
+        mod_estimates[st] = NoisyEstimate(complex(mean), complex(std), len(kept), rejected)
     return MonteCarloResult(
-        amplitudes=_estimate(np.array(amp_samples), rejected, keep_samples),
-        weak_values=_estimate(np.array(weak_samples), rejected, keep_samples),
+        amplitudes=_estimate([result.amplitudes for result in kept], rejected, keep_samples),
+        weak_values=_estimate([result.weak_values for result in kept], rejected, keep_samples),
         modulars=mod_estimates,
-        normalizer=_estimate(np.array(norm_samples), rejected, keep_samples),
-        fidelity=_estimate(np.array(fid_samples), rejected, keep_samples),
+        normalizer=_estimate([result.normalizer for result in kept], rejected, keep_samples),
+        fidelity=_estimate([abs(inner(cfg.system_state, result.state())) ** 2
+                            for result in kept], rejected, keep_samples),
     )
 
 
 def sample_pauli_expectations(expectations: np.ndarray, pairs: int,
                               rng: np.random.Generator) -> np.ndarray:
-    """Shot-noise model for tomography: one binomial per Pauli setting.
+    """Shot-noise model for tomography: one binomial draw per Pauli setting.
 
     Each two-outcome (+1/-1) Pauli measurement on ``pairs`` photon pairs is
-    summarized by a binomial draw of +1 outcomes; the identity setting has
-    no statistical error.
+    summarized by a binomial count of +1 outcomes, drawn for all settings
+    in one call; the identity setting has no statistical error.
     """
+    if pairs < 1:
+        raise ValueError("pairs must be at least 1")
     expectations = np.asarray(expectations, dtype=float)
+    p_plus = np.clip((1.0 + expectations[1:]) / 2.0, 0.0, 1.0)
     noisy = np.empty_like(expectations)
-    for k, value in enumerate(expectations):
-        if k == 0:  # identity (x) identity
-            noisy[k] = 1.0
-            continue
-        p_plus = min(1.0, max(0.0, (1.0 + value) / 2.0))
-        noisy[k] = 2.0 * sample_counts(p_plus, pairs, rng) / pairs - 1.0
+    noisy[0] = 1.0  # identity (x) identity
+    noisy[1:] = 2.0 * rng.binomial(pairs, p_plus) / pairs - 1.0
     return noisy

@@ -26,6 +26,8 @@ _PAULIS = {
 }
 
 SETTING_LABELS = tuple(a + b for a in PAULI_LABELS for b in PAULI_LABELS)
+_SETTINGS = tuple(LinearOperator((2, 2), np.kron(_PAULIS[a], _PAULIS[b]))
+                  for a in PAULI_LABELS for b in PAULI_LABELS)
 
 
 @dataclass(frozen=True)
@@ -52,10 +54,9 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
 
 
-def tomography_settings() -> list[LinearOperator]:
+def tomography_settings() -> tuple[LinearOperator, ...]:
     """The 16 Pauli-product observables, ordered II, IX, ..., ZZ."""
-    return [LinearOperator((2, 2), np.kron(_PAULIS[a], _PAULIS[b]))
-            for a in PAULI_LABELS for b in PAULI_LABELS]
+    return _SETTINGS
 
 
 def pauli_expectations(psi: PureState) -> np.ndarray:
@@ -63,7 +64,7 @@ def pauli_expectations(psi: PureState) -> np.ndarray:
     if psi.dims != (2, 2):
         raise ValueError("tomography expects a two-qubit state")
     return np.array([np.vdot(psi.amps, obs.mat @ psi.amps).real
-                     for obs in tomography_settings()])
+                     for obs in _SETTINGS])
 
 
 def linear_inversion(expectations, *, identity_tol: float = 1e-6) -> DensityMatrix:
@@ -74,7 +75,7 @@ def linear_inversion(expectations, *, identity_tol: float = 1e-6) -> DensityMatr
     if abs(values[0] - 1.0) > identity_tol:
         raise ValueError("the identity-identity expectation must equal 1")
     mat = np.zeros((4, 4), dtype=np.complex128)
-    for value, obs in zip(values, tomography_settings()):
+    for value, obs in zip(values, _SETTINGS):
         mat += value * obs.mat
     mat /= 4.0
     eigenvalues = np.linalg.eigvalsh(mat)

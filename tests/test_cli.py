@@ -4,8 +4,10 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
+import pytest
 from modval.cli import (
     EXIT_ALL_REJECTED,
     EXIT_CONFIG,
@@ -233,6 +235,27 @@ class TestDeterminismAndErrors:
         codes = {err: code for err, code in _EXIT_BY_ERROR}
         assert codes[NegativeDiscriminant] == EXIT_INVERSION == 4
 
+    def test_definitional_method_with_noise_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        for command in ("reconstruct", "compare"):
+            code = main([command, "--config", cfg, "--method", "definitional",
+                         "--pairs", "1000", "--trials", "3"])
+            assert code == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: config_error:")
+            assert captured.err.count("\n") == 1
+
+    def test_sweep_epsilon_out_of_range_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, state={"preset": "fig3"})
+        for epsilon in ("2", "0", "-0.5"):
+            code = main(["sweep-theta", "--config", cfg, "--steps", "3", "--epsilon", epsilon])
+            assert code == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: config_error:")
+            assert captured.err.count("\n") == 1
+
     def test_noise_flags_require_pairs(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["reconstruct", "--config", cfg, "--trials", "5"]) == EXIT_CONFIG
@@ -287,3 +310,46 @@ class TestDeterminismAndErrors:
         assert main(["tomography", "--config", cfg, "--no-timestamp"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["matrix_re"]) == 4 and len(doc["matrix_im"]) == 4
+
+
+# Seeded noisy runs whose --no-timestamp tables are pinned byte for byte in
+# tests/data/<name>.csv: (subcommand, config overrides, extra flags).
+_FIG4A_NOISE = {"pairs_per_setting": 100_000, "trials": 20, "seed": 7}
+_LOW_COUNT_NOISE = {"pairs_per_setting": 500, "trials": 30, "seed": 11}
+GOLDEN_CASES = {
+    "reconstruct_fig4a_noise": ("reconstruct", {"noise": _FIG4A_NOISE}, []),
+    "reconstruct_fig4a_low_count": ("reconstruct", {"noise": _LOW_COUNT_NOISE},
+                                    ["--epsilon", "0.9"]),
+    "reconstruct_fig4a_low_count_clamp": (
+        "reconstruct", {"noise": {**_LOW_COUNT_NOISE, "clamp": True}}, ["--epsilon", "0.9"]),
+    "reconstruct_fig4d_first_order": (
+        "reconstruct", {"state": {"preset": "fig4d"}, "noise": _FIG4A_NOISE},
+        ["--method", "first_order"]),
+    "reconstruct_3x2_noise": (
+        "reconstruct",
+        {"state": {"amps": [[0.5, 0], [0.1, 0.3], [0.2, -0.4], [0.3, 0],
+                            [0.4, 0.2], [-0.1, 0.3]], "dims": [3, 2]},
+         "noise": {"pairs_per_setting": 50_000, "trials": 10, "seed": 3}},
+        []),
+    "compare_fig4a_noise": ("compare", {"noise": {**_FIG4A_NOISE, "trials": 5}}, []),
+    "compare_fig4a_low_count": ("compare", {"noise": {**_LOW_COUNT_NOISE, "trials": 5}},
+                                ["--epsilon", "0.9"]),
+    "tomography_fig4a_noise": ("tomography",
+                               {"noise": {"pairs_per_setting": 1000, "seed": 7}}, []),
+}
+GOLDEN_DIR = Path(__file__).parent / "data"
+
+
+def run_golden_case(name, tmp_path):
+    command, overrides, flags = GOLDEN_CASES[name]
+    out = tmp_path / f"{name}.csv"
+    cfg = write_config(tmp_path, name=f"{name}.json", **overrides)
+    code = main([command, "--config", cfg, *flags, "--no-timestamp", "--out", str(out)])
+    return code, out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_seeded_tables_match_golden(name, tmp_path):
+    code, out = run_golden_case(name, tmp_path)
+    assert code == EXIT_OK
+    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()

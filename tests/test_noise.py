@@ -5,18 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from modval.errors import AllTrialsRejected
+from modval.errors import AllTrialsRejected, ConfigError
 from modval.noise import (
     CountingConfig,
     monte_carlo,
-    sample_counts,
-    sample_detection,
+    noisy_trials,
     sample_pauli_expectations,
     trial_rng,
 )
 from modval.presets import phase_bell, uniform_plus
 from modval.protocol import ProtocolConfig
-from modval.reconstruction import Setting, reconstruct_state
+from modval.reconstruction import Setting, collect_probabilities
 from modval.tomography import pauli_expectations
 
 
@@ -25,42 +24,7 @@ def bell_config(theta=0.0, epsilon=0.2):
                           epsilon=epsilon)
 
 
-class TestSampleCounts:
-    def test_impossible_event(self):
-        assert sample_counts(0.0, 500, 1) == 0
-
-    def test_certain_event(self):
-        assert sample_counts(1.0, 1000, 1) == 1000
-
-    def test_concentration_at_half(self):
-        # binomial std at p = 1/2, N = 1e6 is 5e-4; 0.002 is a 4-sigma band
-        n_pairs, within = 1_000_000, 0
-        seeds = 300
-        for seed in range(seeds):
-            p_hat = sample_counts(0.5, n_pairs, seed) / n_pairs
-            within += abs(p_hat - 0.5) <= 0.002
-        assert within >= 0.98 * seeds
-
-    def test_probability_range_checked(self):
-        with pytest.raises(ValueError):
-            sample_counts(1.2, 10, 0)
-
-    def test_deterministic_per_seed(self):
-        draws = [sample_counts(0.3, 1000, 77) for _ in range(3)]
-        assert len(set(draws)) == 1
-
-
 class TestMonteCarlo:
-    def test_exact_limit(self):
-        cfg = bell_config()
-        mc = monte_carlo(cfg, None)
-        exact = reconstruct_state(cfg, "exact_inversion")
-        np.testing.assert_allclose(mc.amplitudes.mean, exact.amplitudes, atol=1e-14)
-        np.testing.assert_allclose(mc.amplitudes.std, 0)
-        assert mc.fidelity.std == 0.0
-        assert mc.amplitudes.samples_kept == 1
-        assert mc.amplitudes.samples_rejected == 0
-
     def test_std_scales_with_pair_count(self):
         cfg = bell_config()
         small = monte_carlo(cfg, CountingConfig(pairs_per_setting=100_000, trials=200, seed=5))
@@ -121,8 +85,9 @@ class TestMonteCarlo:
         assert max(sa, sb) / min(sa, sb) <= 1.5
 
     def test_definitional_method_rejected(self):
-        with pytest.raises(ValueError):
-            monte_carlo(bell_config(), None, method="definitional")
+        counting = CountingConfig(pairs_per_setting=1000, trials=3, seed=0)
+        with pytest.raises(ConfigError):
+            monte_carlo(bell_config(), counting, method="definitional")
 
     def test_modular_estimates_reported(self):
         cfg = bell_config()
@@ -132,14 +97,26 @@ class TestMonteCarlo:
         assert pair_est.std.real > 0
 
 
-class TestSampleDetection:
-    def test_counts_and_probabilities_consistent(self):
-        rng = trial_rng(7, 0)
-        rec = sample_detection(Setting("pair", j=1, l=1), 0.7, 0.4, 1000, rng)
-        assert rec.count1 == round(rec.p1 * 1000)
-        assert rec.count2 == round(rec.p2 * 1000)
-        assert rec.pairs == 1000
-
+class TestNoisyTrials:
+    def test_counts_follow_scalar_draws_in_plan_order(self):
+        # reference: one scalar binomial per (setting, detector), in plan order
+        cfg = ProtocolConfig(system_state=phase_bell(0.7), postselection=uniform_plus(),
+                             epsilon=0.2)
+        counting = CountingConfig(pairs_per_setting=1000, trials=4, seed=7)
+        exact = collect_probabilities(cfg)
+        trials = list(noisy_trials(cfg, counting, "first_order"))
+        assert [trial for trial, _, _ in trials] == list(range(counting.trials))
+        for trial, rng, result in trials:
+            ref = trial_rng(counting.seed, trial)
+            expected = [ref.binomial(1000, p) / 1000
+                        for p1, p2 in exact.values() for p in (p1, p2)]
+            # first order reads M = (p1 - 1/2)/eps + i (p2 - 1/2)/eps exactly
+            measured = [p for m in result.modulars.values()
+                        for p in (0.5 + 0.2 * m.real, 0.5 + 0.2 * m.imag)]
+            np.testing.assert_allclose(measured, expected, rtol=0, atol=1e-12)
+            assert list(result.modulars) == list(exact)
+            # the handed-on generator continues the same stream
+            assert rng.random() == ref.random()
 
 class TestSamplePauliExpectations:
     def test_identity_is_exact(self):
