@@ -201,12 +201,19 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(postsel_spec, dict):
         raise ConfigError("field 'postselection' must be an object")
 
+    def finite(name, default):
+        # json.load accepts NaN and Infinity literals
+        value = field(name, default, float)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"field {name!r} must be a finite number, got {value!r}")
+        return value
+
     return RunConfig(
         state_spec=state_spec,
         postselection_spec=postsel_spec,
-        theta=field("theta", None, float),
-        epsilon=field("epsilon", 0.2, float),
-        g=field("g", math.pi, float),
+        theta=finite("theta", None),
+        epsilon=finite("epsilon", 0.2),
+        g=finite("g", math.pi),
         method=method,
         noise=noise,
         output_path=field("output_path", "-", str),

@@ -14,6 +14,7 @@ and imaginary parts of the relevant modular value.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Literal
@@ -26,13 +27,11 @@ from .hilbert import (
     LinearOperator,
     PureState,
     Tolerances,
-    apply,
     basis_state,
     exp_projector_phase,
     identity,
     inner,
     normalize,
-    partial_inner,
     projector,
     tensor,
 )
@@ -49,13 +48,17 @@ MeterMode = Literal["entangled", "product"]
 _KINDS = ("pair", "single_a", "single_b")
 _MODES = ("entangled", "product")
 
+# smallest |s| = |e^{-ig} - 1| accepted: weak values are divided by s and s^2
+_MIN_S = 1e-6
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
     """One measurement configuration: states, coupling, and meter choice.
 
-    ``g`` defaults to pi so the s-parameter e^{-ig}-1 equals -2; epsilon is
-    the meter asymmetry (0.2 in the reference setting).
+    ``g`` defaults to pi so the s-parameter e^{-ig}-1 equals -2; it must be
+    finite with |s| >= 1e-6 (at g = 0 or 2*pi the meter carries no signal).
+    epsilon is the meter asymmetry (0.2 in the reference setting).
     """
 
     system_state: PureState
@@ -77,6 +80,13 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must be normalized")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
+        if not math.isfinite(self.g):
+            raise ValueError(f"coupling g must be finite, got {self.g!r}")
+        if abs(cmath.exp(-1j * self.g) - 1.0) < _MIN_S:
+            raise ValueError(
+                f"coupling g = {self.g!r} makes s = e^(-ig) - 1 vanish "
+                f"(|s| < {_MIN_S:g}); weak values cannot be recovered"
+            )
         if self.meter_mode not in _MODES:
             raise ValueError(f"unknown meter mode {self.meter_mode!r}")
 
@@ -120,15 +130,10 @@ def _meter_side_projector(side: Literal["a", "b"]) -> LinearOperator:
     return projector((2,), level)
 
 
-def build_interaction(kind: InteractionKind, j: int | None, l: int | None,
-                      g: float, dims) -> LinearOperator:
-    """Controlled-phase unitary on the joint meter (x) system space.
-
-    kind="single_a" couples meter A to system-A projector |j><j| only,
-    kind="single_b" couples meter B to system-B projector |l><l| only,
-    kind="pair" applies both (the two controlled phases commute).
-    """
-    m, n = (int(d) for d in dims)
+def _check_setting(kind: InteractionKind, j: int | None, l: int | None,
+                   dims) -> tuple[bool, bool]:
+    """Validate one setting; returns which sides (A, B) it couples."""
+    m, n = dims
     if kind not in _KINDS:
         raise ValueError(f"unknown interaction kind {kind!r}")
     use_a = kind in ("pair", "single_a")
@@ -139,7 +144,22 @@ def build_interaction(kind: InteractionKind, j: int | None, l: int | None,
     if use_b:
         if l is None or not 0 <= l < n:
             raise ValueError(f"system-B index {l} out of range for dimension {n}")
+    return use_a, use_b
 
+
+def build_interaction(kind: InteractionKind, j: int | None, l: int | None,
+                      g: float, dims) -> LinearOperator:
+    """Controlled-phase unitary on the joint meter (x) system space.
+
+    kind="single_a" couples meter A to system-A projector |j><j| only,
+    kind="single_b" couples meter B to system-B projector |l><l| only,
+    kind="pair" applies both (the two controlled phases commute).
+
+    ``run_protocol`` never builds this operator; it is the dense reference
+    the diagonal readout is checked against.
+    """
+    m, n = (int(d) for d in dims)
+    use_a, use_b = _check_setting(kind, j, l, (m, n))
     mat = None
     if use_a:
         q_a = tensor(tensor(_meter_side_projector("a"), identity((2,))),
@@ -194,6 +214,11 @@ def _detectors(kind: InteractionKind, mode: MeterMode):
     return pair_detector(1.0), pair_detector(1j), tilde1, tilde2
 
 
+# detector states never depend on the run, so they are built once
+_DETECTORS = {(kind, mode): _detectors(kind, mode) for mode in _MODES for kind in _KINDS
+              if (kind, mode) != ("pair", "product")}
+
+
 def _initial_meter(cfg: ProtocolConfig, kind: InteractionKind) -> PureState:
     if cfg.meter_mode == "entangled":
         return prepare_meter(cfg.epsilon)
@@ -209,12 +234,35 @@ def _initial_meter(cfg: ProtocolConfig, kind: InteractionKind) -> PureState:
     return tensor(part_a, part_b)
 
 
+def _phase_block(use_a: bool, use_b: bool, j: int | None, l: int | None,
+                 g: float, dims: tuple[int, int]) -> np.ndarray:
+    """Diagonal of the interaction unitary as a (4, m*n) block.
+
+    Row k is the system-space diagonal on meter basis state k (uu, ud, du,
+    dd). A couples on its |down> level and B on its |up> level, so with a
+    (b) the system diagonal of exp(-i*g*P_j) (exp(-i*g*P_l)) the rows are
+    [b, 1, a*b, a]; an uncoupled side contributes ones.
+    """
+    m, n = dims
+    phase = 1.0 + (np.exp(-1j * float(g)) - 1.0)  # 1 + s, rounded as exp_projector_phase does
+    a = np.ones((m, n), dtype=np.complex128)
+    b = np.ones((m, n), dtype=np.complex128)
+    if use_a:
+        a[j, :] = phase
+    if use_b:
+        b[:, l] = phase
+    a, b = a.reshape(-1), b.reshape(-1)
+    return np.stack([b, np.ones(m * n, dtype=np.complex128), a * b, a])
+
+
 def run_protocol(cfg: ProtocolConfig, kind: InteractionKind,
                  j: int | None = None, l: int | None = None) -> MeterOutcome:
     """Run one setting end to end and read out the meter.
 
-    Builds the dense interaction unitary, applies it to meter (x) system,
-    postselects the system, and projects the conditional meter state onto
+    Every coupling is diagonal in the product basis, so the interaction is
+    applied as a (4, m*n) phase block on meter (x) system and the system is
+    postselected in the same contraction, in O(m*n) work; no joint-space
+    operator is built. The conditional meter state is then projected onto
     the detector states. Raises OrthogonalPostselection when the overlap
     |<postselection|system>| falls below ortho_tol (the modular value
     diverges there and no meter readout is meaningful).
@@ -225,14 +273,18 @@ def run_protocol(cfg: ProtocolConfig, kind: InteractionKind,
             f"|<postselection|state>| = {abs(overlap):.3e} < {cfg.ortho_tol:.3e}"
         )
     meter0 = _initial_meter(cfg, kind)
-    joint = tensor(meter0, cfg.system_state)
-    unitary = build_interaction(kind, j, l, cfg.g, cfg.dims)
-    final = apply(unitary, joint)
-    meter_proj = partial_inner(cfg.postselection, final)
+    use_a, use_b = _check_setting(kind, j, l, cfg.dims)
+    phases = _phase_block(use_a, use_b, j, l, cfg.g, cfg.dims)
+    psi, phi = cfg.system_state.amps, cfg.postselection.amps
+    # meter (x) system first, then the phases: the same products, in the same
+    # order, as the dense unitary applied to the joint state (its off-diagonal
+    # terms are exact zeros), which keeps the CLI tables byte-identical
+    joint = meter0.amps[:, None] * psi[None, :]
+    meter_proj = PureState(METER_DIMS, (phases * joint) @ phi.conj())
     prob = meter_proj.norm() ** 2
     conditional = normalize(meter_proj)
 
-    d1, d2, t1, t2 = _detectors(kind, cfg.meter_mode)
+    d1, d2, t1, t2 = _DETECTORS[kind, cfg.meter_mode]
     p1 = abs(inner(d1, conditional)) ** 2
     p2 = abs(inner(d2, conditional)) ** 2
     p1_tilde = abs(inner(t1, conditional)) ** 2

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Literal, Mapping, NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import NegativeDiscriminant, OrthogonalPostselection, ZeroReferenceWeakValue
 from .hilbert import DEFAULT_TOL, LinearOperator, PureState, identity, inner, projector, tensor
@@ -55,7 +54,21 @@ class Setting(NamedTuple):
 @dataclass(frozen=True)
 class PlanEntry:
     setting: Setting
-    observable: LinearOperator  # embedded on the full (m, n) system space
+    dims: tuple[int, int]
+
+    @property
+    def observable(self) -> LinearOperator:
+        """The setting's observable, embedded on the full (m, n) system space.
+
+        Built on demand: only the definitional oracle needs the dense matrix.
+        """
+        st = self.setting
+        if st.kind == "single_a":
+            return _embedded_projector(self.dims, "a", st.j)
+        if st.kind == "single_b":
+            return _embedded_projector(self.dims, "b", st.l)
+        return LinearOperator(self.dims, _embedded_projector(self.dims, "a", st.j).mat
+                              + _embedded_projector(self.dims, "b", st.l).mat)
 
 
 @dataclass(frozen=True)
@@ -114,17 +127,10 @@ def measurement_plan(m: int, n: int) -> MeasurementPlan:
     if m < 2 or n < 2:
         raise ValueError("both subsystem dimensions must be at least 2")
     dims = (m, n)
-    entries = []
-    for j in range(1, m):
-        entries.append(PlanEntry(Setting("single_a", j=j), _embedded_projector(dims, "a", j)))
-    for l in range(1, n):
-        entries.append(PlanEntry(Setting("single_b", l=l), _embedded_projector(dims, "b", l)))
-    for j in range(1, m):
-        for l in range(1, n):
-            obs = LinearOperator(dims, _embedded_projector(dims, "a", j).mat
-                                 + _embedded_projector(dims, "b", l).mat)
-            entries.append(PlanEntry(Setting("pair", j=j, l=l), obs))
-    return MeasurementPlan(dims, tuple(entries))
+    settings = ([Setting("single_a", j=j) for j in range(1, m)]
+                + [Setting("single_b", l=l) for l in range(1, n)]
+                + [Setting("pair", j=j, l=l) for j in range(1, m) for l in range(1, n)])
+    return MeasurementPlan(dims, tuple(PlanEntry(st, dims) for st in settings))
 
 
 def _postselection_denominator(psi: PureState, phi: PureState, ortho_tol: float) -> complex:
@@ -138,11 +144,21 @@ def _postselection_denominator(psi: PureState, phi: PureState, ortho_tol: float)
 
 def modular_definitional(observable: LinearOperator, g: float, psi: PureState,
                          phi: PureState, *, ortho_tol: float = DEFAULT_TOL.orthogonal) -> complex:
-    """<phi|exp(-i*g*O)|psi> / <phi|psi> via a dense matrix exponential."""
+    """<phi|exp(-i*g*O)|psi> / <phi|psi> via a dense matrix exponential.
+
+    exp(-i*g*O) is built from the eigendecomposition O = V diag(lam) V^dagger
+    as V diag(e^{-i*g*lam}) V^dagger, so O must be Hermitian; a
+    non-Hermitian observable is rejected instead of silently computing
+    something else.
+    """
     if observable.dims != psi.dims:
         raise ValueError("observable dims must match the state")
+    mat = observable.mat
+    if np.max(np.abs(mat - mat.conj().T)) > DEFAULT_TOL.structural:
+        raise ValueError("modular_definitional requires a Hermitian observable")
     den = _postselection_denominator(psi, phi, ortho_tol)
-    evolved = expm(-1j * float(g) * observable.mat) @ psi.amps
+    lam, vecs = np.linalg.eigh(mat)
+    evolved = (vecs * np.exp(-1j * float(g) * lam)) @ (vecs.conj().T @ psi.amps)
     return complex(np.vdot(phi.amps, evolved) / den)
 
 

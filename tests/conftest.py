@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from modval.hilbert import PureState
+from modval.errors import OrthogonalPostselection
+from modval.hilbert import PureState, apply, inner, normalize, partial_inner, tensor
+from modval.protocol import MeterOutcome, _detectors, _initial_meter, build_interaction
 
 
 def random_state(rng, dims=(2, 2)) -> PureState:
@@ -21,3 +23,30 @@ def random_pair(rng, dims=(2, 2), min_overlap=0.05):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+def dense_run_protocol(cfg, kind, j=None, l=None):
+    """Reference meter readout on the full meter (x) system space.
+
+    Builds the dense controlled-phase unitary with ``build_interaction``,
+    applies it to meter (x) system, postselects the system with
+    ``partial_inner`` and projects onto the detector states. The library's
+    ``run_protocol`` must agree with it field by field.
+    """
+    overlap = inner(cfg.postselection, cfg.system_state)
+    if abs(overlap) < cfg.ortho_tol:
+        raise OrthogonalPostselection("postselection orthogonal to the state")
+    meter0 = _initial_meter(cfg, kind)
+    joint = tensor(meter0, cfg.system_state)
+    final = apply(build_interaction(kind, j, l, cfg.g, cfg.dims), joint)
+    meter_proj = partial_inner(cfg.postselection, final)
+    conditional = normalize(meter_proj)
+    d1, d2, t1, t2 = _detectors(kind, cfg.meter_mode)
+    return MeterOutcome(
+        conditional_meter_state=conditional,
+        postselection_probability=meter_proj.norm() ** 2,
+        p1=abs(inner(d1, conditional)) ** 2,
+        p2=abs(inner(d2, conditional)) ** 2,
+        p1_tilde=abs(inner(t1, conditional)) ** 2,
+        p2_tilde=abs(inner(t2, conditional)) ** 2,
+    )

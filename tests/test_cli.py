@@ -256,6 +256,37 @@ class TestDeterminismAndErrors:
             assert captured.err.startswith("error: config_error:")
             assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("overrides", [
+        {"g": 0.0},  # s = 0: every weak value divides by zero
+        {"g": 2 * math.pi},  # s ~ 1e-16: weak values near 1e16
+        {"g": 1e-9},
+    ])
+    def test_vanishing_coupling_is_config_error(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["reconstruct", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: config_error:")
+        assert "coupling" in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, text", [
+        ("theta", "NaN"), ("theta", "Infinity"), ("epsilon", "NaN"),
+        ("g", "NaN"), ("g", "-Infinity"),
+    ])
+    def test_non_finite_numbers_are_config_error(self, tmp_path, capsys, field, text):
+        path = Path(write_config(tmp_path, state={"preset": "fig3"}, theta=0.5))
+        doc = json.loads(path.read_text())
+        doc[field] = "__VALUE__"
+        # json.dumps refuses to write NaN with allow_nan=False; splice the literal in
+        path.write_text(json.dumps(doc).replace('"__VALUE__"', text))
+        assert main(["reconstruct", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: config_error:")
+        assert field in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_noise_flags_require_pairs(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["reconstruct", "--config", cfg, "--trials", "5"]) == EXIT_CONFIG
@@ -296,6 +327,16 @@ class TestDeterminismAndErrors:
                               capture_output=True, text=True)
         assert proc.returncode == EXIT_OK
         assert "amp_re" in proc.stdout
+
+    def test_import_loads_no_scipy(self):
+        import subprocess
+        import sys
+
+        code = ("import modval.cli, sys; "
+                "print(','.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
 
     def test_json_output_all_commands(self, tmp_path, capsys):
         cfg = write_config(tmp_path, state={"preset": "fig3"}, format="json")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modval.errors import OrthogonalPostselection
 from modval.hilbert import LinearOperator, PureState, identity, projector, tensor
@@ -17,7 +19,7 @@ from modval.protocol import (
     run_protocol,
 )
 from modval.reconstruction import modular_definitional
-from tests.conftest import random_pair, random_state
+from tests.conftest import dense_run_protocol, random_pair, random_state
 
 
 def embedded(side, index, dims=(2, 2)):
@@ -170,6 +172,62 @@ class TestRunProtocol:
             assert abs(ratios["pair"] - ratios["single_a"] * ratios["single_b"]) <= 1e-10
 
 
+def all_settings(dims, mode):
+    m, n = dims
+    settings = [("single_a", j, None) for j in range(m)]
+    settings += [("single_b", None, l) for l in range(n)]
+    if mode == "entangled":
+        settings += [("pair", j, l) for j in range(m) for l in range(n)]
+    return settings
+
+
+def assert_matches_oracle(cfg, kind, j, l, atol=1e-12):
+    got = run_protocol(cfg, kind, j=j, l=l)
+    want = dense_run_protocol(cfg, kind, j=j, l=l)
+    assert got.conditional_meter_state.dims == want.conditional_meter_state.dims
+    np.testing.assert_allclose(got.conditional_meter_state.amps,
+                               want.conditional_meter_state.amps, rtol=0, atol=atol)
+    for name in ("postselection_probability", "p1", "p2", "p1_tilde", "p2_tilde"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= atol, name
+
+
+class TestDiagonalReadoutMatchesDenseOracle:
+    """run_protocol against the dense meter (x) system simulation."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (4, 3), (5, 4)])
+    @pytest.mark.parametrize("mode", ["entangled", "product"])
+    def test_every_setting_and_field(self, rng, dims, mode):
+        for _ in range(3):
+            psi, phi = random_pair(rng, dims)
+            cfg = ProtocolConfig(system_state=psi, postselection=phi,
+                                 epsilon=rng.uniform(0.05, 1.0),
+                                 g=rng.uniform(0.3, 2 * math.pi - 0.3), meter_mode=mode)
+            for kind, j, l in all_settings(dims, mode):
+                assert_matches_oracle(cfg, kind, j, l)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(m=st.integers(2, 4), n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+           epsilon=st.floats(0.05, 1.0, exclude_min=True),
+           g=st.floats(0.3, 2 * math.pi - 0.3),
+           mode=st.sampled_from(["entangled", "product"]), data=st.data())
+    def test_random_dims_property(self, m, n, seed, epsilon, g, mode, data):
+        psi, phi = random_pair(np.random.default_rng(seed), (m, n))
+        cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=epsilon, g=g,
+                             meter_mode=mode)
+        kind, j, l = data.draw(st.sampled_from(all_settings((m, n), mode)))
+        assert_matches_oracle(cfg, kind, j, l)
+
+    def test_error_paths_match(self):
+        cfg = ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus())
+        for kind, j, l, match in (("both", 1, 1, "kind"), ("pair", 2, 1, "out of range"),
+                                  ("single_a", None, 1, "out of range"),
+                                  ("single_b", 1, -1, "out of range")):
+            with pytest.raises(ValueError, match=match):
+                run_protocol(cfg, kind, j=j, l=l)
+            with pytest.raises(ValueError, match=match):
+                dense_run_protocol(cfg, kind, j=j, l=l)
+
+
 class TestProductMeterMode:
     def test_single_runs_match_entangled_probabilities(self, rng):
         for _ in range(10):
@@ -194,6 +252,17 @@ class TestProductMeterMode:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("g", [0.0, 2 * math.pi, -4 * math.pi, 1e-7,
+                                   math.nan, math.inf])
+    def test_vanishing_or_non_finite_coupling(self, g):
+        with pytest.raises(ValueError, match="coupling"):
+            ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus(), g=g)
+
+    def test_small_but_resolvable_coupling_accepted(self):
+        cfg = ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus(),
+                             g=1e-5)
+        assert cfg.g == 1e-5
+
     def test_epsilon_range(self):
         with pytest.raises(ValueError, match="epsilon"):
             ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus(),

@@ -26,6 +26,7 @@ from modval.reconstruction import (
     weak_from_modulars,
 )
 from tests.conftest import random_pair, random_state
+from tests.test_hilbert import taylor_expm
 
 
 def embedded(side, index, dims=(2, 2)):
@@ -68,6 +69,25 @@ class TestModularDefinitional:
     def test_orthogonal_raises(self):
         with pytest.raises(OrthogonalPostselection):
             modular_definitional(embedded("a", 1), math.pi, phase_bell(math.pi), uniform_plus())
+
+    def test_matches_taylor_series_exponential(self, rng):
+        for dims in ((2, 2), (3, 2)):
+            d = int(np.prod(dims))
+            psi, phi = random_pair(rng, dims)
+            herm = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            herm = (herm + herm.conj().T) / 2
+            herm /= np.max(np.abs(np.linalg.eigvalsh(herm)))  # keeps the series short
+            g = rng.uniform(0.3, 2 * math.pi - 0.3)
+            evolved = taylor_expm(-1j * g * herm) @ psi.amps
+            expected = np.vdot(phi.amps, evolved) / np.vdot(phi.amps, psi.amps)
+            value = modular_definitional(LinearOperator(dims, herm), g, psi, phi)
+            assert abs(value - expected) <= 1e-10
+
+    def test_non_hermitian_rejected(self, rng):
+        psi, phi = random_pair(rng)
+        shear = LinearOperator((2, 2), np.triu(np.ones((4, 4))))
+        with pytest.raises(ValueError, match="Hermitian"):
+            modular_definitional(shear, math.pi, psi, phi)
 
 
 class TestWeakDefinitional:
@@ -201,6 +221,21 @@ class TestMeasurementPlan:
         np.testing.assert_allclose(plan.entries[2].observable.mat,
                                    plan.entries[0].observable.mat
                                    + plan.entries[1].observable.mat)
+
+    def test_plan_is_index_only(self, monkeypatch):
+        # the exact pipeline builds no system-space operator; only the
+        # definitional oracle asks a plan entry for its observable
+        def no_operators(self):
+            raise AssertionError("dense operator built")
+
+        cfg = ProtocolConfig(system_state=random_state(np.random.default_rng(5), (4, 3)),
+                             postselection=uniform_plus(4, 3))
+        monkeypatch.setattr(LinearOperator, "__post_init__", no_operators)
+        plan = measurement_plan(4, 3)
+        assert all(entry.dims == (4, 3) for entry in plan.entries)
+        reconstruct_state(cfg, "exact_inversion")
+        with pytest.raises(AssertionError, match="dense operator"):
+            plan.entries[0].observable
 
     def test_minimum_dimension(self):
         with pytest.raises(ValueError):
