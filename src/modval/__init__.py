@@ -18,7 +18,6 @@ from .hilbert import (
     DEFAULT_TOL,
     LinearOperator,
     PureState,
-    Tolerances,
     apply,
     basis_state,
     exp_projector_phase,
@@ -54,11 +53,11 @@ from .protocol import (
 )
 from .reconstruction import (
     MeasurementPlan,
-    ModularEstimate,
     ReconstructionResult,
     Setting,
     collect_probabilities,
     definitional_modulars,
+    invert_probabilities,
     measurement_plan,
     modular_definitional,
     modular_exact_inversion,

@@ -63,7 +63,7 @@ from .presets import (
     uniform_plus,
 )
 from .protocol import ProtocolConfig
-from .reconstruction import METHODS, Setting, reconstruct_state
+from .reconstruction import METHODS, reconstruct_state, split_plan
 from .tomography import fidelity_pure, fidelity_states, linear_inversion, pauli_expectations
 
 SCHEMA_VERSION = 1
@@ -248,6 +248,8 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
             )
         except TypeError:
             raise ConfigError("--pairs is required to enable noise from the command line") from None
+        except ValueError as exc:
+            raise ConfigError(f"noise: {exc}") from None
         cfg = replace(cfg, noise=noise)
     return cfg
 
@@ -303,10 +305,10 @@ def write_table(rows: list[dict], fieldnames: list[str], *, meta: dict,
             handle.write(text)
 
 
-def _complex_cols(prefix: str, value: complex | None) -> dict:
+def _complex_cols(prefix: str, value: complex | None, suffix: str = "") -> dict:
     if value is None:
-        return {f"{prefix}_re": None, f"{prefix}_im": None}
-    return {f"{prefix}_re": float(value.real), f"{prefix}_im": float(value.imag)}
+        return {f"{prefix}_re{suffix}": None, f"{prefix}_im{suffix}": None}
+    return {f"{prefix}_re{suffix}": float(value.real), f"{prefix}_im{suffix}": float(value.imag)}
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +324,19 @@ def cmd_reconstruct(cfg: RunConfig) -> None:
                   "mod_a_re", "mod_a_im", "mod_b_re", "mod_b_im",
                   "mod_pair_re", "mod_pair_im", "normalizer"]
 
+    def plan_values(values, j, l):
+        # (mod_a, mod_b, mod_pair) entries of component (j, l); None where the plan has none
+        mod_a, mod_b, mod_pair = split_plan(values, (m, n))
+        return (("mod_a", mod_a[j - 1] if j else None),
+                ("mod_b", mod_b[l - 1] if l else None),
+                ("mod_pair", mod_pair[j - 1, l - 1] if j and l else None))
+
     def base_row(j, l, amps, weak, mods, normalizer):
         row = {"comp_a": j, "comp_b": l, "normalizer": normalizer}
         row.update(_complex_cols("amp", complex(amps[j, l])))
         row.update(_complex_cols("weak", complex(weak[j, l])))
-        row.update(_complex_cols("mod_a", mods.get(Setting("single_a", j=j))))
-        row.update(_complex_cols("mod_b", mods.get(Setting("single_b", l=l))))
-        row.update(_complex_cols("mod_pair", mods.get(Setting("pair", j=j, l=l))))
+        for prefix, value in plan_values(mods, j, l):
+            row.update(_complex_cols(prefix, value))
         return row
 
     if cfg.noise is None:
@@ -344,28 +352,16 @@ def cmd_reconstruct(cfg: RunConfig) -> None:
                     trials=cfg.noise.trials, seed=cfg.noise.seed,
                     trials_kept=mc.amplitudes.samples_kept,
                     trials_rejected=mc.amplitudes.samples_rejected)
-        mod_means = {st: est.mean for st, est in mc.modulars.items()}
-        mod_stds = {st: est.std for st, est in mc.modulars.items()}
-        fieldnames = fieldnames + ["amp_re_std", "amp_im_std", "weak_re_std",
-                                   "weak_im_std", "mod_a_re_std", "mod_a_im_std",
-                                   "mod_b_re_std", "mod_b_im_std",
-                                   "mod_pair_re_std", "mod_pair_im_std",
-                                   "normalizer_std"]
+        fieldnames = fieldnames + [f"{name}_std" for name in fieldnames[2:]]
         for j in range(m):
             for l in range(n):
                 row = base_row(j, l, mc.amplitudes.mean, mc.weak_values.mean,
-                               mod_means, float(mc.normalizer.mean))
-                amp_std = mc.amplitudes.std[j, l]
-                weak_std = mc.weak_values.std[j, l]
-                row.update(amp_re_std=float(amp_std.real), amp_im_std=float(amp_std.imag),
-                           weak_re_std=float(weak_std.real), weak_im_std=float(weak_std.imag),
-                           normalizer_std=float(mc.normalizer.std))
-                for prefix, key in (("mod_a", Setting("single_a", j=j)),
-                                    ("mod_b", Setting("single_b", l=l)),
-                                    ("mod_pair", Setting("pair", j=j, l=l))):
-                    std = mod_stds.get(key)
-                    row[f"{prefix}_re_std"] = None if std is None else float(std.real)
-                    row[f"{prefix}_im_std"] = None if std is None else float(std.imag)
+                               mc.modulars.mean, float(mc.normalizer.mean))
+                row.update(_complex_cols("amp", mc.amplitudes.std[j, l], "_std"))
+                row.update(_complex_cols("weak", mc.weak_values.std[j, l], "_std"))
+                for prefix, std in plan_values(mc.modulars.std, j, l):
+                    row.update(_complex_cols(prefix, std, "_std"))
+                row["normalizer_std"] = float(mc.normalizer.std)
                 rows.append(row)
 
     write_table(rows, fieldnames, meta=meta, output_path=cfg.output_path,
@@ -380,6 +376,9 @@ def cmd_sweep_theta(cfg: RunConfig, theta_min: float, theta_max: float, steps: i
     """
     if steps < 2:
         raise ConfigError("--steps must be at least 2")
+    for flag, value in (("--theta-min", theta_min), ("--theta-max", theta_max)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be a finite number, got {value!r}")
     if "preset" in cfg.state_spec and cfg.state_spec["preset"] != "fig3":
         raise ConfigError("sweep-theta requires the fig3 state preset")
     if cfg.noise is not None:
@@ -388,8 +387,6 @@ def cmd_sweep_theta(cfg: RunConfig, theta_min: float, theta_max: float, steps: i
     base = _protocol_config(cfg, phase_bell(0.0))
     thetas = np.linspace(theta_min, theta_max, steps)
     methods = ("definitional", "first_order", "exact_inversion")
-    a_set, b_set, pair_set = (Setting("single_a", j=1), Setting("single_b", l=1),
-                              Setting("pair", j=1, l=1))
     rows = []
     for theta in thetas:
         pcfg = replace(base, system_state=phase_bell(float(theta)))
@@ -398,15 +395,12 @@ def cmd_sweep_theta(cfg: RunConfig, theta_min: float, theta_max: float, steps: i
             try:
                 result = reconstruct_state(pcfg, method)
             except ModvalError as exc:
-                row["error"] = exc.code
-                row.update(_complex_cols("mod_a", None))
-                row.update(_complex_cols("mod_b", None))
-                row.update(_complex_cols("mod_pair", None))
-                row.update(_complex_cols("psi_vv", None))
+                row["error"] = exc.code  # missing cells are written empty
             else:
-                row.update(_complex_cols("mod_a", result.modulars[a_set]))
-                row.update(_complex_cols("mod_b", result.modulars[b_set]))
-                row.update(_complex_cols("mod_pair", result.modulars[pair_set]))
+                mod_a, mod_b, mod_pair = split_plan(result.modulars, pcfg.dims)
+                row.update(_complex_cols("mod_a", mod_a[0]))
+                row.update(_complex_cols("mod_b", mod_b[0]))
+                row.update(_complex_cols("mod_pair", mod_pair[0, 0]))
                 row.update(_complex_cols("psi_vv", complex(result.amplitudes[1, 1])))
             rows.append(row)
 
@@ -471,13 +465,15 @@ def cmd_compare(cfg: RunConfig) -> None:
     else:
         meta.update(pairs_per_setting=cfg.noise.pairs_per_setting,
                     trials=cfg.noise.trials, seed=cfg.noise.seed)
-        for trial, rng, result in noisy_trials(pcfg, cfg.noise, cfg.method):
-            if result is None:
+        rngs, kept, result = noisy_trials(pcfg, cfg.noise, cfg.method)
+        for trial, rng in enumerate(rngs):
+            if not kept[trial]:
                 rows.append({"trial": trial, "error": NegativeDiscriminant.code})
                 continue
             noisy_expect = sample_pauli_expectations(exact_expect,
                                                      cfg.noise.pairs_per_setting, rng)
-            rows.append(fidelity_row(trial, result.state(), linear_inversion(noisy_expect)))
+            rows.append(fidelity_row(trial, result[trial].state(),
+                                     linear_inversion(noisy_expect)))
 
     write_table(rows, fieldnames, meta=meta, output_path=cfg.output_path,
                 fmt=cfg.format, timestamp=cfg.timestamp)

@@ -26,12 +26,10 @@ class Tolerances:
     """Numeric tolerance policy, one record for the whole package.
 
     structural: idempotence / unitarity / normalization checks.
-    algebraic: algebraically exact identities compared in floating point.
     orthogonal: smallest postselection overlap |<phi|psi>| still accepted.
     """
 
     structural: float = 1e-10
-    algebraic: float = 1e-12
     orthogonal: float = 1e-6
 
 
@@ -134,7 +132,7 @@ def tensor(a, b):
     raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
 
 
-def projector(dims, target, *, tol: Tolerances = DEFAULT_TOL) -> LinearOperator:
+def projector(dims, target) -> LinearOperator:
     """Rank-1 projector |v><v| from a basis index or a unit vector.
 
     A vector target must already be normalized (within the structural
@@ -149,24 +147,23 @@ def projector(dims, target, *, tol: Tolerances = DEFAULT_TOL) -> LinearOperator:
                          dtype=np.complex128).reshape(-1)
         if vec.size != total:
             raise ValueError(f"vector length {vec.size} does not match dims {dims}")
-        if abs(np.linalg.norm(vec) - 1.0) > tol.structural:
+        if abs(np.linalg.norm(vec) - 1.0) > DEFAULT_TOL.structural:
             raise ValueError("projector target vector is not normalized")
     return LinearOperator(dims, np.outer(vec, vec.conj()))
 
 
-def is_idempotent(op: LinearOperator, *, tol: float = DEFAULT_TOL.structural) -> bool:
-    return bool(np.max(np.abs(op.mat @ op.mat - op.mat)) <= tol)
+def is_idempotent(op: LinearOperator) -> bool:
+    return bool(np.max(np.abs(op.mat @ op.mat - op.mat)) <= DEFAULT_TOL.structural)
 
 
-def exp_projector_phase(proj: LinearOperator, g: float,
-                        *, tol: Tolerances = DEFAULT_TOL) -> LinearOperator:
+def exp_projector_phase(proj: LinearOperator, g: float) -> LinearOperator:
     """exp(-i*g*P) for an idempotent P, via the closed form I + (e^{-ig}-1) P.
 
     Equals the dense matrix exponential of -i*g*P; unitary whenever P is
     Hermitian. Rejects non-idempotent input instead of silently computing
     something else.
     """
-    if not is_idempotent(proj, tol=tol.structural):
+    if not is_idempotent(proj):
         raise ValueError("exp_projector_phase requires an idempotent operator")
     phase = np.exp(-1j * float(g)) - 1.0
     mat = np.eye(proj.dim, dtype=np.complex128) + phase * proj.mat

@@ -1,13 +1,13 @@
 """Photon-counting shot noise and Monte Carlo error propagation.
 
-There is one trial path, ``noisy_trials``. Each trial estimates every
-(setting, detector) probability from a binomial draw of
-``pairs_per_setting`` photon pairs, inverts the estimates to modular values
-and reconstructs the state. ``monte_carlo`` aggregates the trials into
-means and standard deviations per reconstructed quantity; the CLI's
-``compare`` pairs each trial with a tomography draw from the same
-generator. Trials that hit NegativeDiscriminant are counted as rejected,
-never silently folded into the statistics.
+There is one trial path, ``noisy_trials``. Each of the T trials draws
+every (setting, detector) count from ``pairs_per_setting`` photon pairs;
+the (T, S, 2) frequencies are inverted to (T, S) modular values and
+reconstructed in one batched call, and trials outside the reachable set
+(NegativeDiscriminant) are masked out, never folded into the statistics.
+``monte_carlo`` aggregates the kept trials into means and standard
+deviations; the CLI's ``compare`` pairs each trial with a tomography draw
+from the trial's own generator.
 
 Per-trial randomness derives from the run seed through spawn keys
 (seed_i = f(seed, i)), so results do not depend on execution order.
@@ -16,18 +16,17 @@ Per-trial randomness derives from the run seed through spawn keys
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .errors import AllTrialsRejected, ConfigError, NegativeDiscriminant
+from .errors import AllTrialsRejected, ConfigError
 from .hilbert import inner
 from .protocol import ProtocolConfig
 from .reconstruction import (
     Method,
     ReconstructionResult,
-    Setting,
     collect_probabilities,
+    invert_probabilities,
     reconstruct,
     s_parameter,
 )
@@ -69,7 +68,7 @@ class NoisyEstimate:
 class MonteCarloResult:
     amplitudes: NoisyEstimate
     weak_values: NoisyEstimate
-    modulars: dict[Setting, NoisyEstimate]
+    modulars: NoisyEstimate  # (S,) in plan order
     normalizer: NoisyEstimate
     fidelity: NoisyEstimate  # |<truth|estimate>|^2 against the configured state
 
@@ -91,7 +90,7 @@ def _complex_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def _estimate(samples: list, rejected: int, keep: bool) -> NoisyEstimate:
+def _estimate(samples, rejected: int, keep: bool) -> NoisyEstimate:
     samples = np.array(samples)
     mean, std = _complex_stats(samples)
     if samples.ndim == 1:
@@ -103,61 +102,56 @@ def _estimate(samples: list, rejected: int, keep: bool) -> NoisyEstimate:
 
 def noisy_trials(cfg: ProtocolConfig, counting: CountingConfig,
                  method: Method = "exact_inversion",
-                 ) -> Iterator[tuple[int, np.random.Generator, ReconstructionResult | None]]:
-    """Yield ``(trial, rng, result)`` for each counting-noise trial, in order.
+                 ) -> tuple[list[np.random.Generator], np.ndarray, ReconstructionResult | None]:
+    """Run every counting-noise trial; returns ``(rngs, kept, result)``.
 
-    The exact probabilities are computed once, before the first trial, so
-    OrthogonalPostselection surfaces before any trial runs. Each trial draws
-    all detector counts with one binomial call over the (setting, detector)
-    probabilities in plan order and reconstructs from the estimated
-    frequencies; ``result`` is None when that inversion hit
-    NegativeDiscriminant. ``rng`` is the trial's generator, positioned after
-    the count draws, for callers that draw further noise per trial.
+    The exact probabilities are computed once, so OrthogonalPostselection
+    surfaces before any draw. Trial t draws all its counts with one binomial
+    call on its own generator ``rngs[t]``, left positioned after that draw
+    for callers that draw further noise per trial. ``result`` holds all T
+    trials (None when none is kept); ``kept`` (T,) is False where the
+    inversion hit NegativeDiscriminant, and that trial's row of ``result``
+    is nan.
     """
     if method == "definitional":
         raise ConfigError("counting noise applies to measured probabilities; "
                           "definitional modulars have none (use first_order or exact_inversion)")
     exact = collect_probabilities(cfg)
-    settings = list(exact)
-    probabilities = np.array(list(exact.values()))
     pairs = counting.pairs_per_setting
-    s = s_parameter(cfg.g)
-    for trial in range(counting.trials):
-        rng = trial_rng(counting.seed, trial)
-        frequencies = (rng.binomial(pairs, probabilities) / pairs).tolist()
-        try:
-            result = reconstruct(dims=cfg.dims, postselection=cfg.postselection, s=s,
-                                 probabilities=dict(zip(settings, map(tuple, frequencies))),
-                                 epsilon=cfg.epsilon, method=method, clamp=counting.clamp)
-        except NegativeDiscriminant:
-            result = None
-        yield trial, rng, result
+    rngs = [trial_rng(counting.seed, trial) for trial in range(counting.trials)]
+    frequencies = np.stack([rng.binomial(pairs, exact) for rng in rngs]) / pairs
+    modulars = invert_probabilities(frequencies, cfg.epsilon, method, clamp=counting.clamp)
+    kept = ~np.isnan(modulars).any(axis=-1)
+    if not kept.any():
+        return rngs, kept, None
+    return rngs, kept, reconstruct(dims=cfg.dims, postselection=cfg.postselection,
+                                   s=s_parameter(cfg.g), modulars=modulars)
 
 
 def monte_carlo(cfg: ProtocolConfig, counting: CountingConfig,
                 *, method: Method = "exact_inversion",
                 keep_samples: bool = False) -> MonteCarloResult:
-    """Means and spreads of every reconstructed quantity over ``noisy_trials``."""
-    kept = [result for _, _, result in noisy_trials(cfg, counting, method)
-            if result is not None]
-    if not kept:
+    """Means and spreads of every reconstructed quantity over the kept ``noisy_trials``."""
+    _, kept, result = noisy_trials(cfg, counting, method)
+    if result is None:
         raise AllTrialsRejected(
             f"all {counting.trials} trials failed inversion; "
             "increase pairs_per_setting or enable clamping"
         )
-    rejected = counting.trials - len(kept)
-    mod_array = np.array([list(result.modulars.values()) for result in kept])
-    mod_estimates = {}
-    for k, st in enumerate(kept[0].modulars):
-        mean, std = _complex_stats(mod_array[:, k])
-        mod_estimates[st] = NoisyEstimate(complex(mean), complex(std), len(kept), rejected)
+    n_kept = int(kept.sum())
+    rejected = counting.trials - n_kept
+    modulars = result.modulars[kept]
+    # reduced column by column: an axis-0 reduction of the (K, S) stack rounds differently
+    mod_stats = [_complex_stats(modulars[:, k]) for k in range(modulars.shape[1])]
     return MonteCarloResult(
-        amplitudes=_estimate([result.amplitudes for result in kept], rejected, keep_samples),
-        weak_values=_estimate([result.weak_values for result in kept], rejected, keep_samples),
-        modulars=mod_estimates,
-        normalizer=_estimate([result.normalizer for result in kept], rejected, keep_samples),
-        fidelity=_estimate([abs(inner(cfg.system_state, result.state())) ** 2
-                            for result in kept], rejected, keep_samples),
+        amplitudes=_estimate(result.amplitudes[kept], rejected, keep_samples),
+        weak_values=_estimate(result.weak_values[kept], rejected, keep_samples),
+        modulars=NoisyEstimate(np.array([mean for mean, _ in mod_stats]),
+                               np.array([std for _, std in mod_stats]), n_kept, rejected,
+                               modulars if keep_samples else None),
+        normalizer=_estimate(result.normalizer[kept], rejected, keep_samples),
+        fidelity=_estimate([abs(inner(cfg.system_state, result[k].state())) ** 2
+                            for k in np.flatnonzero(kept)], rejected, keep_samples),
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -26,7 +26,6 @@ from .hilbert import (
     DEFAULT_TOL,
     LinearOperator,
     PureState,
-    Tolerances,
     basis_state,
     exp_projector_phase,
     identity,
@@ -66,8 +65,6 @@ class ProtocolConfig:
     epsilon: float = 0.2
     g: float = math.pi
     meter_mode: MeterMode = "entangled"
-    ortho_tol: float = DEFAULT_TOL.orthogonal
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self):
         if len(self.system_state.dims) != 2:
@@ -76,7 +73,7 @@ class ProtocolConfig:
             raise ValueError("postselection dims must match the system state")
         for name, state in (("system_state", self.system_state),
                             ("postselection", self.postselection)):
-            if abs(state.norm() - 1.0) > self.tol.structural:
+            if abs(state.norm() - 1.0) > DEFAULT_TOL.structural:
                 raise ValueError(f"{name} must be normalized")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
@@ -264,13 +261,13 @@ def run_protocol(cfg: ProtocolConfig, kind: InteractionKind,
     postselected in the same contraction, in O(m*n) work; no joint-space
     operator is built. The conditional meter state is then projected onto
     the detector states. Raises OrthogonalPostselection when the overlap
-    |<postselection|system>| falls below ortho_tol (the modular value
+    |<postselection|system>| falls below DEFAULT_TOL.orthogonal (the modular value
     diverges there and no meter readout is meaningful).
     """
     overlap = inner(cfg.postselection, cfg.system_state)
-    if abs(overlap) < cfg.ortho_tol:
+    if abs(overlap) < DEFAULT_TOL.orthogonal:
         raise OrthogonalPostselection(
-            f"|<postselection|state>| = {abs(overlap):.3e} < {cfg.ortho_tol:.3e}"
+            f"|<postselection|state>| = {abs(overlap):.3e} < {DEFAULT_TOL.orthogonal:.3e}"
         )
     meter0 = _initial_meter(cfg, kind)
     use_a, use_b = _check_setting(kind, j, l, cfg.dims)

@@ -13,14 +13,21 @@ Measuring the (m-1)+(n-1) single-subsystem modular values plus the
 components involving index 0 are completed through projector completeness
 (P_0 = I - sum of the others) at the weak-value level, and the amplitude
 matrix is fixed by normalization with a real-positive reference component.
+
+Plan order (``measurement_plan``: the m-1 single_a settings, the n-1
+single_b settings, then the pairs row-major in (j, l)) is the one index of
+every per-setting quantity: detector probabilities are an (S, 2) array and
+modular values an (..., S) complex array; ``split_plan`` cuts them into the
+single_a, single_b and pair blocks. The inversions act elementwise, and
+``reconstruct`` takes optional leading trial axes, so the exact pipeline
+and a stack of noisy trials run through the same code.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
-from typing import Literal, Mapping, NamedTuple
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -41,14 +48,6 @@ class Setting(NamedTuple):
     kind: str  # "single_a" | "single_b" | "pair"
     j: int | None = None
     l: int | None = None
-
-    @property
-    def label(self) -> str:
-        if self.kind == "single_a":
-            return f"a{self.j}"
-        if self.kind == "single_b":
-            return f"b{self.l}"
-        return f"a{self.j}b{self.l}"
 
 
 @dataclass(frozen=True)
@@ -89,22 +88,24 @@ class MeasurementPlan:
 
 
 @dataclass(frozen=True)
-class ModularEstimate:
-    value: complex
-    method: Method
-    epsilon_used: float
-
-
-@dataclass(frozen=True)
 class ReconstructionResult:
-    """Amplitudes plus every intermediate quantity of the pipeline."""
+    """Amplitudes plus every intermediate quantity of the pipeline.
+
+    A batched reconstruction carries the same leading trial axes on every
+    field; ``result[k]`` is trial k on its own.
+    """
 
     dims: tuple[int, int]
-    amplitudes: np.ndarray  # (m, n) complex, unit norm, reference real-positive
-    weak_values: np.ndarray  # (m, n) complex, completed over all components
-    modulars: dict[Setting, complex]
-    normalizer: float
-    reference_component: tuple[int, int]
+    amplitudes: np.ndarray  # (..., m, n) complex, unit norm, reference real-positive
+    weak_values: np.ndarray  # (..., m, n) complex, completed over all components
+    modulars: np.ndarray  # (..., S) complex, plan order
+    normalizer: float | np.ndarray  # (...)
+    reference_component: tuple[int, int] | np.ndarray  # (..., 2) for a batch
+
+    def __getitem__(self, k: int) -> ReconstructionResult:
+        return ReconstructionResult(self.dims, self.amplitudes[k], self.weak_values[k],
+                                    self.modulars[k], float(self.normalizer[k]),
+                                    tuple(int(i) for i in self.reference_component[k]))
 
     def state(self) -> PureState:
         return PureState(self.dims, self.amplitudes.reshape(-1))
@@ -133,17 +134,26 @@ def measurement_plan(m: int, n: int) -> MeasurementPlan:
     return MeasurementPlan(dims, tuple(PlanEntry(st, dims) for st in settings))
 
 
-def _postselection_denominator(psi: PureState, phi: PureState, ortho_tol: float) -> complex:
+def split_plan(values, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut plan-ordered values (..., S) into the single_a (..., m-1), single_b
+    (..., n-1) and pair (..., m-1, n-1) blocks; index j >= 1 sits at j-1."""
+    m, n = dims
+    values = np.asarray(values)
+    return (values[..., :m - 1], values[..., m - 1:m + n - 2],
+            values[..., m + n - 2:].reshape(values.shape[:-1] + (m - 1, n - 1)))
+
+
+def _postselection_denominator(psi: PureState, phi: PureState) -> complex:
     den = inner(phi, psi)
-    if abs(den) < ortho_tol:
+    if abs(den) < DEFAULT_TOL.orthogonal:
         raise OrthogonalPostselection(
-            f"|<phi|psi>| = {abs(den):.3e} < {ortho_tol:.3e}"
+            f"|<phi|psi>| = {abs(den):.3e} < {DEFAULT_TOL.orthogonal:.3e}"
         )
     return den
 
 
 def modular_definitional(observable: LinearOperator, g: float, psi: PureState,
-                         phi: PureState, *, ortho_tol: float = DEFAULT_TOL.orthogonal) -> complex:
+                         phi: PureState) -> complex:
     """<phi|exp(-i*g*O)|psi> / <phi|psi> via a dense matrix exponential.
 
     exp(-i*g*O) is built from the eigendecomposition O = V diag(lam) V^dagger
@@ -156,69 +166,102 @@ def modular_definitional(observable: LinearOperator, g: float, psi: PureState,
     mat = observable.mat
     if np.max(np.abs(mat - mat.conj().T)) > DEFAULT_TOL.structural:
         raise ValueError("modular_definitional requires a Hermitian observable")
-    den = _postselection_denominator(psi, phi, ortho_tol)
+    den = _postselection_denominator(psi, phi)
     lam, vecs = np.linalg.eigh(mat)
     evolved = (vecs * np.exp(-1j * float(g) * lam)) @ (vecs.conj().T @ psi.amps)
     return complex(np.vdot(phi.amps, evolved) / den)
 
 
-def weak_definitional(observable: LinearOperator, psi: PureState, phi: PureState,
-                      *, ortho_tol: float = DEFAULT_TOL.orthogonal) -> complex:
+def weak_definitional(observable: LinearOperator, psi: PureState, phi: PureState) -> complex:
     """<phi|O|psi> / <phi|psi>."""
     if observable.dims != psi.dims:
         raise ValueError("observable dims must match the state")
-    den = _postselection_denominator(psi, phi, ortho_tol)
+    den = _postselection_denominator(psi, phi)
     return complex(np.vdot(phi.amps, observable.mat @ psi.amps) / den)
 
 
-def modular_first_order(p1: float, p2: float, epsilon: float) -> ModularEstimate:
-    """First-order-in-epsilon readout: (p1 - 1/2)/eps + i (p2 - 1/2)/eps."""
+def _complex(re, im):
+    # parts are assigned, not summed as re + 1j*im, so -0.0 survives
+    out = np.empty(np.shape(re), dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return out[()]
+
+
+def modular_first_order(p1, p2, epsilon: float):
+    """First-order-in-epsilon readout (p1 - 1/2)/eps + i (p2 - 1/2)/eps, elementwise."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    value = complex((p1 - 0.5) / epsilon, (p2 - 0.5) / epsilon)
-    return ModularEstimate(value, "first_order", epsilon)
+    return _complex((np.asarray(p1, dtype=float) - 0.5) / epsilon,
+                    (np.asarray(p2, dtype=float) - 0.5) / epsilon)
 
 
-def modular_exact_inversion(p1: float, p2: float, epsilon: float,
-                            *, clamp: bool = False) -> ModularEstimate:
+def modular_exact_inversion(p1, p2, epsilon: float, *, clamp: bool = False):
     """Invert the exact detector probabilities back to the modular value M.
 
     Solves p1 = |1 + eps*M|^2 / (2 (1 + eps^2 |M|^2)) and the analogous p2
-    equation: with a = (2 p1 - 1)/(2 eps) and b = (2 p2 - 1)/(2 eps),
-    M = (a + i b) D where D is the root of eps^2 (a^2+b^2) D^2 - D + 1 = 0
-    that is continuous with D -> 1 as a, b -> 0 (computed stably as
+    equation: with the first-order readout a + ib, M = (a + ib) D where D is
+    the root of eps^2 (a^2+b^2) D^2 - D + 1 = 0 that is continuous with
+    D -> 1 as a, b -> 0 (computed stably as
     D = 2 / (1 + sqrt(1 - 4 eps^2 (a^2+b^2)))). This branch recovers M
     exactly whenever eps*|M| <= 1; beyond that the two roots swap and the
     readout is ambiguous.
 
-    Noise can push (a, b) outside the reachable disk (negative
-    discriminant); by default that raises, with clamp=True the point is
-    projected onto the disk boundary (|M| = 1/eps, phase preserved).
+    Elementwise over array or scalar probabilities. Noise can push (a, b)
+    outside the reachable disk (negative discriminant); such points come
+    back as nan, or with clamp=True are projected onto the disk boundary
+    (|M| = 1/eps, phase preserved).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    a = (2.0 * p1 - 1.0) / (2.0 * epsilon)
-    b = (2.0 * p2 - 1.0) / (2.0 * epsilon)
+    first = np.asarray(modular_first_order(p1, p2, epsilon))
+    a, b = first.real, first.imag
     radius2 = a * a + b * b
     disc = 1.0 - 4.0 * epsilon * epsilon * radius2
-    if disc < 0.0:
-        if not clamp:
-            raise NegativeDiscriminant(
-                f"probabilities ({p1:.6f}, {p2:.6f}) are outside the reachable set"
-            )
-        shrink = 1.0 / (2.0 * epsilon * math.sqrt(radius2))
-        a *= shrink
-        b *= shrink
-        disc = 0.0
-    d = 2.0 / (1.0 + math.sqrt(disc))
-    return ModularEstimate(complex(a * d, b * d), "exact_inversion", epsilon)
+    outside = disc < 0.0
+    if clamp:
+        with np.errstate(divide="ignore"):
+            shrink = np.where(outside, 1.0 / (2.0 * epsilon * np.sqrt(radius2)), 1.0)
+        a, b = a * shrink, b * shrink
+    else:
+        a, b = np.where(outside, np.nan, a), np.where(outside, np.nan, b)
+    d = 2.0 / (1.0 + np.sqrt(np.where(outside, 0.0, disc)))
+    return _complex(a * d, b * d)
 
 
-def weak_from_modulars(m_pair: complex, m_a: complex, m_b: complex, s: complex) -> complex:
-    """Joint weak value of a projector pair from three modular values."""
+def invert_probabilities(probabilities, epsilon: float, method: Method,
+                         *, clamp: bool = False) -> np.ndarray:
+    """Modular values (..., S) from detector probabilities (..., S, 2); nan where unreachable."""
+    p = np.asarray(probabilities, dtype=float)
+    if method == "first_order":
+        return modular_first_order(p[..., 0], p[..., 1], epsilon)
+    if method == "exact_inversion":
+        return modular_exact_inversion(p[..., 0], p[..., 1], epsilon, clamp=clamp)
+    raise ValueError(f"method {method!r} cannot be applied to probabilities")
+
+
+def _divide(num, den: complex):
+    """num / den elementwise with CPython's complex division formula.
+
+    numpy's complex division rounds differently in the last bit for some
+    divisors; this keeps array results identical to scalar ones.
+    """
+    num = np.asarray(num, dtype=np.complex128)
+    br, bi = float(den.real), float(den.imag)
+    if abs(br) >= abs(bi):
+        ratio = bi / br
+        scale = br + bi * ratio
+        return _complex((num.real + num.imag * ratio) / scale,
+                        (num.imag - num.real * ratio) / scale)
+    ratio = br / bi
+    scale = br * ratio + bi
+    return _complex((num.real * ratio + num.imag) / scale,
+                    (num.imag * ratio - num.real) / scale)
+
+
+def weak_from_modulars(m_pair, m_a, m_b, s: complex):
+    """Joint weak value of a projector pair from three modular values, elementwise."""
     if s == 0:
         raise ValueError("s must be nonzero")
-    return (m_pair - m_a - m_b + 1.0) / (s * s)
+    return _divide(np.asarray(m_pair) - m_a - m_b + 1.0, s * s)
 
 
 def shift_modular(value: complex, c: float, s: complex) -> complex:
@@ -238,45 +281,24 @@ def s_parameter(g: float) -> complex:
 
 
 def collect_probabilities(cfg: ProtocolConfig,
-                          plan: MeasurementPlan | None = None) -> dict[Setting, tuple[float, float]]:
-    """Exact detector probabilities (p1, p2) for every plan setting."""
+                          plan: MeasurementPlan | None = None) -> np.ndarray:
+    """Exact detector probabilities (p1, p2) for every setting, (S, 2) in plan order."""
     if plan is None:
         plan = measurement_plan(*cfg.dims)
-    probs: dict[Setting, tuple[float, float]] = {}
-    for entry in plan.entries:
-        st = entry.setting
-        outcome = run_protocol(cfg, st.kind, j=st.j, l=st.l)
-        probs[st] = (outcome.p1, outcome.p2)
-    return probs
+    outcomes = [run_protocol(cfg, entry.setting.kind, j=entry.setting.j, l=entry.setting.l)
+                for entry in plan.entries]
+    return np.array([(outcome.p1, outcome.p2) for outcome in outcomes])
 
 
-def modulars_from_probabilities(probabilities: Mapping[Setting, tuple[float, float]],
-                                epsilon: float, method: Method,
-                                *, clamp: bool = False) -> dict[Setting, ModularEstimate]:
-    if method == "first_order":
-        return {st: modular_first_order(p1, p2, epsilon) for st, (p1, p2) in probabilities.items()}
-    if method == "exact_inversion":
-        return {st: modular_exact_inversion(p1, p2, epsilon, clamp=clamp)
-                for st, (p1, p2) in probabilities.items()}
-    raise ValueError(f"method {method!r} cannot be applied to probabilities")
+def definitional_modulars(cfg: ProtocolConfig) -> np.ndarray:
+    """Oracle modular values straight from the states (no meter involved), (S,) in plan order."""
+    return np.array([modular_definitional(entry.observable, cfg.g, cfg.system_state,
+                                          cfg.postselection)
+                     for entry in measurement_plan(*cfg.dims).entries], dtype=np.complex128)
 
 
-def definitional_modulars(cfg: ProtocolConfig,
-                          plan: MeasurementPlan | None = None) -> dict[Setting, ModularEstimate]:
-    """Oracle modular values straight from the states (no meter involved)."""
-    if plan is None:
-        plan = measurement_plan(*cfg.dims)
-    out: dict[Setting, ModularEstimate] = {}
-    for entry in plan.entries:
-        value = modular_definitional(entry.observable, cfg.g, cfg.system_state,
-                                     cfg.postselection, ortho_tol=cfg.ortho_tol)
-        out[entry.setting] = ModularEstimate(value, "definitional", 0.0)
-    return out
-
-
-def _weak_value_matrix(modulars: Mapping[Setting, complex], dims: tuple[int, int],
-                       s: complex) -> np.ndarray:
-    """Complete the full (m, n) weak-value matrix from the measured plan.
+def _weak_value_matrix(modulars: np.ndarray, dims: tuple[int, int], s: complex) -> np.ndarray:
+    """Complete the full (..., m, n) weak-value matrix from the measured plan.
 
     Pairs with j, l >= 1 come from the three-modular combination; singles
     convert through (P)_w = ((P)_m - 1)/s; rows/columns touching index 0
@@ -284,105 +306,93 @@ def _weak_value_matrix(modulars: Mapping[Setting, complex], dims: tuple[int, int
     weak value (with (I)_w = 1).
     """
     m, n = dims
-    weak = np.zeros((m, n), dtype=np.complex128)
-    wa = np.zeros(m, dtype=np.complex128)
-    wb = np.zeros(n, dtype=np.complex128)
-    for j in range(1, m):
-        wa[j] = (modulars[Setting("single_a", j=j)] - 1.0) / s
-    for l in range(1, n):
-        wb[l] = (modulars[Setting("single_b", l=l)] - 1.0) / s
-    for j in range(1, m):
-        for l in range(1, n):
-            weak[j, l] = weak_from_modulars(modulars[Setting("pair", j=j, l=l)],
-                                            modulars[Setting("single_a", j=j)],
-                                            modulars[Setting("single_b", l=l)], s)
-    for j in range(1, m):
-        weak[j, 0] = wa[j] - weak[j, 1:].sum()
-    for l in range(1, n):
-        weak[0, l] = wb[l] - weak[1:, l].sum()
-    weak[0, 0] = 1.0 - wa[1:].sum() - wb[1:].sum() + weak[1:, 1:].sum()
+    m_a, m_b, m_pair = split_plan(modulars, dims)
+    weak = np.zeros(modulars.shape[:-1] + (m, n), dtype=np.complex128)
+    pairs = weak[..., 1:, 1:]
+    pairs[...] = weak_from_modulars(m_pair, m_a[..., :, None], m_b[..., None, :], s)
+    wa = _divide(m_a - 1.0, s)
+    wb = _divide(m_b - 1.0, s)
+    # column sums run over a contiguous transposed copy: numpy adds along a
+    # strided inner axis in another order than a 1-D sum of the column
+    weak[..., 1:, 0] = wa - pairs.sum(axis=-1)
+    weak[..., 0, 1:] = wb - np.ascontiguousarray(np.swapaxes(pairs, -1, -2)).sum(axis=-1)
+    weak[..., 0, 0] = (1.0 - wa.sum(axis=-1) - wb.sum(axis=-1)
+                       + pairs.sum(axis=(-2, -1)))
     return weak
 
 
-def _select_reference(raw: np.ndarray, reference) -> tuple[int, int]:
-    scale = float(np.max(np.abs(raw)))
-    if scale == 0.0:
+def _select_reference(raw: np.ndarray, reference) -> np.ndarray:
+    """Flat index (...) of the reference component of every trial."""
+    m, n = raw.shape[-2:]
+    magnitudes = np.abs(raw).reshape(raw.shape[:-2] + (m * n,))
+    scale = magnitudes.max(axis=-1)
+    if np.any(scale == 0.0):
         raise ZeroReferenceWeakValue("all components have vanishing weak value")
     if reference == "auto":
-        if abs(raw[0, 0]) > _REFERENCE_RTOL * scale:
-            return (0, 0)
-        idx = int(np.argmax(np.abs(raw)))
-        return tuple(int(k) for k in np.unravel_index(idx, raw.shape))
+        first = raw[..., 0, 0]
+        # np.hypot rounds as abs() of a single complex does
+        keep = np.hypot(first.real, first.imag) > _REFERENCE_RTOL * scale
+        return np.where(keep, 0, np.argmax(magnitudes, axis=-1))
     ref = (int(reference[0]), int(reference[1]))
-    if abs(raw[ref]) <= _REFERENCE_RTOL * scale:
+    chosen = raw[(...,) + ref]
+    if np.any(np.hypot(chosen.real, chosen.imag) <= _REFERENCE_RTOL * scale):
         raise ZeroReferenceWeakValue(
             f"weak value at reference component {ref} vanishes; choose another"
         )
-    return ref
+    return np.full(scale.shape, ref[0] * n + ref[1])
 
 
 def reconstruct(*, dims: tuple[int, int], postselection: PureState, s: complex,
-                modulars: Mapping[Setting, complex | ModularEstimate] | None = None,
-                probabilities: Mapping[Setting, tuple[float, float]] | None = None,
-                epsilon: float | None = None,
-                method: Method = "exact_inversion",
-                clamp: bool = False,
-                reference="auto") -> ReconstructionResult:
-    """Turn plan measurements into a normalized amplitude matrix.
+                modulars, reference="auto") -> ReconstructionResult:
+    """Turn plan-ordered modular values (..., S) into normalized amplitudes.
 
-    Exactly one of ``modulars`` / ``probabilities`` must be given; a
-    probability table additionally needs the epsilon it was taken at and
-    the inversion method. Per-component weak values are divided by the
-    conjugated postselection amplitude (for the uniform postselection this
-    is the usual division by the reference weak value and the norm factor),
-    then scaled so the reference component is real and positive and the
-    matrix has unit norm.
+    Leading axes are independent trials, each reconstructed bit for bit as
+    an unbatched call would; a trial holding nan stays nan. Per-component
+    weak values are divided by the conjugated postselection amplitude (for
+    the uniform postselection this is the usual division by the reference
+    weak value and the norm factor), then scaled so the reference component
+    is real and positive and the matrix has unit norm.
     """
     m, n = (int(d) for d in dims)
-    if (modulars is None) == (probabilities is None):
-        raise ValueError("pass exactly one of modulars= or probabilities=")
-    if probabilities is not None:
-        if epsilon is None:
-            raise ValueError("epsilon is required with probabilities")
-        estimates = modulars_from_probabilities(probabilities, epsilon, method, clamp=clamp)
-    else:
-        estimates = {st: (v if isinstance(v, ModularEstimate)
-                          else ModularEstimate(complex(v), "definitional", 0.0))
-                     for st, v in modulars.items()}
-    values = {st: est.value for st, est in estimates.items()}
-    weak = _weak_value_matrix(values, (m, n), s)
-
+    modulars = np.asarray(modulars, dtype=np.complex128)
+    if modulars.ndim == 0 or modulars.shape[-1] != m * n - 1:
+        raise ValueError(f"modulars must have {m * n - 1} plan entries on the last axis")
     if postselection.dims != (m, n):
         raise ValueError("postselection dims must match the reconstruction dims")
     phi = postselection.amps.reshape(m, n)
     if np.min(np.abs(phi)) < 1e-12:
-        raise ValueError(
-            "postselection must overlap every product basis component"
-        )
+        raise ValueError("postselection must overlap every product basis component")
+    weak = _weak_value_matrix(modulars, (m, n), s)
     raw = weak / phi.conj()
+    lead = raw.shape[:-2]
     ref = _select_reference(raw, reference)
-    ratios = raw / raw[ref]
-    normalizer = float(np.sqrt(np.sum(np.abs(ratios) ** 2)))
-    amplitudes = ratios / normalizer
-    return ReconstructionResult(
-        dims=(m, n),
-        amplitudes=amplitudes,
-        weak_values=weak,
-        modulars=values,
-        normalizer=normalizer,
-        reference_component=ref,
-    )
+    with np.errstate(invalid="ignore"):  # nan trials stay nan without a warning
+        ratios = raw / np.take_along_axis(raw.reshape(lead + (m * n,)), ref[..., None],
+                                          axis=-1)[..., None]
+        normalizer = np.sqrt(np.sum((np.abs(ratios) ** 2).reshape(lead + (m * n,)), axis=-1))
+        amplitudes = ratios / normalizer[..., None, None]
+    reference_component = np.stack(np.unravel_index(ref, (m, n)), axis=-1)
+    if not lead:
+        normalizer = float(normalizer)
+        reference_component = (int(reference_component[0]), int(reference_component[1]))
+    return ReconstructionResult(dims=(m, n), amplitudes=amplitudes, weak_values=weak,
+                                modulars=modulars, normalizer=normalizer,
+                                reference_component=reference_component)
 
 
-def reconstruct_state(cfg: ProtocolConfig, method: Method = "exact_inversion",
-                      *, clamp: bool = False, reference="auto") -> ReconstructionResult:
+def reconstruct_state(cfg: ProtocolConfig, method: Method = "exact_inversion") -> ReconstructionResult:
     """Full exact pipeline: protocol probabilities (or oracle modulars) in,
     normalized amplitudes out."""
-    s = s_parameter(cfg.g)
     if method == "definitional":
-        return reconstruct(dims=cfg.dims, postselection=cfg.postselection, s=s,
-                           modulars=definitional_modulars(cfg), reference=reference)
-    probabilities = collect_probabilities(cfg)
-    return reconstruct(dims=cfg.dims, postselection=cfg.postselection, s=s,
-                       probabilities=probabilities, epsilon=cfg.epsilon,
-                       method=method, clamp=clamp, reference=reference)
+        modulars = definitional_modulars(cfg)
+    else:
+        probabilities = collect_probabilities(cfg)
+        modulars = invert_probabilities(probabilities, cfg.epsilon, method)
+        unreachable = np.flatnonzero(np.isnan(modulars))
+        if unreachable.size:
+            p1, p2 = probabilities[unreachable[0]]
+            raise NegativeDiscriminant(
+                f"probabilities ({p1:.6f}, {p2:.6f}) are outside the reachable set"
+            )
+    return reconstruct(dims=cfg.dims, postselection=cfg.postselection,
+                       s=s_parameter(cfg.g), modulars=modulars)

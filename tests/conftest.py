@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modval.errors import OrthogonalPostselection
-from modval.hilbert import PureState, apply, inner, normalize, partial_inner, tensor
+from modval.hilbert import DEFAULT_TOL, PureState, apply, inner, normalize, partial_inner, tensor
 from modval.protocol import MeterOutcome, _detectors, _initial_meter, build_interaction
 
 
@@ -34,7 +34,7 @@ def dense_run_protocol(cfg, kind, j=None, l=None):
     ``run_protocol`` must agree with it field by field.
     """
     overlap = inner(cfg.postselection, cfg.system_state)
-    if abs(overlap) < cfg.ortho_tol:
+    if abs(overlap) < DEFAULT_TOL.orthogonal:
         raise OrthogonalPostselection("postselection orthogonal to the state")
     meter0 = _initial_meter(cfg, kind)
     joint = tensor(meter0, cfg.system_state)

@@ -91,12 +91,12 @@ def test_criterion_2_first_order_curve():
             continue
         cfg = phase_config(theta)
         probs = collect_probabilities(cfg, plan)
-        for entry in plan.entries:
+        for k, entry in enumerate(plan.entries):
             m_val = modular_definitional(entry.observable, cfg.g,
                                          cfg.system_state, cfg.postselection)
             model = modular_first_order(*forward_probabilities(m_val, EPSILON), EPSILON)
-            pipeline = modular_first_order(*probs[entry.setting], EPSILON)
-            worst = max(worst, abs(pipeline.value - model.value))
+            pipeline = modular_first_order(*probs[k], EPSILON)
+            worst = max(worst, abs(pipeline - model))
     assert worst <= 1e-12, f"pipeline vs forward model differ by {worst:.3e}"
 
     theta = math.pi / 4

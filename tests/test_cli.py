@@ -256,6 +256,31 @@ class TestDeterminismAndErrors:
             assert captured.err.startswith("error: config_error:")
             assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--theta-min", "nan"), ("--theta-max", "inf"), ("--theta-min", "-inf"),
+    ])
+    def test_sweep_non_finite_bounds_are_config_error(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path, state={"preset": "fig3"})
+        # "--flag=value": argparse would read a bare "-inf" as an option
+        code = main(["sweep-theta", "--config", cfg, "--steps", "3", f"{flag}={value}"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: config_error:")
+        assert flag in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--pairs", "-5"], ["--pairs", "0"], ["--pairs", "100", "--trials", "0"],
+    ])
+    def test_invalid_noise_flags_are_config_error(self, tmp_path, capsys, flags):
+        cfg = write_config(tmp_path)
+        assert main(["reconstruct", "--config", cfg, *flags]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: config_error:")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("overrides", [
         {"g": 0.0},  # s = 0: every weak value divides by zero
         {"g": 2 * math.pi},  # s ~ 1e-16: weak values near 1e16
@@ -353,10 +378,16 @@ class TestDeterminismAndErrors:
         assert len(doc["matrix_re"]) == 4 and len(doc["matrix_im"]) == 4
 
 
-# Seeded noisy runs whose --no-timestamp tables are pinned byte for byte in
+# Seeded runs whose --no-timestamp tables are pinned byte for byte in
 # tests/data/<name>.csv: (subcommand, config overrides, extra flags).
 _FIG4A_NOISE = {"pairs_per_setting": 100_000, "trials": 20, "seed": 7}
 _LOW_COUNT_NOISE = {"pairs_per_setting": 500, "trials": 30, "seed": 11}
+_STATE_3X2 = {"amps": [[0.5, 0], [0.1, 0.3], [0.2, -0.4], [0.3, 0], [0.4, 0.2], [-0.1, 0.3]],
+              "dims": [3, 2]}
+_STATE_4X3 = {"amps": [[0.4, 0.1], [0.2, -0.3], [0.1, 0.2], [0.3, 0], [-0.2, 0.1],
+                       [0.25, 0.15], [0.1, -0.1], [0.3, 0.2], [0.2, 0], [0.15, -0.25],
+                       [0.3, 0.1], [0.1, 0.3]],
+              "dims": [4, 3]}
 GOLDEN_CASES = {
     "reconstruct_fig4a_noise": ("reconstruct", {"noise": _FIG4A_NOISE}, []),
     "reconstruct_fig4a_low_count": ("reconstruct", {"noise": _LOW_COUNT_NOISE},
@@ -367,11 +398,19 @@ GOLDEN_CASES = {
         "reconstruct", {"state": {"preset": "fig4d"}, "noise": _FIG4A_NOISE},
         ["--method", "first_order"]),
     "reconstruct_3x2_noise": (
-        "reconstruct",
-        {"state": {"amps": [[0.5, 0], [0.1, 0.3], [0.2, -0.4], [0.3, 0],
-                            [0.4, 0.2], [-0.1, 0.3]], "dims": [3, 2]},
-         "noise": {"pairs_per_setting": 50_000, "trials": 10, "seed": 3}},
+        "reconstruct", {"state": _STATE_3X2,
+                        "noise": {"pairs_per_setting": 50_000, "trials": 10, "seed": 3}},
         []),
+    # 27 of the 30 trials fall outside the reachable set and are clamped
+    "reconstruct_3x2_g1_low_count_clamp": (
+        "reconstruct", {"state": _STATE_3X2, "g": 1.0,
+                        "noise": {**_LOW_COUNT_NOISE, "clamp": True}},
+        ["--epsilon", "0.9"]),
+    "reconstruct_4x3_g1": ("reconstruct", {"state": _STATE_4X3, "g": 1.0}, []),
+    "reconstruct_fig4d_definitional": ("reconstruct", {"state": {"preset": "fig4d"}},
+                                       ["--method", "definitional"]),
+    # theta = +/-pi rows carry the orthogonal_postselection marker
+    "sweep_fig3_steps9": ("sweep-theta", {"state": {"preset": "fig3"}}, ["--steps", "9"]),
     "compare_fig4a_noise": ("compare", {"noise": {**_FIG4A_NOISE, "trials": 5}}, []),
     "compare_fig4a_low_count": ("compare", {"noise": {**_LOW_COUNT_NOISE, "trials": 5}},
                                 ["--epsilon", "0.9"]),

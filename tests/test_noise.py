@@ -15,7 +15,7 @@ from modval.noise import (
 )
 from modval.presets import phase_bell, uniform_plus
 from modval.protocol import ProtocolConfig
-from modval.reconstruction import Setting, collect_probabilities
+from modval.reconstruction import collect_probabilities, split_plan
 from modval.tomography import pauli_expectations
 
 
@@ -92,9 +92,10 @@ class TestMonteCarlo:
     def test_modular_estimates_reported(self):
         cfg = bell_config()
         mc = monte_carlo(cfg, CountingConfig(pairs_per_setting=100_000, trials=50, seed=9))
-        pair_est = mc.modulars[Setting("pair", j=1, l=1)]
-        assert abs(pair_est.mean - 1.0) < 0.05
-        assert pair_est.std.real > 0
+        _, _, pair_mean = split_plan(mc.modulars.mean, (2, 2))
+        _, _, pair_std = split_plan(mc.modulars.std, (2, 2))
+        assert abs(pair_mean[0, 0] - 1.0) < 0.05
+        assert pair_std[0, 0].real > 0
 
 
 class TestNoisyTrials:
@@ -104,19 +105,29 @@ class TestNoisyTrials:
                              epsilon=0.2)
         counting = CountingConfig(pairs_per_setting=1000, trials=4, seed=7)
         exact = collect_probabilities(cfg)
-        trials = list(noisy_trials(cfg, counting, "first_order"))
-        assert [trial for trial, _, _ in trials] == list(range(counting.trials))
-        for trial, rng, result in trials:
+        rngs, kept, result = noisy_trials(cfg, counting, "first_order")
+        assert len(rngs) == counting.trials and kept.all()
+        assert result.modulars.shape == (counting.trials, len(exact))
+        for trial, rng in enumerate(rngs):
             ref = trial_rng(counting.seed, trial)
-            expected = [ref.binomial(1000, p) / 1000
-                        for p1, p2 in exact.values() for p in (p1, p2)]
+            expected = [ref.binomial(1000, p) / 1000 for p1, p2 in exact for p in (p1, p2)]
             # first order reads M = (p1 - 1/2)/eps + i (p2 - 1/2)/eps exactly
-            measured = [p for m in result.modulars.values()
+            measured = [p for m in result.modulars[trial]
                         for p in (0.5 + 0.2 * m.real, 0.5 + 0.2 * m.imag)]
             np.testing.assert_allclose(measured, expected, rtol=0, atol=1e-12)
-            assert list(result.modulars) == list(exact)
             # the handed-on generator continues the same stream
             assert rng.random() == ref.random()
+
+    def test_rejected_trials_are_masked(self):
+        cfg = bell_config(theta=0.9 * math.pi)
+        counting = CountingConfig(pairs_per_setting=100, trials=50, seed=11)
+        _, kept, result = noisy_trials(cfg, counting)
+        assert 0 < kept.sum() < counting.trials
+        assert np.all(np.isnan(result.amplitudes[~kept]))
+        assert np.all(np.isfinite(result.amplitudes[kept]))
+        mc = monte_carlo(cfg, counting, keep_samples=True)
+        assert mc.amplitudes.samples_rejected == counting.trials - kept.sum()
+        assert np.array_equal(mc.amplitudes.samples, result.amplitudes[kept])
 
 class TestSamplePauliExpectations:
     def test_identity_is_exact(self):

@@ -2,18 +2,22 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modval.errors import NegativeDiscriminant, OrthogonalPostselection, ZeroReferenceWeakValue
 from modval.hilbert import LinearOperator, PureState, identity, inner, projector, tensor
 from modval.presets import phase_bell, state_preset, uniform_plus
 from modval.protocol import ProtocolConfig
+from modval import reconstruction
 from modval.reconstruction import (
     Setting,
-    collect_probabilities,
     definitional_modulars,
+    invert_probabilities,
     measurement_plan,
     modular_definitional,
     modular_exact_inversion,
@@ -109,32 +113,27 @@ class TestWeakDefinitional:
 
 class TestFirstOrder:
     def test_balanced_probabilities(self):
-        assert modular_first_order(0.5, 0.5, 0.37).value == 0
+        assert modular_first_order(0.5, 0.5, 0.37) == 0
 
     def test_biased_estimate_of_unit_modular(self):
         est = modular_first_order(9 / 13, 0.5, 0.2)
-        assert abs(est.value - 1 / 1.04) <= 1e-12  # first-order bias vs true value 1
+        assert abs(est - 1 / 1.04) <= 1e-12  # first-order bias vs true value 1
 
     def test_linear_formula(self):
-        assert abs(modular_first_order(0.7, 0.5, 0.2).value - 1.0) <= 1e-12
+        assert abs(modular_first_order(0.7, 0.5, 0.2) - 1.0) <= 1e-12
 
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
             modular_first_order(0.5, 0.5, 0.0)
 
-    def test_estimate_metadata(self):
-        est = modular_first_order(0.6, 0.5, 0.2)
-        assert est.method == "first_order"
-        assert est.epsilon_used == 0.2
-
 
 class TestExactInversion:
     def test_reference_example(self):
         est = modular_exact_inversion(9 / 13, 0.5, 0.2)
-        assert abs(est.value - 1.0) <= 1e-12
+        assert abs(est - 1.0) <= 1e-12
 
     def test_balanced_probabilities(self):
-        assert modular_exact_inversion(0.5, 0.5, 0.2).value == 0
+        assert modular_exact_inversion(0.5, 0.5, 0.2) == 0
 
     def test_round_trip_random_modulars(self, rng):
         eps = 0.5
@@ -143,16 +142,34 @@ class TestExactInversion:
             m_val *= 2.0 * rng.uniform(0, 1) / max(abs(m_val), 1e-9)  # |M| <= 2
             p1, p2 = forward_probabilities(m_val, eps)
             est = modular_exact_inversion(p1, p2, eps)
-            assert abs(est.value - m_val) <= 1e-10
+            assert abs(est - m_val) <= 1e-10
 
-    def test_negative_discriminant_raises(self):
-        with pytest.raises(NegativeDiscriminant):
-            modular_exact_inversion(1.0, 1.0, 0.2)
+    def test_negative_discriminant_is_nan(self):
+        est = modular_exact_inversion(1.0, 1.0, 0.2)
+        assert np.isnan(est.real) and np.isnan(est.imag)
+
+    def test_exact_pipeline_raises_on_unreachable_probabilities(self, monkeypatch):
+        # exact probabilities always invert; force one setting off the disk
+        def off_disk(cfg, plan=None):
+            return np.array([[0.5, 0.5], [1.0, 1.0], [0.5, 0.5]])
+
+        monkeypatch.setattr(reconstruction, "collect_probabilities", off_disk)
+        cfg = ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus())
+        with pytest.raises(NegativeDiscriminant, match=r"\(1\.000000, 1\.000000\)"):
+            reconstruct_state(cfg, "exact_inversion")
 
     def test_clamp_maps_to_boundary(self):
         est = modular_exact_inversion(1.0, 1.0, 0.2, clamp=True)
-        assert abs(abs(est.value) - 1 / 0.2) <= 1e-10  # |M| = 1/eps, phase kept
-        assert abs(cmath.phase(est.value) - math.pi / 4) <= 1e-10
+        assert abs(abs(est) - 1 / 0.2) <= 1e-10  # |M| = 1/eps, phase kept
+        assert abs(cmath.phase(est) - math.pi / 4) <= 1e-10
+
+    def test_elementwise_over_arrays(self, rng):
+        p = rng.uniform(0.3, 0.7, size=(3, 4, 2))
+        batch = invert_probabilities(p, 0.5, "exact_inversion")
+        assert batch.shape == (3, 4)
+        for index in np.ndindex(3, 4):
+            single = modular_exact_inversion(*p[index], 0.5)
+            assert batch[index].tobytes() == np.complex128(single).tobytes()
 
 
 class TestWeakFromModulars:
@@ -268,14 +285,12 @@ class TestReconstruct:
             cfg = ProtocolConfig(system_state=phase_bell(theta),
                                  postselection=uniform_plus(), epsilon=eps)
             pipeline = reconstruct_state(cfg, "first_order")
-            model_probs = {}
-            for entry in plan.entries:
-                m_val = modular_definitional(entry.observable, cfg.g,
-                                             cfg.system_state, cfg.postselection)
-                model_probs[entry.setting] = forward_probabilities(m_val, eps)
+            model_probs = [forward_probabilities(
+                modular_definitional(entry.observable, cfg.g, cfg.system_state,
+                                     cfg.postselection), eps) for entry in plan.entries]
             model = reconstruct(dims=(2, 2), postselection=uniform_plus(),
-                                s=s_parameter(cfg.g), probabilities=model_probs,
-                                epsilon=eps, method="first_order")
+                                s=s_parameter(cfg.g),
+                                modulars=invert_probabilities(model_probs, eps, "first_order"))
             np.testing.assert_allclose(pipeline.amplitudes, model.amplitudes, atol=1e-12)
             ideal = cmath.exp(1j * theta) / math.sqrt(2)
             assert abs(pipeline.amplitudes[1, 1] - ideal) > 1e-4
@@ -314,7 +329,7 @@ class TestReconstruct:
                 for eps in errors:
                     p1, p2 = forward_probabilities(m_val, eps)
                     est = modular_first_order(p1, p2, eps)
-                    errors[eps].append(abs(est.value - m_val))
+                    errors[eps].append(abs(est - m_val))
         mean = {eps: np.mean(v) for eps, v in errors.items()}
         assert mean[0.1] <= 0.6 * mean[0.2]
         assert mean[0.05] <= 0.6 * mean[0.1]
@@ -332,9 +347,10 @@ class TestReconstruct:
             reconstruct(dims=(2, 2), postselection=uniform_plus(), s=-2.0,
                         modulars=mods, reference=(0, 0))
 
-    def test_requires_exactly_one_input_kind(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            reconstruct(dims=(2, 2), postselection=uniform_plus(), s=-2.0)
+    def test_modulars_must_cover_the_plan(self):
+        with pytest.raises(ValueError, match="3 plan entries"):
+            reconstruct(dims=(2, 2), postselection=uniform_plus(), s=-2.0,
+                        modulars=np.ones(4))
 
     def test_postselection_must_cover_all_components(self):
         cfg_state = phase_bell(0.3)
@@ -353,3 +369,82 @@ class TestReconstruct:
         cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=0.05)
         result = reconstruct_state(cfg, "exact_inversion")
         assert abs(inner(psi, result.state())) ** 2 >= 1 - 1e-10
+
+
+def loop_weak_value_matrix(modulars, dims, s):
+    """Scalar reference for the weak-value completion: the per-setting double
+    loop in Python complex arithmetic that the array version replaced."""
+    m, n = dims
+    mods = {entry.setting: complex(v)
+            for entry, v in zip(measurement_plan(m, n).entries, modulars)}
+    weak = np.zeros((m, n), dtype=np.complex128)
+    wa = np.zeros(m, dtype=np.complex128)
+    wb = np.zeros(n, dtype=np.complex128)
+    for entry in measurement_plan(m, n).entries:
+        st = entry.setting
+        if st.kind == "single_a":
+            wa[st.j] = (mods[st] - 1.0) / s
+        elif st.kind == "single_b":
+            wb[st.l] = (mods[st] - 1.0) / s
+        else:
+            weak[st.j, st.l] = (mods[st] - mods[Setting("single_a", j=st.j)]
+                                - mods[Setting("single_b", l=st.l)] + 1.0) / (s * s)
+    for j in range(1, m):
+        weak[j, 0] = wa[j] - weak[j, 1:].sum()
+    for l in range(1, n):
+        weak[0, l] = wb[l] - weak[1:, l].sum()
+    weak[0, 0] = 1.0 - wa[1:].sum() - wb[1:].sum() + weak[1:, 1:].sum()
+    return weak
+
+
+class TestProperties:
+    @pytest.mark.parametrize("g", [math.pi, 1.0, 2.5, 0.3])
+    def test_weak_completion_matches_scalar_loop(self, rng, g):
+        for s in (s_parameter(g), -2.0):
+            for m, n in ((2, 2), (3, 2), (4, 3), (7, 5), (6, 6)):
+                phi = uniform_plus(m, n)
+                stack = (1.0 + rng.normal(size=(5, m * n - 1))
+                         + 1j * rng.normal(size=(5, m * n - 1)))
+                batched = reconstruct(dims=(m, n), postselection=phi, s=s, modulars=stack)
+                for k in range(5):
+                    reference = loop_weak_value_matrix(stack[k], (m, n), s)
+                    assert batched.weak_values[k].tobytes() == reference.tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(m=st.integers(2, 6), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           margin=st.floats(0.05, 0.9), g=st.floats(0.3, 2 * math.pi - 0.3))
+    def test_exact_round_trip(self, m, n, seed, margin, g):
+        # |<phi|psi>| >= 0.05, and epsilon set so that epsilon * max|M| = margin < 1
+        psi, phi = random_pair(np.random.default_rng(seed), (m, n), min_overlap=0.05)
+        cfg = ProtocolConfig(system_state=psi, postselection=phi, g=g)
+        epsilon = min(1.0, margin / np.max(np.abs(definitional_modulars(cfg))))
+        result = reconstruct_state(replace(cfg, epsilon=epsilon), "exact_inversion")
+        assert abs(inner(psi, result.state())) ** 2 >= 1 - 1e-10
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(m=st.integers(2, 6), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           g=st.sampled_from([math.pi, 1.0, 2.5]))
+    def test_batched_equals_single_calls(self, m, n, seed, g):
+        rng = np.random.default_rng(seed)
+        psi, phi = random_pair(rng, (m, n))
+        amps = psi.amps.copy()
+        amps[0] = 0.0  # no (0, 0) component: the auto reference falls back
+        hollow = PureState((m, n), amps / np.linalg.norm(amps))
+        rows = [definitional_modulars(ProtocolConfig(system_state=state, postselection=phi,
+                                                     g=g))
+                for state in (psi, hollow)]
+        rows.append(np.full(m * n - 1, np.nan + 0j))  # a rejected trial
+        rows.append(rows[0] + 0.01 * (rng.normal(size=m * n - 1)
+                                      + 1j * rng.normal(size=m * n - 1)))
+        stack = np.stack(rows)
+        s = s_parameter(g)
+        batched = reconstruct(dims=(m, n), postselection=phi, s=s, modulars=stack)
+        assert np.all(np.isnan(batched.amplitudes[2]))
+        assert batched[1].reference_component != (0, 0)
+        for k in (0, 1, 3):
+            single = reconstruct(dims=(m, n), postselection=phi, s=s, modulars=stack[k])
+            row = batched[k]
+            for name in ("amplitudes", "weak_values", "modulars"):
+                assert getattr(row, name).tobytes() == getattr(single, name).tobytes(), name
+            assert row.normalizer == single.normalizer
+            assert row.reference_component == single.reference_component
