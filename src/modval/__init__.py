@@ -46,6 +46,7 @@ from .presets import (
 )
 from .protocol import (
     MeterOutcome,
+    PlanOutcome,
     ProtocolConfig,
     build_interaction,
     prepare_meter,

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -63,7 +64,7 @@ from .presets import (
     uniform_plus,
 )
 from .protocol import ProtocolConfig
-from .reconstruction import METHODS, reconstruct_state, split_plan
+from .reconstruction import METHODS, reconstruct_state, require_full_support, split_plan
 from .tomography import fidelity_pure, fidelity_states, linear_inversion, pauli_expectations
 
 SCHEMA_VERSION = 1
@@ -263,6 +264,17 @@ def _protocol_config(cfg: RunConfig, state: PureState) -> ProtocolConfig:
         raise ConfigError(str(exc)) from None
 
 
+def _direct_config(cfg: RunConfig, state: PureState) -> ProtocolConfig:
+    """``_protocol_config`` for a direct reconstruction, checked before any run:
+    every postselection amplitude must be nonzero."""
+    pcfg = _protocol_config(cfg, state)
+    try:
+        require_full_support(pcfg.postselection)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return pcfg
+
+
 # ---------------------------------------------------------------------------
 # table output
 
@@ -316,7 +328,7 @@ def _complex_cols(prefix: str, value: complex | None, suffix: str = "") -> dict:
 
 def cmd_reconstruct(cfg: RunConfig) -> None:
     """Amplitude table for one configuration (exact or noise-propagated)."""
-    pcfg = _protocol_config(cfg, _resolve_state(cfg))
+    pcfg = _direct_config(cfg, _resolve_state(cfg))
     m, n = pcfg.dims
     meta = {"method": cfg.method, "epsilon": cfg.epsilon, "g": cfg.g}
     rows = []
@@ -384,7 +396,7 @@ def cmd_sweep_theta(cfg: RunConfig, theta_min: float, theta_max: float, steps: i
     if cfg.noise is not None:
         sys.stderr.write("warning: sweep-theta runs the exact pipeline; noise config ignored\n")
 
-    base = _protocol_config(cfg, phase_bell(0.0))
+    base = _direct_config(cfg, phase_bell(0.0))
     thetas = np.linspace(theta_min, theta_max, steps)
     methods = ("definitional", "first_order", "exact_inversion")
     rows = []
@@ -440,7 +452,7 @@ def cmd_tomography(cfg: RunConfig) -> None:
 
 def cmd_compare(cfg: RunConfig) -> None:
     """Fidelities: direct reconstruction vs tomography vs the true state."""
-    pcfg = _protocol_config(cfg, _resolve_state(cfg))
+    pcfg = _direct_config(cfg, _resolve_state(cfg))
     _require_two_qubits(pcfg)
     truth = pcfg.system_state
     exact_expect = pauli_expectations(truth)
@@ -482,7 +494,10 @@ def cmd_compare(cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later ``main``
+    calls (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="modval",
         description="Direct measurement of bipartite pure states from modular values",

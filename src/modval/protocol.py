@@ -10,14 +10,23 @@ the meter-A |down> component, the B side applies exp(-i*g*P_l) to system B
 on the meter-B |up> component. After postselecting the system, the meter
 is read out against two detector states whose probabilities carry the real
 and imaginary parts of the relevant modular value.
+
+Every coupling is diagonal in the product basis, so ``run_protocol`` reads
+out a whole list of settings at once: an (S, 4, m*n) block of phases times
+meter (x) system, contracted with the postselection in one stacked matmul,
+then normalized and projected onto each setting's detector states. Given one
+``(kind, j, l)`` setting it returns that row of the same readout. No
+joint-space operator is built; ``build_interaction`` is the dense unitary
+the tests check the readout against.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, overload
 
 import numpy as np
 
@@ -26,11 +35,9 @@ from .hilbert import (
     DEFAULT_TOL,
     LinearOperator,
     PureState,
-    basis_state,
     exp_projector_phase,
     identity,
     inner,
-    normalize,
     projector,
     tensor,
 )
@@ -42,6 +49,7 @@ IDX_UP_DOWN = 1
 IDX_DOWN_UP = 2
 
 InteractionKind = Literal["pair", "single_a", "single_b"]
+SettingSpec = tuple[InteractionKind, int | None, int | None]
 MeterMode = Literal["entangled", "product"]
 
 _KINDS = ("pair", "single_a", "single_b")
@@ -114,11 +122,15 @@ def prepare_meter(epsilon: float) -> PureState:
     """Initial two-part meter (|ud> + eps |du>)/sqrt(1+eps^2)."""
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
+    return PureState(METER_DIMS, _entangled_meter(epsilon))
+
+
+def _entangled_meter(epsilon: float) -> np.ndarray:
     amps = np.zeros(4, dtype=np.complex128)
     scale = 1.0 / math.sqrt(1.0 + epsilon * epsilon)
     amps[IDX_UP_DOWN] = scale
     amps[IDX_DOWN_UP] = epsilon * scale
-    return PureState(METER_DIMS, amps)
+    return amps
 
 
 def _meter_side_projector(side: Literal["a", "b"]) -> LinearOperator:
@@ -211,83 +223,159 @@ def _detectors(kind: InteractionKind, mode: MeterMode):
     return pair_detector(1.0), pair_detector(1j), tilde1, tilde2
 
 
-# detector states never depend on the run, so they are built once
-_DETECTORS = {(kind, mode): _detectors(kind, mode) for mode in _MODES for kind in _KINDS
-              if (kind, mode) != ("pair", "product")}
+# detector states never depend on the run, so they are built once: the
+# (d1, d2, tilde1, tilde2) amplitudes of each (kind, meter mode) as a (4, 4) block
+_DETECTORS = {(kind, mode): np.stack([d.amps for d in _detectors(kind, mode)])
+              for mode in _MODES for kind in _KINDS if (kind, mode) != ("pair", "product")}
+
+# settings contracted per block: each (block, 4, m*n) temporary stays within
+# 128 KiB, small enough to be reused from the allocator's heap and to stay in
+# cache (1 MiB blocks took up to twice as long at 12x12 and 16x16); a 7x5 plan
+# is one block
+_BLOCK_ELEMENTS = 2**13
 
 
-def _initial_meter(cfg: ProtocolConfig, kind: InteractionKind) -> PureState:
+def _initial_meter(cfg: ProtocolConfig, kind: InteractionKind) -> np.ndarray:
+    """Initial meter amplitudes (4,) for a setting of the given kind."""
     if cfg.meter_mode == "entangled":
-        return prepare_meter(cfg.epsilon)
+        return _entangled_meter(cfg.epsilon)
     if kind == "pair":
         raise ValueError("pair settings require the entangled meter mode")
     scale = 1.0 / math.sqrt(1.0 + cfg.epsilon**2)
-    if kind == "single_a":
-        part_a = PureState((2,), np.array([scale, cfg.epsilon * scale]))
-        part_b = basis_state((2,), DOWN)
-    else:
-        part_a = basis_state((2,), UP)
-        part_b = PureState((2,), np.array([cfg.epsilon * scale, scale]))
-    return tensor(part_a, part_b)
+    if kind == "single_a":  # spectator B parked at down
+        part_a, part_b = [scale, cfg.epsilon * scale], [0.0, 1.0]
+    else:  # spectator A parked at up
+        part_a, part_b = [1.0, 0.0], [cfg.epsilon * scale, scale]
+    return np.kron(np.array(part_a, dtype=np.complex128), np.array(part_b, dtype=np.complex128))
 
 
-def _phase_block(use_a: bool, use_b: bool, j: int | None, l: int | None,
-                 g: float, dims: tuple[int, int]) -> np.ndarray:
-    """Diagonal of the interaction unitary as a (4, m*n) block.
+def _phase_block(rows: np.ndarray, cols: np.ndarray, g: float,
+                 dims: tuple[int, int]) -> np.ndarray:
+    """Diagonal of every setting's interaction unitary as a (K, 4, m*n) block.
 
-    Row k is the system-space diagonal on meter basis state k (uu, ud, du,
-    dd). A couples on its |down> level and B on its |up> level, so with a
-    (b) the system diagonal of exp(-i*g*P_j) (exp(-i*g*P_l)) the rows are
-    [b, 1, a*b, a]; an uncoupled side contributes ones.
+    Row r of setting k is the system-space diagonal on meter basis state r
+    (uu, ud, du, dd). A couples on its |down> level and B on its |up> level,
+    so with a (b) the system diagonal of exp(-i*g*P_j) (exp(-i*g*P_l)) the
+    rows are [b, 1, a*b, a]. ``rows[k]`` (``cols[k]``) is the coupled A (B)
+    index, or -1 where that side is uncoupled and contributes ones.
     """
     m, n = dims
     phase = 1.0 + (np.exp(-1j * float(g)) - 1.0)  # 1 + s, rounded as exp_projector_phase does
-    a = np.ones((m, n), dtype=np.complex128)
-    b = np.ones((m, n), dtype=np.complex128)
-    if use_a:
-        a[j, :] = phase
-    if use_b:
-        b[:, l] = phase
-    a, b = a.reshape(-1), b.reshape(-1)
-    return np.stack([b, np.ones(m * n, dtype=np.complex128), a * b, a])
+    a = np.ones((len(rows), m, n), dtype=np.complex128)
+    b = np.ones((len(cols), m, n), dtype=np.complex128)
+    on_a, on_b = rows >= 0, cols >= 0
+    a[on_a, rows[on_a], :] = phase
+    b[on_b, :, cols[on_b]] = phase
+    a, b = a.reshape(len(rows), m * n), b.reshape(len(cols), m * n)
+    return np.stack([b, np.ones_like(a), a * b, a], axis=1)
 
 
-def run_protocol(cfg: ProtocolConfig, kind: InteractionKind,
-                 j: int | None = None, l: int | None = None) -> MeterOutcome:
-    """Run one setting end to end and read out the meter.
+@dataclass(frozen=True)
+class PlanOutcome:
+    """Meter readout of S settings; every field has the leading (S,) plan axis.
 
-    Every coupling is diagonal in the product basis, so the interaction is
-    applied as a (4, m*n) phase block on meter (x) system and the system is
-    postselected in the same contraction, in O(m*n) work; no joint-space
-    operator is built. The conditional meter state is then projected onto
-    the detector states. Raises OrthogonalPostselection when the overlap
-    |<postselection|system>| falls below DEFAULT_TOL.orthogonal (the modular value
-    diverges there and no meter readout is meaningful).
+    ``outcome[k]`` is setting k as the ``MeterOutcome`` a one-setting run gives.
     """
+
+    conditional_meter_amps: np.ndarray  # (S, 4) complex, unit norm
+    postselection_probability: np.ndarray  # (S,)
+    p1: np.ndarray  # (S,)
+    p2: np.ndarray
+    p1_tilde: np.ndarray
+    p2_tilde: np.ndarray
+
+    def __getitem__(self, k: int) -> MeterOutcome:
+        return MeterOutcome(
+            conditional_meter_state=PureState(METER_DIMS, self.conditional_meter_amps[k]),
+            postselection_probability=float(self.postselection_probability[k]),
+            p1=float(self.p1[k]), p2=float(self.p2[k]),
+            p1_tilde=float(self.p1_tilde[k]), p2_tilde=float(self.p2_tilde[k]),
+        )
+
+
+def _read_out(cfg: ProtocolConfig, settings: Iterable[SettingSpec]) -> PlanOutcome:
+    """The batched readout behind ``run_protocol``, one (S,) row per setting."""
     overlap = inner(cfg.postselection, cfg.system_state)
     if abs(overlap) < DEFAULT_TOL.orthogonal:
         raise OrthogonalPostselection(
             f"|<postselection|state>| = {abs(overlap):.3e} < {DEFAULT_TOL.orthogonal:.3e}"
         )
-    meter0 = _initial_meter(cfg, kind)
-    use_a, use_b = _check_setting(kind, j, l, cfg.dims)
-    phases = _phase_block(use_a, use_b, j, l, cfg.g, cfg.dims)
-    psi, phi = cfg.system_state.amps, cfg.postselection.amps
-    # meter (x) system first, then the phases: the same products, in the same
-    # order, as the dense unitary applied to the joint state (its off-diagonal
-    # terms are exact zeros), which keeps the CLI tables byte-identical
-    joint = meter0.amps[:, None] * psi[None, :]
-    meter_proj = PureState(METER_DIMS, (phases * joint) @ phi.conj())
-    prob = meter_proj.norm() ** 2
-    conditional = normalize(meter_proj)
+    m, n = cfg.dims
+    kinds = {}  # kind -> (code, initial meter amplitudes), in order of first use
+    codes, rows, cols = [], [], []
+    for kind, j, l in settings:
+        if kind not in kinds:
+            kinds[kind] = (len(kinds), _initial_meter(cfg, kind))
+        use_a, use_b = _check_setting(kind, j, l, (m, n))
+        codes.append(kinds[kind][0])
+        rows.append(j if use_a else -1)
+        cols.append(l if use_b else -1)
+    codes = np.array(codes, dtype=np.intp)
+    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    meter0 = np.array([amps for _, amps in kinds.values()]).reshape(-1, 4)[codes]
+    detectors = np.array([_DETECTORS[kind, cfg.meter_mode]
+                          for kind in kinds]).reshape(-1, 4, 4)[codes]
 
-    d1, d2, t1, t2 = _DETECTORS[kind, cfg.meter_mode]
-    p1 = abs(inner(d1, conditional)) ** 2
-    p2 = abs(inner(d2, conditional)) ** 2
-    p1_tilde = abs(inner(t1, conditional)) ** 2
-    p2_tilde = abs(inner(t2, conditional)) ** 2
-    return MeterOutcome(
-        conditional_meter_state=conditional,
-        postselection_probability=prob,
-        p1=p1, p2=p2, p1_tilde=p1_tilde, p2_tilde=p2_tilde,
+    psi, phi_conj = cfg.system_state.amps, cfg.postselection.amps.conj()
+    meter_proj = np.empty((len(codes), 4), dtype=np.complex128)
+    block = max(1, _BLOCK_ELEMENTS // (4 * m * n))
+    for start in range(0, len(codes), block):
+        part = slice(start, start + block)
+        # meter (x) system first, then the phases: the same products, in the
+        # same order, as the dense unitary applied to the joint state (its
+        # off-diagonal terms are exact zeros); the stacked matmul repeats the
+        # one-setting gemv, so the CLI tables stay byte-identical
+        joint = meter0[part, :, None] * psi
+        phases = _phase_block(rows[part], cols[part], cfg.g, (m, n))
+        phases *= joint
+        meter_proj[part] = phases @ phi_conj
+
+    # norm as np.linalg.norm of one state computes it
+    norms = np.sqrt(np.vecdot(meter_proj.real, meter_proj.real)
+                    + np.vecdot(meter_proj.imag, meter_proj.imag))
+    if np.any(norms < 1e-150):
+        raise ValueError("cannot normalize a zero state")
+    conditional = meter_proj / norms[:, None]
+    # vecdot conjugates the detector as np.vdot does; Python's abs(z) ** 2
+    # rounds as a one-setting readout does (np.abs differs in the last bit)
+    overlaps = np.vecdot(detectors, conditional[:, None, :]).ravel().tolist()
+    probs = np.array([abs(z) ** 2 for z in overlaps]).reshape(-1, 4)
+    return PlanOutcome(
+        conditional_meter_amps=conditional,
+        postselection_probability=np.array([x ** 2 for x in norms.tolist()]),
+        p1=probs[:, 0], p2=probs[:, 1], p1_tilde=probs[:, 2], p2_tilde=probs[:, 3],
     )
+
+
+@overload
+def run_protocol(cfg: ProtocolConfig, kind: InteractionKind,
+                 j: int | None = None, l: int | None = None) -> MeterOutcome: ...
+
+
+@overload
+def run_protocol(cfg: ProtocolConfig, kind: Iterable[SettingSpec]) -> PlanOutcome: ...
+
+
+def run_protocol(cfg, kind, j=None, l=None):
+    """Run settings end to end and read out the meter.
+
+    ``run_protocol(cfg, kind, j, l)`` runs one setting and returns its
+    ``MeterOutcome``; ``run_protocol(cfg, settings)`` runs a list of
+    ``(kind, j, l)`` settings and returns their ``PlanOutcome``, whose row k
+    is bit for bit the one-setting outcome of ``settings[k]``.
+
+    Every coupling is diagonal in the product basis, so each setting's
+    interaction is a (4, m*n) phase block on meter (x) system, and all
+    settings are postselected in one stacked contraction with the
+    postselection: O(m*n) work per setting and no joint-space operator.
+    Each conditional meter state is normalized and projected onto its
+    setting's detector states. Raises OrthogonalPostselection when the
+    overlap |<postselection|system>| falls below DEFAULT_TOL.orthogonal (the
+    modular value diverges there and no meter readout is meaningful), and
+    ValueError for an invalid setting.
+    """
+    if isinstance(kind, str):
+        return _read_out(cfg, [(kind, j, l)])[0]
+    if j is not None or l is not None:
+        raise TypeError("with a list of settings, j and l go inside each (kind, j, l)")
+    return _read_out(cfg, kind)

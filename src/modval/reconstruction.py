@@ -285,9 +285,8 @@ def collect_probabilities(cfg: ProtocolConfig,
     """Exact detector probabilities (p1, p2) for every setting, (S, 2) in plan order."""
     if plan is None:
         plan = measurement_plan(*cfg.dims)
-    outcomes = [run_protocol(cfg, entry.setting.kind, j=entry.setting.j, l=entry.setting.l)
-                for entry in plan.entries]
-    return np.array([(outcome.p1, outcome.p2) for outcome in outcomes])
+    outcome = run_protocol(cfg, [entry.setting for entry in plan.entries])
+    return np.stack([outcome.p1, outcome.p2], axis=-1)
 
 
 def definitional_modulars(cfg: ProtocolConfig) -> np.ndarray:
@@ -342,6 +341,20 @@ def _select_reference(raw: np.ndarray, reference) -> np.ndarray:
     return np.full(scale.shape, ref[0] * n + ref[1])
 
 
+def require_full_support(postselection: PureState) -> None:
+    """Raise ValueError if any product-basis amplitude of the postselection vanishes.
+
+    Each weak value is divided by its conjugated postselection amplitude, so
+    a zero amplitude leaves that component of the state undetermined.
+    """
+    magnitudes = np.abs(postselection.amps)
+    k = int(np.argmin(magnitudes))
+    if magnitudes[k] < 1e-12:
+        component = tuple(int(i) for i in np.unravel_index(k, postselection.dims))
+        raise ValueError("postselection must overlap every product basis component "
+                         f"(amplitude {component} vanishes)")
+
+
 def reconstruct(*, dims: tuple[int, int], postselection: PureState, s: complex,
                 modulars, reference="auto") -> ReconstructionResult:
     """Turn plan-ordered modular values (..., S) into normalized amplitudes.
@@ -359,9 +372,8 @@ def reconstruct(*, dims: tuple[int, int], postselection: PureState, s: complex,
         raise ValueError(f"modulars must have {m * n - 1} plan entries on the last axis")
     if postselection.dims != (m, n):
         raise ValueError("postselection dims must match the reconstruction dims")
+    require_full_support(postselection)
     phi = postselection.amps.reshape(m, n)
-    if np.min(np.abs(phi)) < 1e-12:
-        raise ValueError("postselection must overlap every product basis component")
     weak = _weak_value_matrix(modulars, (m, n), s)
     raw = weak / phi.conj()
     lead = raw.shape[:-2]

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from modval import cli
 from modval.cli import (
     EXIT_ALL_REJECTED,
     EXIT_CONFIG,
@@ -47,6 +48,11 @@ def amp_table(rows):
         key = (int(row["comp_a"]), int(row["comp_b"]))
         out[key] = complex(float(row["amp_re"]), float(row["amp_im"]))
     return out
+
+
+# normalized, so no renormalization warning joins the error line
+_ZERO_AMPLITUDE_POSTSELECTION = {"amps": [[math.sqrt(0.5), 0], [0, 0], [0, 0],
+                                          [math.sqrt(0.5), 0]]}
 
 
 class TestReconstructCommand:
@@ -312,6 +318,27 @@ class TestDeterminismAndErrors:
         assert field in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, flags", [
+        ("reconstruct", []), ("reconstruct", ["--method", "definitional"]),
+        ("reconstruct", ["--pairs", "1000", "--trials", "3"]),
+        ("compare", []), ("compare", ["--pairs", "1000", "--trials", "3"]),
+        ("sweep-theta", ["--steps", "3"]),
+    ])
+    def test_zero_amplitude_postselection_is_config_error(self, tmp_path, capsys,
+                                                          command, flags):
+        cfg = write_config(tmp_path, state={"preset": "fig3"}, theta=0.5,
+                           postselection=_ZERO_AMPLITUDE_POSTSELECTION)
+        assert main([command, "--config", cfg, *flags]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: config_error: postselection")
+        assert captured.err.count("\n") == 1
+
+    def test_tomography_ignores_zero_amplitude_postselection(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, postselection=_ZERO_AMPLITUDE_POSTSELECTION)
+        assert main(["tomography", "--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_noise_flags_require_pairs(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["reconstruct", "--config", cfg, "--trials", "5"]) == EXIT_CONFIG
@@ -378,6 +405,36 @@ class TestDeterminismAndErrors:
         assert len(doc["matrix_re"]) == 4 and len(doc["matrix_im"]) == 4
 
 
+class TestParserReuse:
+    def test_consecutive_calls_match_a_fresh_parser(self, tmp_path, capsys):
+        sweep = write_config(tmp_path, "sweep.json", state={"preset": "fig3"})
+        recon = write_config(tmp_path, "recon.json")
+        calls = [
+            ["sweep-theta", "--config", sweep, "--steps", "3", "--theta-min", "0",
+             "--no-timestamp"],
+            ["reconstruct", "--config", recon, "--no-timestamp"],
+            ["reconstruct", "--config", recon, "--no-such-flag"],  # argparse usage error
+            ["sweep-theta", "--config", sweep, "--no-timestamp"],  # every sweep default
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert [code for code, _, _ in fresh] == [EXIT_OK, EXIT_OK, EXIT_CONFIG, EXIT_OK]
+        cli._build_parser.cache_clear()
+        assert [run(argv) for argv in calls] == fresh
+        assert cli._build_parser() is cli._build_parser()
+
+
 # Seeded runs whose --no-timestamp tables are pinned byte for byte in
 # tests/data/<name>.csv: (subcommand, config overrides, extra flags).
 _FIG4A_NOISE = {"pairs_per_setting": 100_000, "trials": 20, "seed": 7}
@@ -388,6 +445,24 @@ _STATE_4X3 = {"amps": [[0.4, 0.1], [0.2, -0.3], [0.1, 0.2], [0.3, 0], [-0.2, 0.1
                        [0.25, 0.15], [0.1, -0.1], [0.3, 0.2], [0.2, 0], [0.15, -0.25],
                        [0.3, 0.1], [0.1, 0.3]],
               "dims": [4, 3]}
+_STATE_7X5 = {"amps": [[0.17, -0.33], [-0.13, 0.35], [0.1, -0.23], [-0.1, -0.13], [0.02, 0.07],
+                       [0.19, -0.06], [-0.06, 0.2], [-0.01, -0.07], [0.03, -0.06], [-0.14, 0.43],
+                       [0.31, 0.01], [0.14, 0.01], [-0.02, -0.22], [-0.44, -0.04], [-0.37, 0.17],
+                       [-0.33, -0.2], [-0.12, 0.17], [0.17, -0.18], [-0.31, 0.1], [0.06, -0.04],
+                       [-0.25, 0.11], [0.15, 0.05], [-0.02, -0.4], [0.0, 0.08], [0.15, 0.29],
+                       [0.16, 0.36], [0.14, -0.03], [-0.07, -0.4], [0.25, 0.31], [-0.04, -0.04],
+                       [0.12, 0.31], [0.03, 0.04], [0.18, -0.18], [-0.07, 0.21], [-0.05, -0.12]],
+              "dims": [7, 5]}
+# non-uniform, every amplitude nonzero
+_POSTSELECTION_7X5 = {
+    "amps": [[0.18, -0.35], [-0.19, 0.28], [0.12, -0.24], [-0.01, -0.15], [0.06, 0.07],
+             [0.24, 0.04], [-0.11, 0.13], [0.06, -0.07], [0.1, -0.05], [0.1, 0.45],
+             [0.35, 0.09], [0.17, 0.07], [0.0, -0.22], [-0.39, -0.07], [-0.32, 0.18],
+             [-0.13, -0.34], [-0.03, 0.19], [0.2, -0.2], [-0.15, 0.26], [0.11, -0.05],
+             [-0.21, 0.07], [0.16, 0.12], [0.23, -0.36], [0.07, 0.08], [0.01, 0.32],
+             [0.33, 0.28], [0.19, 0.03], [-0.17, -0.34], [0.33, 0.28], [0.0, -0.02],
+             [0.03, 0.33], [0.06, 0.05], [0.14, -0.24], [-0.03, 0.21], [-0.03, -0.1]],
+    "dims": [7, 5]}
 GOLDEN_CASES = {
     "reconstruct_fig4a_noise": ("reconstruct", {"noise": _FIG4A_NOISE}, []),
     "reconstruct_fig4a_low_count": ("reconstruct", {"noise": _LOW_COUNT_NOISE},
@@ -407,6 +482,9 @@ GOLDEN_CASES = {
                         "noise": {**_LOW_COUNT_NOISE, "clamp": True}},
         ["--epsilon", "0.9"]),
     "reconstruct_4x3_g1": ("reconstruct", {"state": _STATE_4X3, "g": 1.0}, []),
+    "reconstruct_7x5_postselected": (
+        "reconstruct", {"state": _STATE_7X5, "postselection": _POSTSELECTION_7X5, "g": 2.5},
+        ["--epsilon", "0.3"]),
     "reconstruct_fig4d_definitional": ("reconstruct", {"state": {"preset": "fig4d"}},
                                        ["--method", "definitional"]),
     # theta = +/-pi rows carry the orthogonal_postselection marker

@@ -1,12 +1,14 @@
 """Interaction, postselection, and meter readout."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modval import protocol, reconstruction
 from modval.errors import OrthogonalPostselection
 from modval.hilbert import LinearOperator, PureState, identity, projector, tensor
 from modval.presets import alt_postselection, phase_bell, uniform_plus
@@ -18,8 +20,14 @@ from modval.protocol import (
     prepare_meter,
     run_protocol,
 )
-from modval.reconstruction import modular_definitional
-from tests.conftest import dense_run_protocol, random_pair, random_state
+from modval.reconstruction import collect_probabilities, modular_definitional
+from tests.conftest import (
+    dense_run_protocol,
+    per_setting_probabilities,
+    per_setting_run_protocol,
+    random_pair,
+    random_state,
+)
 
 
 def embedded(side, index, dims=(2, 2)):
@@ -226,6 +234,96 @@ class TestDiagonalReadoutMatchesDenseOracle:
                 run_protocol(cfg, kind, j=j, l=l)
             with pytest.raises(ValueError, match=match):
                 dense_run_protocol(cfg, kind, j=j, l=l)
+
+
+def assert_same_bits(got, want):
+    """Every MeterOutcome field equal bit for bit."""
+    assert got.conditional_meter_state.dims == want.conditional_meter_state.dims
+    assert (got.conditional_meter_state.amps.tobytes()
+            == want.conditional_meter_state.amps.tobytes())
+    for name in ("postselection_probability", "p1", "p2", "p1_tilde", "p2_tilde"):
+        assert getattr(got, name).hex() == getattr(want, name).hex(), name
+
+
+_COUPLINGS = st.one_of(st.sampled_from([math.pi, 1.0, 2.5]),
+                       st.floats(0.3, 2 * math.pi - 0.3))
+
+
+class TestBatchedReadoutMatchesPerSettingReference:
+    """run_protocol over a list of settings against the one-setting readout it replaced."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(m=st.integers(2, 6), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           epsilon=st.floats(0.01, 1.0), g=_COUPLINGS)
+    def test_collect_probabilities(self, m, n, seed, epsilon, g):
+        psi, phi = random_pair(np.random.default_rng(seed), (m, n))
+        cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=epsilon, g=g)
+        got = collect_probabilities(cfg)
+        want = per_setting_probabilities(cfg)
+        assert got.shape == want.shape == (m * n - 1, 2)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(m=st.integers(2, 6), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           epsilon=st.floats(0.01, 1.0), g=_COUPLINGS,
+           mode=st.sampled_from(["entangled", "product"]))
+    def test_one_setting_is_a_row_of_the_batch(self, m, n, seed, epsilon, g, mode):
+        psi, phi = random_pair(np.random.default_rng(seed), (m, n))
+        cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=epsilon, g=g,
+                             meter_mode=mode)
+        plan_settings = all_settings((m, n), mode)
+        outcome = run_protocol(cfg, plan_settings)
+        for k, (kind, j, l) in enumerate(plan_settings):
+            assert_same_bits(run_protocol(cfg, kind, j, l), outcome[k])
+            assert_same_bits(per_setting_run_protocol(cfg, kind, j, l), outcome[k])
+
+    def test_collect_probabilities_is_one_batched_call(self, monkeypatch, rng):
+        configs = {dims: ProtocolConfig(*random_pair(rng, dims)) for dims in ((2, 2), (6, 5))}
+        batches = []
+
+        def counted_run_protocol(cfg, plan_settings, *args):
+            assert not args and not isinstance(plan_settings, str), "one-setting run"
+            batches.append(len(plan_settings))
+            return run_protocol(cfg, plan_settings)
+
+        built = Counter()
+        post_init = PureState.__post_init__
+
+        def counted_post_init(state):
+            built[current] += 1
+            post_init(state)
+
+        monkeypatch.setattr(reconstruction, "run_protocol", counted_run_protocol)
+        monkeypatch.setattr(PureState, "__post_init__", counted_post_init)
+        for current, cfg in configs.items():
+            collect_probabilities(cfg)
+        assert batches == [3, 29]
+        assert not built  # the readout builds no PureState, whatever the plan size
+
+    def test_blocks_of_settings_match_one_block(self, monkeypatch, rng):
+        psi, phi = random_pair(rng, (4, 3))
+        cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=0.4, g=2.5)
+        plan_settings = all_settings((4, 3), "entangled")
+        whole = run_protocol(cfg, plan_settings)
+        monkeypatch.setattr(protocol, "_BLOCK_ELEMENTS", 4 * 12 * 5)  # five settings a block
+        blocked = run_protocol(cfg, plan_settings)
+        for k in range(len(plan_settings)):
+            assert_same_bits(blocked[k], whole[k])
+
+    def test_settings_keep_their_order_and_errors(self):
+        cfg = ProtocolConfig(system_state=phase_bell(0.3), postselection=uniform_plus())
+        plan_settings = [("single_b", None, 1), ("pair", 1, 1), ("single_a", 0, None)]
+        outcome = run_protocol(cfg, plan_settings)
+        assert outcome.p1.shape == (3,)
+        for k, setting in enumerate(plan_settings):
+            assert_same_bits(run_protocol(cfg, *setting), outcome[k])
+        with pytest.raises(ValueError, match="out of range"):
+            run_protocol(cfg, [("pair", 1, 1), ("pair", 2, 1)])
+        with pytest.raises(TypeError, match="inside each"):
+            run_protocol(cfg, plan_settings, 1, 1)
+        cfg = ProtocolConfig(system_state=phase_bell(math.pi), postselection=uniform_plus())
+        with pytest.raises(OrthogonalPostselection):
+            run_protocol(cfg, plan_settings)
 
 
 class TestProductMeterMode:
