@@ -18,13 +18,9 @@ from .hilbert import (
     DEFAULT_TOL,
     LinearOperator,
     PureState,
-    apply,
     basis_state,
-    exp_projector_phase,
     identity,
     inner,
-    normalize,
-    partial_inner,
     projector,
     tensor,
 )
@@ -48,8 +44,6 @@ from .protocol import (
     MeterOutcome,
     PlanOutcome,
     ProtocolConfig,
-    build_interaction,
-    prepare_meter,
     run_protocol,
 )
 from .reconstruction import (

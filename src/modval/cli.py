@@ -29,7 +29,13 @@ byte-identical for a fixed config and seed.
 
 Exit codes: 0 success, 2 config error, 3 orthogonal postselection,
 4 inversion failure, 5 all trials rejected. Every error prints one line
-``error: <code>: <message>`` to stderr.
+``error: <code>: <message>`` to stderr. Config errors include explicit
+``dims`` that are not two int()-convertible factors each at least 2 (such
+as ["a", 2], 5, [1, 4] or [2, 2, 1]), and a negative noise seed from the
+config or from --seed.
+
+Tables are built column by column (``write_table``) and written with one
+csv.writer call, or as JSON rows of the same values.
 """
 
 from __future__ import annotations
@@ -99,7 +105,13 @@ class RunConfig:
 
 def _parse_amplitudes(spec: dict, field: str) -> PureState:
     amps_raw = spec["amps"]
-    dims = tuple(int(d) for d in spec.get("dims", (2, 2)))
+    try:
+        dims = tuple(int(d) for d in spec.get("dims", (2, 2)))
+    except (TypeError, ValueError, OverflowError):
+        dims = ()
+    if len(dims) != 2 or min(dims) < 2:
+        raise ConfigError(f"{field}.dims must be two integers, each at least 2, "
+                          f"got {spec.get('dims')!r}")
     try:
         amps = np.array([complex(re, im) for re, im in amps_raw])
     except (TypeError, ValueError) as exc:
@@ -278,28 +290,27 @@ def _direct_config(cfg: RunConfig, state: PureState) -> ProtocolConfig:
 # ---------------------------------------------------------------------------
 # table output
 
-def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def write_table(columns: dict[str, list], *, meta: dict, output_path: str, fmt: str,
+                timestamp: bool, json_extra: dict | None = None) -> None:
+    """Write a table given column by column, in the dict's order.
 
-
-def write_table(rows: list[dict], fieldnames: list[str], *, meta: dict,
-                output_path: str, fmt: str, timestamp: bool,
-                json_extra: dict | None = None) -> None:
+    A column is a list of Python values, one per row (the ``.tolist()`` of
+    an array), with None for an empty cell. csv.writer formats every cell:
+    None as an empty cell, a float as its repr, anything else with str. A
+    JSON document carries the same values, one object per row.
+    """
     meta_out = {"schema_version": SCHEMA_VERSION, **meta}
+    fieldnames = list(columns)
+    rows = zip(*columns.values())
     if fmt == "csv":
         buffer = io.StringIO()
         if timestamp:
             buffer.write(f"# generated={datetime.now(timezone.utc).isoformat()}\n")
         for key, value in meta_out.items():
-            buffer.write(f"# {key}={_fmt_cell(value)}\n")
-        writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt_cell(row.get(k)) for k in fieldnames})
+            buffer.write(f"# {key}={value}\n")
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows(rows)
         text = buffer.getvalue()
     else:
         doc = dict(meta_out)
@@ -308,7 +319,7 @@ def write_table(rows: list[dict], fieldnames: list[str], *, meta: dict,
         if json_extra:
             doc.update(json_extra)
         doc["columns"] = fieldnames
-        doc["rows"] = [{k: row.get(k) for k in fieldnames} for row in rows]
+        doc["rows"] = [dict(zip(fieldnames, row)) for row in rows]
         text = json.dumps(doc, indent=2) + "\n"
     if output_path == "-":
         sys.stdout.write(text)
@@ -317,10 +328,47 @@ def write_table(rows: list[dict], fieldnames: list[str], *, meta: dict,
             handle.write(text)
 
 
-def _complex_cols(prefix: str, value: complex | None, suffix: str = "") -> dict:
-    if value is None:
-        return {f"{prefix}_re{suffix}": None, f"{prefix}_im{suffix}": None}
-    return {f"{prefix}_re{suffix}": float(value.real), f"{prefix}_im{suffix}": float(value.imag)}
+def _cells(values, at, rows: int) -> list:
+    """A column of ``rows`` cells holding ``values`` at ``at`` (indices or a
+    mask); the other cells are empty."""
+    column = np.full(rows, None, dtype=object)
+    column[at] = values
+    return column.tolist()
+
+
+def _complex_columns(prefix: str, values, suffix: str = "", at=None,
+                     rows: int = 0) -> dict[str, list]:
+    """The ``_re``/``_im`` columns of complex values, flattened row-major;
+    given ``at``, the values fill only those of ``rows`` cells."""
+    values = np.asarray(values).ravel()
+    return {f"{prefix}_{name}{suffix}": part.tolist() if at is None else _cells(part, at, rows)
+            for name, part in (("re", values.real), ("im", values.imag))}
+
+
+def _grid_columns(names: tuple[str, str], dims: tuple[int, int]) -> dict[str, list]:
+    """Row and column index of every cell of an m x n grid, row-major."""
+    row, col = np.indices(dims)
+    return {names[0]: row.ravel().tolist(), names[1]: col.ravel().tolist()}
+
+
+def _component_columns(dims: tuple[int, int], amplitudes, weak_values, modulars, normalizer,
+                       suffix: str = "") -> dict[str, list]:
+    """The columns of a reconstruct table after comp_a/comp_b, rows (j, l) row-major.
+
+    Component (j, l) shows the single_a modular value of j, the single_b one
+    of l and the pair one of (j, l); index 0 has none, so those cells are empty.
+    """
+    m, n = dims
+    mod_a, mod_b, mod_pair = split_plan(modulars, dims)
+    row, col = (index.ravel() for index in np.indices(dims))
+    columns = {**_complex_columns("amp", amplitudes, suffix),
+               **_complex_columns("weak", weak_values, suffix)}
+    for prefix, values, at in (("mod_a", np.repeat(mod_a, n), row > 0),
+                               ("mod_b", np.tile(mod_b, m), col > 0),
+                               ("mod_pair", mod_pair, (row > 0) & (col > 0))):
+        columns.update(_complex_columns(prefix, values, suffix, at=at, rows=m * n))
+    columns[f"normalizer{suffix}"] = [normalizer] * (m * n)
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -329,54 +377,24 @@ def _complex_cols(prefix: str, value: complex | None, suffix: str = "") -> dict:
 def cmd_reconstruct(cfg: RunConfig) -> None:
     """Amplitude table for one configuration (exact or noise-propagated)."""
     pcfg = _direct_config(cfg, _resolve_state(cfg))
-    m, n = pcfg.dims
     meta = {"method": cfg.method, "epsilon": cfg.epsilon, "g": cfg.g}
-    rows = []
-    fieldnames = ["comp_a", "comp_b", "amp_re", "amp_im", "weak_re", "weak_im",
-                  "mod_a_re", "mod_a_im", "mod_b_re", "mod_b_im",
-                  "mod_pair_re", "mod_pair_im", "normalizer"]
-
-    def plan_values(values, j, l):
-        # (mod_a, mod_b, mod_pair) entries of component (j, l); None where the plan has none
-        mod_a, mod_b, mod_pair = split_plan(values, (m, n))
-        return (("mod_a", mod_a[j - 1] if j else None),
-                ("mod_b", mod_b[l - 1] if l else None),
-                ("mod_pair", mod_pair[j - 1, l - 1] if j and l else None))
-
-    def base_row(j, l, amps, weak, mods, normalizer):
-        row = {"comp_a": j, "comp_b": l, "normalizer": normalizer}
-        row.update(_complex_cols("amp", complex(amps[j, l])))
-        row.update(_complex_cols("weak", complex(weak[j, l])))
-        for prefix, value in plan_values(mods, j, l):
-            row.update(_complex_cols(prefix, value))
-        return row
-
+    columns = _grid_columns(("comp_a", "comp_b"), pcfg.dims)
     if cfg.noise is None:
         result = reconstruct_state(pcfg, cfg.method)
         meta["reference_component"] = "%d,%d" % result.reference_component
-        for j in range(m):
-            for l in range(n):
-                rows.append(base_row(j, l, result.amplitudes, result.weak_values,
-                                     result.modulars, result.normalizer))
+        columns.update(_component_columns(pcfg.dims, result.amplitudes, result.weak_values,
+                                          result.modulars, result.normalizer))
     else:
         mc = monte_carlo(pcfg, cfg.noise, method=cfg.method)
         meta.update(pairs_per_setting=cfg.noise.pairs_per_setting,
                     trials=cfg.noise.trials, seed=cfg.noise.seed,
                     trials_kept=mc.amplitudes.samples_kept,
                     trials_rejected=mc.amplitudes.samples_rejected)
-        fieldnames = fieldnames + [f"{name}_std" for name in fieldnames[2:]]
-        for j in range(m):
-            for l in range(n):
-                row = base_row(j, l, mc.amplitudes.mean, mc.weak_values.mean,
-                               mc.modulars.mean, float(mc.normalizer.mean))
-                row.update(_complex_cols("amp", mc.amplitudes.std[j, l], "_std"))
-                row.update(_complex_cols("weak", mc.weak_values.std[j, l], "_std"))
-                for prefix, std in plan_values(mc.modulars.std, j, l):
-                    row.update(_complex_cols(prefix, std, "_std"))
-                row["normalizer_std"] = float(mc.normalizer.std)
-                rows.append(row)
-
-    write_table(rows, fieldnames, meta=meta, output_path=cfg.output_path,
+        columns.update(_component_columns(pcfg.dims, mc.amplitudes.mean, mc.weak_values.mean,
+                                          mc.modulars.mean, float(mc.normalizer.mean)))
+        columns.update(_component_columns(pcfg.dims, mc.amplitudes.std, mc.weak_values.std,
+                                          mc.modulars.std, float(mc.normalizer.std), "_std"))
+    write_table(columns, meta=meta, output_path=cfg.output_path,
                 fmt=cfg.format, timestamp=cfg.timestamp)
 
 
@@ -399,28 +417,30 @@ def cmd_sweep_theta(cfg: RunConfig, theta_min: float, theta_max: float, steps: i
     base = _direct_config(cfg, phase_bell(0.0))
     thetas = np.linspace(theta_min, theta_max, steps)
     methods = ("definitional", "first_order", "exact_inversion")
-    rows = []
-    for theta in thetas:
-        pcfg = replace(base, system_state=phase_bell(float(theta)))
+    errors = []  # per row: the error code, or None
+    done, values = [], []  # per row with a result: its index and values
+    for theta in thetas.tolist():
+        pcfg = replace(base, system_state=phase_bell(theta))
         for method in methods:
-            row = {"theta": float(theta), "method": method, "error": None}
             try:
                 result = reconstruct_state(pcfg, method)
             except ModvalError as exc:
-                row["error"] = exc.code  # missing cells are written empty
-            else:
-                mod_a, mod_b, mod_pair = split_plan(result.modulars, pcfg.dims)
-                row.update(_complex_cols("mod_a", mod_a[0]))
-                row.update(_complex_cols("mod_b", mod_b[0]))
-                row.update(_complex_cols("mod_pair", mod_pair[0, 0]))
-                row.update(_complex_cols("psi_vv", complex(result.amplitudes[1, 1])))
-            rows.append(row)
+                errors.append(exc.code)  # its numeric cells stay empty
+                continue
+            done.append(len(errors))
+            errors.append(None)
+            values.append((*result.modulars, result.amplitudes[1, 1]))
 
-    fieldnames = ["theta", "method", "mod_a_re", "mod_a_im", "mod_b_re", "mod_b_im",
-                  "mod_pair_re", "mod_pair_im", "psi_vv_re", "psi_vv_im", "error"]
+    values = np.array(values, dtype=np.complex128).reshape(-1, 4)
+    mod_a, mod_b, mod_pair = split_plan(values[:, :3], base.dims)
+    columns = {"theta": np.repeat(thetas, len(methods)).tolist(), "method": list(methods) * steps}
+    for prefix, column in (("mod_a", mod_a), ("mod_b", mod_b), ("mod_pair", mod_pair),
+                           ("psi_vv", values[:, 3])):
+        columns.update(_complex_columns(prefix, column, at=done, rows=len(errors)))
+    columns["error"] = errors
     meta = {"epsilon": cfg.epsilon, "g": cfg.g,
             "theta_min": theta_min, "theta_max": theta_max, "steps": steps}
-    write_table(rows, fieldnames, meta=meta, output_path=cfg.output_path,
+    write_table(columns, meta=meta, output_path=cfg.output_path,
                 fmt=cfg.format, timestamp=cfg.timestamp)
 
 
@@ -441,53 +461,46 @@ def cmd_tomography(cfg: RunConfig) -> None:
         meta.update(pairs_per_setting=cfg.noise.pairs_per_setting, seed=cfg.noise.seed)
     rho = linear_inversion(expectations)
     meta.update(min_eigenvalue=rho.min_eigenvalue, positive=rho.positive)
-    rows = [{"row": i, "col": j,
-             "re": float(rho.mat[i, j].real), "im": float(rho.mat[i, j].imag)}
-            for i in range(4) for j in range(4)]
+    columns = {**_grid_columns(("row", "col"), (4, 4)),
+               "re": rho.mat.real.ravel().tolist(), "im": rho.mat.imag.ravel().tolist()}
     matrix = {"matrix_re": rho.mat.real.tolist(), "matrix_im": rho.mat.imag.tolist()}
-    write_table(rows, ["row", "col", "re", "im"], meta=meta,
-                output_path=cfg.output_path, fmt=cfg.format, timestamp=cfg.timestamp,
-                json_extra=matrix)
+    write_table(columns, meta=meta, output_path=cfg.output_path, fmt=cfg.format,
+                timestamp=cfg.timestamp, json_extra=matrix)
 
 
 def cmd_compare(cfg: RunConfig) -> None:
-    """Fidelities: direct reconstruction vs tomography vs the true state."""
+    """Fidelities: direct reconstruction vs tomography vs the true state.
+
+    Every kept trial pairs its direct reconstruction with a tomography draw
+    from its own generator; both are evaluated for all trials at once.
+    """
     pcfg = _direct_config(cfg, _resolve_state(cfg))
     _require_two_qubits(pcfg)
     truth = pcfg.system_state
     exact_expect = pauli_expectations(truth)
-    fieldnames = ["trial", "fidelity_direct_vs_truth", "fidelity_tomography_vs_truth",
-                  "fidelity_direct_vs_tomography", "error"]
     meta = {"method": cfg.method, "epsilon": cfg.epsilon}
-    rows = []
-
-    def fidelity_row(trial, direct_state, rho):
-        return {
-            "trial": trial,
-            "fidelity_direct_vs_truth": fidelity_states(truth, direct_state),
-            "fidelity_tomography_vs_truth": fidelity_pure(rho, truth),
-            "fidelity_direct_vs_tomography": fidelity_pure(rho, direct_state),
-            "error": None,
-        }
-
     if cfg.noise is None:
-        result = reconstruct_state(pcfg, cfg.method)
-        rho = linear_inversion(exact_expect)
-        rows.append(fidelity_row(0, result.state(), rho))
+        kept, result = np.ones(1, dtype=bool), reconstruct_state(pcfg, cfg.method)
+        expectations = [exact_expect]
     else:
         meta.update(pairs_per_setting=cfg.noise.pairs_per_setting,
                     trials=cfg.noise.trials, seed=cfg.noise.seed)
         rngs, kept, result = noisy_trials(pcfg, cfg.noise, cfg.method)
-        for trial, rng in enumerate(rngs):
-            if not kept[trial]:
-                rows.append({"trial": trial, "error": NegativeDiscriminant.code})
-                continue
-            noisy_expect = sample_pauli_expectations(exact_expect,
-                                                     cfg.noise.pairs_per_setting, rng)
-            rows.append(fidelity_row(trial, result[trial].state(),
-                                     linear_inversion(noisy_expect)))
+        expectations = [sample_pauli_expectations(exact_expect, cfg.noise.pairs_per_setting, rng)
+                        for rng, keep in zip(rngs, kept.tolist()) if keep]
 
-    write_table(rows, fieldnames, meta=meta, output_path=cfg.output_path,
+    names = ("fidelity_direct_vs_truth", "fidelity_tomography_vs_truth",
+             "fidelity_direct_vs_tomography")
+    fidelities = (None,) * 3  # every trial rejected: all cells empty
+    if kept.any():
+        direct = result.amplitudes.reshape(-1, 4)[kept]
+        rho = linear_inversion(expectations)
+        fidelities = (fidelity_states(truth, direct), fidelity_pure(rho, truth),
+                      fidelity_pure(rho, direct))
+    columns = {"trial": list(range(kept.size)),
+               **{name: _cells(values, kept, kept.size) for name, values in zip(names, fidelities)},
+               "error": np.where(kept, None, NegativeDiscriminant.code).tolist()}
+    write_table(columns, meta=meta, output_path=cfg.output_path,
                 fmt=cfg.format, timestamp=cfg.timestamp)
 
 

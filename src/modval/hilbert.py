@@ -152,24 +152,6 @@ def projector(dims, target) -> LinearOperator:
     return LinearOperator(dims, np.outer(vec, vec.conj()))
 
 
-def is_idempotent(op: LinearOperator) -> bool:
-    return bool(np.max(np.abs(op.mat @ op.mat - op.mat)) <= DEFAULT_TOL.structural)
-
-
-def exp_projector_phase(proj: LinearOperator, g: float) -> LinearOperator:
-    """exp(-i*g*P) for an idempotent P, via the closed form I + (e^{-ig}-1) P.
-
-    Equals the dense matrix exponential of -i*g*P; unitary whenever P is
-    Hermitian. Rejects non-idempotent input instead of silently computing
-    something else.
-    """
-    if not is_idempotent(proj):
-        raise ValueError("exp_projector_phase requires an idempotent operator")
-    phase = np.exp(-1j * float(g)) - 1.0
-    mat = np.eye(proj.dim, dtype=np.complex128) + phase * proj.mat
-    return LinearOperator(proj.dims, mat)
-
-
 def _require_same_dims(a, b):
     if a.dims != b.dims:
         raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
@@ -179,32 +161,3 @@ def inner(a: PureState, b: PureState) -> complex:
     """Sesquilinear inner product <a|b>, conjugate-linear in the first slot."""
     _require_same_dims(a, b)
     return complex(np.vdot(a.amps, b.amps))
-
-
-def apply(op: LinearOperator, state: PureState) -> PureState:
-    _require_same_dims(op, state)
-    return PureState(state.dims, op.mat @ state.amps)
-
-
-def normalize(state: PureState) -> PureState:
-    n = state.norm()
-    if n < 1e-150:
-        raise ValueError("cannot normalize a zero state")
-    return PureState(state.dims, state.amps / n)
-
-
-def partial_inner(phi: PureState, state: PureState) -> PureState:
-    """Contract ``phi`` against the trailing factors of ``state``.
-
-    Returns the (unnormalized) state left on the leading factors,
-    (<phi| on trailing part) |state>; its squared norm is the probability
-    of finding the trailing part in |phi>.
-    """
-    k = len(phi.dims)
-    if k >= len(state.dims) or state.dims[-k:] != phi.dims:
-        raise ValueError(
-            f"trailing dims {state.dims} do not end with {phi.dims}"
-        )
-    lead = state.dims[:-k]
-    block = state.amps.reshape(_product(lead), phi.dim)
-    return PureState(lead, block @ phi.amps.conj())

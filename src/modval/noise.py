@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllTrialsRejected, ConfigError
-from .hilbert import inner
 from .protocol import ProtocolConfig
 from .reconstruction import (
     Method,
@@ -30,6 +29,7 @@ from .reconstruction import (
     reconstruct,
     s_parameter,
 )
+from .tomography import fidelity_states
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,8 @@ class CountingConfig:
             raise ValueError("pairs_per_setting must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -141,17 +143,18 @@ def monte_carlo(cfg: ProtocolConfig, counting: CountingConfig,
     n_kept = int(kept.sum())
     rejected = counting.trials - n_kept
     modulars = result.modulars[kept]
+    amplitudes = result.amplitudes[kept]
     # reduced column by column: an axis-0 reduction of the (K, S) stack rounds differently
     mod_stats = [_complex_stats(modulars[:, k]) for k in range(modulars.shape[1])]
     return MonteCarloResult(
-        amplitudes=_estimate(result.amplitudes[kept], rejected, keep_samples),
+        amplitudes=_estimate(amplitudes, rejected, keep_samples),
         weak_values=_estimate(result.weak_values[kept], rejected, keep_samples),
         modulars=NoisyEstimate(np.array([mean for mean, _ in mod_stats]),
                                np.array([std for _, std in mod_stats]), n_kept, rejected,
                                modulars if keep_samples else None),
         normalizer=_estimate(result.normalizer[kept], rejected, keep_samples),
-        fidelity=_estimate([abs(inner(cfg.system_state, result[k].state())) ** 2
-                            for k in np.flatnonzero(kept)], rejected, keep_samples),
+        fidelity=_estimate(fidelity_states(cfg.system_state, amplitudes.reshape(n_kept, -1)),
+                           rejected, keep_samples),
     )
 
 

@@ -16,31 +16,23 @@ out a whole list of settings at once: an (S, 4, m*n) block of phases times
 meter (x) system, contracted with the postselection in one stacked matmul,
 then normalized and projected onto each setting's detector states. Given one
 ``(kind, j, l)`` setting it returns that row of the same readout. No
-joint-space operator is built; ``build_interaction`` is the dense unitary
-the tests check the readout against.
+joint-space operator is built; the tests build the dense unitary and check
+the readout against it.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Literal, overload
+from typing import Literal, NamedTuple, overload
 
 import numpy as np
 
 from .errors import OrthogonalPostselection
-from .hilbert import (
-    DEFAULT_TOL,
-    LinearOperator,
-    PureState,
-    exp_projector_phase,
-    identity,
-    inner,
-    projector,
-    tensor,
-)
+from .hilbert import DEFAULT_TOL, PureState, inner
 
 UP, DOWN = 0, 1
 METER_DIMS = (2, 2)
@@ -118,25 +110,12 @@ class MeterOutcome:
     p2_tilde: float
 
 
-def prepare_meter(epsilon: float) -> PureState:
-    """Initial two-part meter (|ud> + eps |du>)/sqrt(1+eps^2)."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    return PureState(METER_DIMS, _entangled_meter(epsilon))
-
-
 def _entangled_meter(epsilon: float) -> np.ndarray:
     amps = np.zeros(4, dtype=np.complex128)
     scale = 1.0 / math.sqrt(1.0 + epsilon * epsilon)
     amps[IDX_UP_DOWN] = scale
     amps[IDX_DOWN_UP] = epsilon * scale
     return amps
-
-
-def _meter_side_projector(side: Literal["a", "b"]) -> LinearOperator:
-    # A couples on its |down> component, B on its |up> component
-    level = DOWN if side == "a" else UP
-    return projector((2,), level)
 
 
 def _check_setting(kind: InteractionKind, j: int | None, l: int | None,
@@ -154,32 +133,6 @@ def _check_setting(kind: InteractionKind, j: int | None, l: int | None,
         if l is None or not 0 <= l < n:
             raise ValueError(f"system-B index {l} out of range for dimension {n}")
     return use_a, use_b
-
-
-def build_interaction(kind: InteractionKind, j: int | None, l: int | None,
-                      g: float, dims) -> LinearOperator:
-    """Controlled-phase unitary on the joint meter (x) system space.
-
-    kind="single_a" couples meter A to system-A projector |j><j| only,
-    kind="single_b" couples meter B to system-B projector |l><l| only,
-    kind="pair" applies both (the two controlled phases commute).
-
-    ``run_protocol`` never builds this operator; it is the dense reference
-    the diagonal readout is checked against.
-    """
-    m, n = (int(d) for d in dims)
-    use_a, use_b = _check_setting(kind, j, l, (m, n))
-    mat = None
-    if use_a:
-        q_a = tensor(tensor(_meter_side_projector("a"), identity((2,))),
-                     tensor(projector((m,), j), identity((n,))))
-        mat = exp_projector_phase(q_a, g).mat
-    if use_b:
-        q_b = tensor(tensor(identity((2,)), _meter_side_projector("b")),
-                     tensor(identity((m,)), projector((n,), l)))
-        exp_b = exp_projector_phase(q_b, g).mat
-        mat = exp_b if mat is None else mat @ exp_b
-    return LinearOperator((2, 2, m, n), mat)
 
 
 def _single_part_detector(ref: int, phase: complex) -> np.ndarray:
@@ -236,11 +189,10 @@ _BLOCK_ELEMENTS = 2**13
 
 
 def _initial_meter(cfg: ProtocolConfig, kind: InteractionKind) -> np.ndarray:
-    """Initial meter amplitudes (4,) for a setting of the given kind."""
+    """Initial meter amplitudes (4,) for a setting of the given kind (a single
+    one in product mode)."""
     if cfg.meter_mode == "entangled":
         return _entangled_meter(cfg.epsilon)
-    if kind == "pair":
-        raise ValueError("pair settings require the entangled meter mode")
     scale = 1.0 / math.sqrt(1.0 + cfg.epsilon**2)
     if kind == "single_a":  # spectator B parked at down
         part_a, part_b = [scale, cfg.epsilon * scale], [0.0, 1.0]
@@ -260,7 +212,7 @@ def _phase_block(rows: np.ndarray, cols: np.ndarray, g: float,
     index, or -1 where that side is uncoupled and contributes ones.
     """
     m, n = dims
-    phase = 1.0 + (np.exp(-1j * float(g)) - 1.0)  # 1 + s, rounded as exp_projector_phase does
+    phase = 1.0 + (np.exp(-1j * float(g)) - 1.0)  # 1 + s, rounded as the diagonal of I + s P
     a = np.ones((len(rows), m, n), dtype=np.complex128)
     b = np.ones((len(cols), m, n), dtype=np.complex128)
     on_a, on_b = rows >= 0, cols >= 0
@@ -293,6 +245,37 @@ class PlanOutcome:
         )
 
 
+class _SettingIndex(NamedTuple):
+    """The run-independent part of a readout, as read-only (S,) arrays."""
+
+    kinds: tuple[InteractionKind, ...]  # distinct kinds, in order of first use
+    codes: np.ndarray  # position of each setting's kind in ``kinds``
+    rows: np.ndarray  # coupled A index, -1 where A is uncoupled
+    cols: np.ndarray  # coupled B index, -1 where B is uncoupled
+    detectors: np.ndarray  # (S, 4, 4) detector amplitudes
+
+
+@functools.lru_cache(maxsize=64)
+def _index_settings(settings: tuple[SettingSpec, ...], dims: tuple[int, int],
+                    mode: MeterMode) -> _SettingIndex:
+    """Validate and index a list of settings; cached, so a plan is indexed once."""
+    kinds: dict[InteractionKind, int] = {}
+    codes, rows, cols = [], [], []
+    for kind, j, l in settings:
+        use_a, use_b = _check_setting(kind, j, l, dims)
+        codes.append(kinds.setdefault(kind, len(kinds)))
+        rows.append(j if use_a else -1)
+        cols.append(l if use_b else -1)
+    if mode == "product" and "pair" in kinds:
+        raise ValueError("pair settings require the entangled meter mode")
+    detectors = np.array([_DETECTORS[kind, mode] for kind in kinds]).reshape(-1, 4, 4)
+    index = _SettingIndex(tuple(kinds), *(np.array(x, dtype=np.intp) for x in (codes, rows, cols)),
+                          detectors[codes])
+    for array in index[1:]:
+        array.flags.writeable = False
+    return index
+
+
 def _read_out(cfg: ProtocolConfig, settings: Iterable[SettingSpec]) -> PlanOutcome:
     """The batched readout behind ``run_protocol``, one (S,) row per setting."""
     overlap = inner(cfg.postselection, cfg.system_state)
@@ -301,20 +284,10 @@ def _read_out(cfg: ProtocolConfig, settings: Iterable[SettingSpec]) -> PlanOutco
             f"|<postselection|state>| = {abs(overlap):.3e} < {DEFAULT_TOL.orthogonal:.3e}"
         )
     m, n = cfg.dims
-    kinds = {}  # kind -> (code, initial meter amplitudes), in order of first use
-    codes, rows, cols = [], [], []
-    for kind, j, l in settings:
-        if kind not in kinds:
-            kinds[kind] = (len(kinds), _initial_meter(cfg, kind))
-        use_a, use_b = _check_setting(kind, j, l, (m, n))
-        codes.append(kinds[kind][0])
-        rows.append(j if use_a else -1)
-        cols.append(l if use_b else -1)
-    codes = np.array(codes, dtype=np.intp)
-    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
-    meter0 = np.array([amps for _, amps in kinds.values()]).reshape(-1, 4)[codes]
-    detectors = np.array([_DETECTORS[kind, cfg.meter_mode]
-                          for kind in kinds]).reshape(-1, 4, 4)[codes]
+    if not isinstance(settings, tuple):
+        settings = tuple(map(tuple, settings))
+    kinds, codes, rows, cols, detectors = _index_settings(settings, (m, n), cfg.meter_mode)
+    meter0 = np.array([_initial_meter(cfg, kind) for kind in kinds]).reshape(-1, 4)[codes]
 
     psi, phi_conj = cfg.system_state.amps, cfg.postselection.amps.conj()
     meter_proj = np.empty((len(codes), 4), dtype=np.complex128)
@@ -375,7 +348,7 @@ def run_protocol(cfg, kind, j=None, l=None):
     ValueError for an invalid setting.
     """
     if isinstance(kind, str):
-        return _read_out(cfg, [(kind, j, l)])[0]
+        return _read_out(cfg, ((kind, j, l),))[0]
     if j is not None or l is not None:
         raise TypeError("with a list of settings, j and l go inside each (kind, j, l)")
     return _read_out(cfg, kind)

@@ -26,6 +26,7 @@ and a stack of noisy trials run through the same code.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
@@ -59,15 +60,24 @@ class PlanEntry:
     def observable(self) -> LinearOperator:
         """The setting's observable, embedded on the full (m, n) system space.
 
-        Built on demand: only the definitional oracle needs the dense matrix.
+        Built on first use: only the definitional oracle needs the dense
+        matrix. It is kept with the cached plan up to m*n = 64, where a
+        plan's observables take 4 MiB; they grow as (m*n)^3.
         """
+        kept = self.__dict__.get("_observable")
+        if kept is not None:
+            return kept
         st = self.setting
         if st.kind == "single_a":
-            return _embedded_projector(self.dims, "a", st.j)
-        if st.kind == "single_b":
-            return _embedded_projector(self.dims, "b", st.l)
-        return LinearOperator(self.dims, _embedded_projector(self.dims, "a", st.j).mat
-                              + _embedded_projector(self.dims, "b", st.l).mat)
+            op = _embedded_projector(self.dims, "a", st.j)
+        elif st.kind == "single_b":
+            op = _embedded_projector(self.dims, "b", st.l)
+        else:
+            op = LinearOperator(self.dims, _embedded_projector(self.dims, "a", st.j).mat
+                                + _embedded_projector(self.dims, "b", st.l).mat)
+        if self.dims[0] * self.dims[1] <= 64:
+            object.__setattr__(self, "_observable", op)
+        return op
 
 
 @dataclass(frozen=True)
@@ -76,6 +86,11 @@ class MeasurementPlan:
 
     dims: tuple[int, int]
     entries: tuple[PlanEntry, ...]
+
+    @functools.cached_property
+    def settings(self) -> tuple[Setting, ...]:
+        """The entries' settings in plan order, as ``run_protocol`` takes them."""
+        return tuple(entry.setting for entry in self.entries)
 
     @property
     def n_settings(self) -> int:
@@ -118,12 +133,15 @@ def _embedded_projector(dims, side: str, index: int) -> LinearOperator:
     return tensor(identity((m,)), projector((n,), index))
 
 
+@functools.lru_cache(maxsize=32)
 def measurement_plan(m: int, n: int) -> MeasurementPlan:
     """Settings for an m x n system: singles on each side, then all pairs.
 
     Plan size is (m-1)+(n-1)+(m-1)(n-1) = m*n - 1 settings; with a real and
     an imaginary part each that is 2*m*n - 2 numbers, exactly the parameter
-    count of a normalized state with one global phase removed.
+    count of a normalized state with one global phase removed. The plan
+    depends only on (m, n), so it is built once per size (the last 32 sizes
+    are kept), shared, and immutable.
     """
     if m < 2 or n < 2:
         raise ValueError("both subsystem dimensions must be at least 2")
@@ -285,7 +303,7 @@ def collect_probabilities(cfg: ProtocolConfig,
     """Exact detector probabilities (p1, p2) for every setting, (S, 2) in plan order."""
     if plan is None:
         plan = measurement_plan(*cfg.dims)
-    outcome = run_protocol(cfg, [entry.setting for entry in plan.entries])
+    outcome = run_protocol(cfg, plan.settings)
     return np.stack([outcome.p1, outcome.p2], axis=-1)
 
 

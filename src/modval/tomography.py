@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DEFAULT_TOL, LinearOperator, PureState, inner
+from .hilbert import DEFAULT_TOL, LinearOperator, PureState
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
 _PAULIS = {
@@ -35,20 +35,22 @@ class DensityMatrix:
     """Linear-inversion estimate; Hermitian and unit trace by construction.
 
     ``positive`` records whether the spectrum is non-negative (within the
-    structural tolerance); linear inversion does not enforce it.
+    structural tolerance); linear inversion does not enforce it. A batch
+    carries leading trial axes: ``mat`` is (..., 4, 4), ``min_eigenvalue``
+    and ``positive`` are (...) arrays, and every trial is checked.
     """
 
     mat: np.ndarray
-    min_eigenvalue: float
-    positive: bool
+    min_eigenvalue: float | np.ndarray
+    positive: bool | np.ndarray
 
     def __post_init__(self):
         mat = np.array(self.mat, dtype=np.complex128)
-        if mat.shape != (4, 4):
+        if mat.shape[-2:] != (4, 4):
             raise ValueError("density matrix must be 4x4")
-        if np.max(np.abs(mat - mat.conj().T)) > DEFAULT_TOL.structural:
+        if np.max(np.abs(mat - np.swapaxes(mat, -1, -2).conj())) > DEFAULT_TOL.structural:
             raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(mat).real - 1.0) > DEFAULT_TOL.structural:
+        if np.max(np.abs(np.trace(mat, axis1=-2, axis2=-1).real - 1.0)) > DEFAULT_TOL.structural:
             raise ValueError("density matrix must have unit trace")
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
@@ -68,28 +70,56 @@ def pauli_expectations(psi: PureState) -> np.ndarray:
 
 
 def linear_inversion(expectations, *, identity_tol: float = 1e-6) -> DensityMatrix:
-    """Density matrix from the 16 Pauli expectations (II, IX, ..., ZZ order)."""
-    values = np.asarray(expectations, dtype=float).reshape(-1)
-    if values.size != 16:
-        raise ValueError(f"expected 16 expectation values, got {values.size}")
-    if abs(values[0] - 1.0) > identity_tol:
+    """Density matrix from the 16 Pauli expectations (II, IX, ..., ZZ order).
+
+    Leading axes of the (..., 16) input are trials, each inverted bit for bit
+    as a one-trial call (the terms are summed in the same order).
+    """
+    values = np.asarray(expectations, dtype=float)
+    if values.shape[-1:] != (16,):
+        raise ValueError(f"expected 16 expectation values, got shape {values.shape}")
+    if np.any(np.abs(values[..., 0] - 1.0) > identity_tol):
         raise ValueError("the identity-identity expectation must equal 1")
-    mat = np.zeros((4, 4), dtype=np.complex128)
-    for value, obs in zip(values, _SETTINGS):
-        mat += value * obs.mat
+    mat = np.zeros(values.shape[:-1] + (4, 4), dtype=np.complex128)
+    for value, obs in zip(np.moveaxis(values, -1, 0), _SETTINGS):
+        mat += value[..., None, None] * obs.mat
     mat /= 4.0
-    eigenvalues = np.linalg.eigvalsh(mat)
-    min_eig = float(eigenvalues[0])
+    min_eig = np.linalg.eigvalsh(mat)[..., 0]
+    if min_eig.ndim == 0:
+        min_eig = float(min_eig)
     return DensityMatrix(mat, min_eig, min_eig >= -DEFAULT_TOL.structural)
 
 
-def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
-    """<psi|rho|psi>; real for Hermitian rho, residual imaginary part dropped."""
-    if psi.dims != (2, 2):
+def _amplitudes(state) -> np.ndarray:
+    """A PureState's amplitudes or a stack (..., d) of them, checked finite."""
+    amps = state.amps if isinstance(state, PureState) else np.asarray(state, dtype=complex)
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("entries must be finite")
+    return amps
+
+
+def fidelity_pure(rho: DensityMatrix, psi) -> float | np.ndarray:
+    """<psi|rho|psi>; real for Hermitian rho, residual imaginary part dropped.
+
+    ``psi`` is a PureState or amplitudes (..., 4); leading trial axes of rho
+    and psi broadcast, and one trial gives a float.
+    """
+    amps = _amplitudes(psi)
+    if getattr(psi, "dims", (2, 2)) != (2, 2) or amps.shape[-1:] != (4,):
         raise ValueError("fidelity_pure expects a two-qubit state")
-    return float(np.vdot(psi.amps, rho.mat @ psi.amps).real)
+    value = np.vecdot(amps, np.matvec(rho.mat, amps)).real
+    return float(value) if value.ndim == 0 else value
 
 
-def fidelity_states(psi: PureState, phi: PureState) -> float:
-    """|<psi|phi>|^2 between pure states; invariant under global phases."""
-    return abs(inner(psi, phi)) ** 2
+def fidelity_states(psi, phi) -> float | np.ndarray:
+    """|<psi|phi>|^2 between pure states; invariant under global phases.
+
+    Either state is a PureState or amplitudes (..., d); leading trial axes
+    broadcast, and one pair of states gives a float.
+    """
+    if isinstance(psi, PureState) and isinstance(phi, PureState) and psi.dims != phi.dims:
+        raise ValueError(f"dimension mismatch: {psi.dims} vs {phi.dims}")
+    overlap = np.vecdot(_amplitudes(psi), _amplitudes(phi))
+    # Python's abs(z) ** 2 of each overlap: np.abs rounds differently in the last bit
+    fidelities = np.array([abs(z) ** 2 for z in np.ravel(overlap).tolist()])
+    return float(fidelities[0]) if overlap.ndim == 0 else fidelities.reshape(overlap.shape)

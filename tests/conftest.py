@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from modval.errors import OrthogonalPostselection
-from modval.hilbert import DEFAULT_TOL, PureState, apply, inner, normalize, partial_inner, tensor
+from modval.hilbert import DEFAULT_TOL, PureState, inner, tensor
 from modval.protocol import (
     METER_DIMS,
     MeterOutcome,
     _check_setting,
     _detectors,
     _initial_meter,
-    build_interaction,
 )
 from modval.reconstruction import measurement_plan
+from tests.oracle import apply, build_interaction, normalize, partial_inner
 
 
 def random_state(rng, dims=(2, 2)) -> PureState:

@@ -15,7 +15,7 @@ from modval.errors import OrthogonalPostselection
 from modval.hilbert import LinearOperator, identity, projector, tensor
 from modval.noise import CountingConfig, monte_carlo
 from modval.presets import alt_postselection, phase_bell, state_preset, uniform_plus
-from modval.protocol import ProtocolConfig, build_interaction
+from modval.protocol import ProtocolConfig
 from modval.reconstruction import (
     collect_probabilities,
     measurement_plan,
@@ -30,6 +30,7 @@ from modval.reconstruction import (
 )
 from modval.tomography import fidelity_pure, fidelity_states, linear_inversion, pauli_expectations
 from tests.conftest import random_pair
+from tests.oracle import build_interaction
 
 EPSILON = 0.2
 THETA_GRID = np.linspace(-math.pi, math.pi, 41)

@@ -19,6 +19,7 @@ from modval.cli import (
     main,
 )
 from modval.errors import NegativeDiscriminant
+from tests import cli_digest
 
 
 def write_config(tmp_path, name="run.json", **overrides):
@@ -334,6 +335,46 @@ class TestDeterminismAndErrors:
         assert captured.err.startswith("error: config_error: postselection")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["reconstruct", "compare", "tomography"])
+    @pytest.mark.parametrize("overrides, flags", [
+        ({"noise": {"pairs_per_setting": 1000, "trials": 3, "seed": -1}}, []),
+        ({}, ["--pairs", "1000", "--seed", "-1"]),
+        ({"noise": {"pairs_per_setting": 1000, "seed": 4}}, ["--seed=-7"]),
+    ])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command, overrides, flags):
+        cfg = write_config(tmp_path, **overrides)
+        assert main([command, "--config", cfg, *flags]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: config_error: noise: seed")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["reconstruct", "compare", "tomography"])
+    @pytest.mark.parametrize("field", ["state", "postselection"])
+    @pytest.mark.parametrize("dims", [
+        ["a", 2], 5, [1, 4], [2, 2, 1], [4], [], None, [2, [2]], [2, 0], [-2, -2],
+    ])
+    def test_malformed_dims_are_config_error(self, tmp_path, capsys, command, field, dims):
+        amps = {"amps": [[0.5, 0]] * 4, "dims": dims}
+        cfg = write_config(tmp_path, **{field: amps})
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config_error: {field}.dims")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("dims", [[2.0, 2], ["2", "2"], [2.9, 2], "22"])
+    def test_int_convertible_dims_keep_working(self, tmp_path, capsys, dims):
+        amps = [[math.sqrt(0.5), 0], [0, 0], [0, 0], [math.sqrt(0.5), 0]]
+        reference = write_config(tmp_path, "reference.json",
+                                 state={"amps": amps, "dims": [2, 2]})
+        assert main(["reconstruct", "--config", reference, "--no-timestamp"]) == EXIT_OK
+        want = capsys.readouterr().out
+        cfg = write_config(tmp_path, state={"amps": amps, "dims": dims})
+        assert main(["reconstruct", "--config", cfg, "--no-timestamp"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (want, "")
+
     def test_tomography_ignores_zero_amplitude_postselection(self, tmp_path, capsys):
         cfg = write_config(tmp_path, postselection=_ZERO_AMPLITUDE_POSTSELECTION)
         assert main(["tomography", "--config", cfg]) == EXIT_OK
@@ -435,8 +476,37 @@ class TestParserReuse:
         assert cli._build_parser() is cli._build_parser()
 
 
+class TestCliDigest:
+    """A slice of the seeded parent-vs-change sweep in tests/cli_digest.py."""
+
+    def test_slice_is_deterministic_and_fails_cleanly(self, tmp_path):
+        grid = cli_digest.runs()
+        for label, command, fields, flags in grid[::15] + [r for r in grid if " error " in r[0]]:
+            captured = cli_digest.capture(main, tmp_path, command, fields, flags)
+            status, out, err = captured
+            assert status in {"0", "2", "3", "4", "5"}, label
+            if status != "0":
+                assert out == "" and err.startswith("error: "), label
+                assert err.count("\n") == 1, label
+            again = cli_digest.capture(main, tmp_path, command, fields, flags)
+            assert cli_digest.digest(again) == cli_digest.digest(captured), label
+
+    def test_command_line(self):
+        import subprocess
+        import sys
+
+        root = Path(__file__).parent.parent
+        proc = subprocess.run([sys.executable, str(root / "tests" / "cli_digest.py"),
+                               "--src", str(root / "src"), "--every", "50"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == len(cli_digest.runs()[::50])
+        assert all(len(line.split(" ", 1)[0]) == 64 for line in lines)
+
+
 # Seeded runs whose --no-timestamp tables are pinned byte for byte in
-# tests/data/<name>.csv: (subcommand, config overrides, extra flags).
+# tests/data/<name>.csv (or .json): (subcommand, config overrides, extra flags).
 _FIG4A_NOISE = {"pairs_per_setting": 100_000, "trials": 20, "seed": 7}
 _LOW_COUNT_NOISE = {"pairs_per_setting": 500, "trials": 30, "seed": 11}
 _STATE_3X2 = {"amps": [[0.5, 0], [0.1, 0.3], [0.2, -0.4], [0.3, 0], [0.4, 0.2], [-0.1, 0.3]],
@@ -494,14 +564,34 @@ GOLDEN_CASES = {
                                 ["--epsilon", "0.9"]),
     "tomography_fig4a_noise": ("tomography",
                                {"noise": {"pairs_per_setting": 1000, "seed": 7}}, []),
+    # JSON documents, pinned in tests/data/<name>.json: empty cells are null,
+    # and the tomography document carries the matrix arrays
+    "reconstruct_3x2_g1_json": ("reconstruct", {"state": _STATE_3X2, "g": 1.0,
+                                                "format": "json"}, []),
+    "reconstruct_3x2_noise_json": (
+        "reconstruct", {"state": _STATE_3X2, "format": "json",
+                        "noise": {"pairs_per_setting": 50_000, "trials": 10, "seed": 3}},
+        []),
+    "sweep_fig3_steps9_json": ("sweep-theta", {"state": {"preset": "fig3"}, "format": "json"},
+                               ["--steps", "9"]),
+    "compare_fig4a_low_count_json": (
+        "compare", {"noise": {**_LOW_COUNT_NOISE, "trials": 5}, "format": "json"},
+        ["--epsilon", "0.9"]),
+    "tomography_fig4a_noise_json": (
+        "tomography", {"noise": {"pairs_per_setting": 1000, "seed": 7}, "format": "json"}, []),
 }
 GOLDEN_DIR = Path(__file__).parent / "data"
 
 
+def golden_path(name):
+    suffix = GOLDEN_CASES[name][1].get("format", "csv")
+    return GOLDEN_DIR / f"{name}.{suffix}"
+
+
 def run_golden_case(name, tmp_path):
     command, overrides, flags = GOLDEN_CASES[name]
-    out = tmp_path / f"{name}.csv"
-    cfg = write_config(tmp_path, name=f"{name}.json", **overrides)
+    out = tmp_path / golden_path(name).name
+    cfg = write_config(tmp_path, name=f"{name}-config.json", **overrides)
     code = main([command, "--config", cfg, *flags, "--no-timestamp", "--out", str(out)])
     return code, out
 
@@ -510,4 +600,4 @@ def run_golden_case(name, tmp_path):
 def test_seeded_tables_match_golden(name, tmp_path):
     code, out = run_golden_case(name, tmp_path)
     assert code == EXIT_OK
-    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+    assert out.read_bytes() == golden_path(name).read_bytes()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from modval.errors import AllTrialsRejected, ConfigError
+from modval.hilbert import PureState, inner
 from modval.noise import (
     CountingConfig,
     monte_carlo,
@@ -16,6 +17,7 @@ from modval.noise import (
 from modval.presets import phase_bell, uniform_plus
 from modval.protocol import ProtocolConfig
 from modval.reconstruction import collect_probabilities, split_plan
+from tests.conftest import random_pair
 from modval.tomography import pauli_expectations
 
 
@@ -129,6 +131,20 @@ class TestNoisyTrials:
         assert mc.amplitudes.samples_rejected == counting.trials - kept.sum()
         assert np.array_equal(mc.amplitudes.samples, result.amplitudes[kept])
 
+    @pytest.mark.parametrize("dims, seed", [((2, 2), 11), ((3, 2), 5), ((4, 3), 8)])
+    def test_fidelity_samples_match_per_trial_states(self, dims, seed):
+        # reference: one PureState per kept trial and the inner product of two states
+        psi, phi = random_pair(np.random.default_rng(seed), dims, min_overlap=0.3)
+        cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=0.5)
+        counting = CountingConfig(pairs_per_setting=300, trials=40, seed=seed)
+        _, kept, result = noisy_trials(cfg, counting)
+        want = [abs(inner(psi, PureState(dims, result.amplitudes[k].reshape(-1)))) ** 2
+                for k in np.flatnonzero(kept)]
+        mc = monte_carlo(cfg, counting, keep_samples=True)
+        assert mc.fidelity.samples.tobytes() == np.array(want).tobytes()
+        assert mc.fidelity.samples_kept == kept.sum()
+
+
 class TestSamplePauliExpectations:
     def test_identity_is_exact(self):
         values = pauli_expectations(phase_bell(0.0))
@@ -149,3 +165,6 @@ class TestCountingConfig:
             CountingConfig(pairs_per_setting=0, trials=1, seed=0)
         with pytest.raises(ValueError):
             CountingConfig(pairs_per_setting=10, trials=0, seed=0)
+        with pytest.raises(ValueError, match="seed"):
+            CountingConfig(pairs_per_setting=10, trials=1, seed=-1)
+        CountingConfig(pairs_per_setting=10, trials=1, seed=0)

@@ -16,8 +16,6 @@ from modval.protocol import (
     IDX_DOWN_UP,
     IDX_UP_DOWN,
     ProtocolConfig,
-    build_interaction,
-    prepare_meter,
     run_protocol,
 )
 from modval.reconstruction import collect_probabilities, modular_definitional
@@ -28,6 +26,7 @@ from tests.conftest import (
     random_pair,
     random_state,
 )
+from tests.oracle import build_interaction, prepare_meter
 
 
 def embedded(side, index, dims=(2, 2)):

@@ -2,7 +2,7 @@
 
 import cmath
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from modval.errors import NegativeDiscriminant, OrthogonalPostselection, ZeroReferenceWeakValue
 from modval.hilbert import LinearOperator, PureState, identity, inner, projector, tensor
 from modval.presets import phase_bell, state_preset, uniform_plus
-from modval.protocol import ProtocolConfig
-from modval import reconstruction
+from modval import protocol, reconstruction
+from modval.protocol import ProtocolConfig, run_protocol
 from modval.reconstruction import (
     Setting,
+    collect_probabilities,
     definitional_modulars,
     invert_probabilities,
     measurement_plan,
@@ -247,6 +248,7 @@ class TestMeasurementPlan:
 
         cfg = ProtocolConfig(system_state=random_state(np.random.default_rng(5), (4, 3)),
                              postselection=uniform_plus(4, 3))
+        measurement_plan.cache_clear()  # a fresh plan, with no observable built yet
         monkeypatch.setattr(LinearOperator, "__post_init__", no_operators)
         plan = measurement_plan(4, 3)
         assert all(entry.dims == (4, 3) for entry in plan.entries)
@@ -257,6 +259,65 @@ class TestMeasurementPlan:
     def test_minimum_dimension(self):
         with pytest.raises(ValueError):
             measurement_plan(1, 2)
+
+    def test_plan_is_cached_and_immutable(self):
+        plan = measurement_plan(4, 3)
+        assert measurement_plan(4, 3) is plan
+        assert isinstance(plan.entries, tuple) and isinstance(plan.settings, tuple)
+        assert plan.settings == tuple(entry.setting for entry in plan.entries)
+        with pytest.raises(FrozenInstanceError):
+            plan.dims = (2, 2)
+        observable = plan.entries[-1].observable
+        assert plan.entries[-1].observable is observable
+        assert not observable.mat.flags.writeable
+        # a large plan rebuilds its observables instead of keeping (m*n)^3 numbers
+        large = measurement_plan(9, 8).entries[0]
+        assert large.observable is not large.observable
+        np.testing.assert_array_equal(large.observable.mat, large.observable.mat)
+        # the readout's run-independent index: built once per plan, read-only
+        index = protocol._index_settings(plan.settings, plan.dims, "entangled")
+        assert protocol._index_settings(plan.settings, plan.dims, "entangled") is index
+        assert index.kinds == ("single_a", "single_b", "pair")
+        np.testing.assert_array_equal(index.rows, [1, 2, 3, -1, -1] + [1, 1, 2, 2, 3, 3])
+        np.testing.assert_array_equal(index.cols, [-1, -1, -1, 1, 2] + [1, 2] * 3)
+        assert index.detectors.shape == (11, 4, 4)
+        for array in (index.codes, index.rows, index.cols, index.detectors):
+            assert not array.flags.writeable
+
+    def test_collect_probabilities_reuses_the_plan(self, monkeypatch):
+        cfg = ProtocolConfig(system_state=random_state(np.random.default_rng(2), (4, 3)),
+                             postselection=uniform_plus(4, 3), epsilon=0.3, g=2.0)
+        want = collect_probabilities(cfg)
+        calls = []
+
+        def counted_run_protocol(cfg, settings, *args):
+            calls.append(settings)
+            return run_protocol(cfg, settings, *args)
+
+        def no_validation(*args):
+            raise AssertionError("settings validated again")
+
+        monkeypatch.setattr(reconstruction, "run_protocol", counted_run_protocol)
+        monkeypatch.setattr(protocol, "_check_setting", no_validation)
+        for _ in range(2):
+            assert collect_probabilities(cfg).tobytes() == want.tobytes()
+        assert len(calls) == 2
+        assert all(settings is measurement_plan(4, 3).settings for settings in calls)
+
+    def test_sweep_builds_each_observable_once(self, monkeypatch, tmp_path, capsys):
+        from modval.cli import main
+
+        config = tmp_path / "sweep.json"
+        config.write_text('{"schema_version": 1, "state": {"preset": "fig3"}}')
+        measurement_plan.cache_clear()
+        built = []
+        monkeypatch.setattr(reconstruction, "tensor",
+                            lambda a, b: built.append(1) or tensor(a, b))
+        for steps in ("5", "9"):
+            assert main(["sweep-theta", "--config", str(config), "--steps", steps]) == 0
+        # single_a, single_b and the pair (two projectors): four, for every theta
+        assert len(built) == 4
+        capsys.readouterr()
 
 
 class TestReconstruct:

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modval.hilbert import PureState
+from modval.noise import sample_pauli_expectations
 from modval.presets import phase_bell
 from modval.tomography import (
     DensityMatrix,
@@ -16,6 +19,15 @@ from modval.tomography import (
     tomography_settings,
 )
 from tests.conftest import random_state
+
+
+def one_trial_inversion(values):
+    """The one-trial linear inversion: the 16 terms summed in order into one matrix."""
+    mat = np.zeros((4, 4), dtype=np.complex128)
+    for value, obs in zip(values, tomography_settings()):
+        mat += value * obs.mat
+    mat /= 4.0
+    return mat, float(np.linalg.eigvalsh(mat)[0])
 
 
 class TestSettings:
@@ -100,6 +112,63 @@ class TestFidelity:
         assert abs(fidelity_pure(rho, direct) - 1.0) <= 1e-10
 
 
+class TestBatchedTrials:
+    """Leading trial axes: each trial bit for bit as its own one-trial call."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 6),
+           pairs=st.integers(1, 10**6))
+    def test_inversion_and_fidelities_match_one_trial_calls(self, seed, trials, pairs):
+        rng = np.random.default_rng(seed)
+        truth = random_state(rng)
+        expectations = np.array([sample_pauli_expectations(pauli_expectations(truth), pairs, rng)
+                                 for _ in range(trials)])
+        direct = np.array([random_state(rng).amps for _ in range(trials)])
+        rho = linear_inversion(expectations)
+        assert rho.mat.shape == (trials, 4, 4)
+        assert rho.min_eigenvalue.shape == rho.positive.shape == (trials,)
+        tomography_vs_truth = fidelity_pure(rho, truth)
+        direct_vs_tomography = fidelity_pure(rho, direct)
+        direct_vs_truth = fidelity_states(truth, direct)
+        for k in range(trials):
+            one = linear_inversion(expectations[k])
+            state = PureState((2, 2), direct[k])
+            mat, min_eig = one_trial_inversion(expectations[k])
+            assert rho.mat[k].tobytes() == one.mat.tobytes() == mat.tobytes()
+            assert float(rho.min_eigenvalue[k]).hex() == one.min_eigenvalue.hex() == min_eig.hex()
+            assert bool(rho.positive[k]) is one.positive
+            for got, want, former in (
+                (tomography_vs_truth[k], fidelity_pure(one, truth),
+                 np.vdot(truth.amps, mat @ truth.amps).real),
+                (direct_vs_tomography[k], fidelity_pure(one, state),
+                 np.vdot(direct[k], mat @ direct[k]).real),
+                (direct_vs_truth[k], fidelity_states(truth, state),
+                 abs(complex(np.vdot(truth.amps, direct[k]))) ** 2),
+            ):
+                assert float(got).hex() == want.hex() == float(former).hex()
+
+    def test_one_trial_returns_python_scalars(self):
+        rho = linear_inversion(pauli_expectations(phase_bell(0.4)))
+        assert rho.mat.shape == (4, 4)
+        assert type(rho.min_eigenvalue) is float and type(rho.positive) is bool
+        assert type(fidelity_pure(rho, phase_bell(0.4))) is float
+        assert type(fidelity_states(phase_bell(0.4), phase_bell(0.1))) is float
+
+    def test_identity_expectation_checked_in_every_trial(self):
+        values = np.array([pauli_expectations(phase_bell(0.0))] * 3)
+        values[2, 0] = 0.9
+        with pytest.raises(ValueError, match="identity"):
+            linear_inversion(values)
+
+    def test_amplitude_stacks_must_be_finite(self):
+        direct = np.array([phase_bell(0.0).amps, [np.nan, 0, 0, 1]])
+        rho = linear_inversion(pauli_expectations(phase_bell(0.0)))
+        with pytest.raises(ValueError, match="finite"):
+            fidelity_states(phase_bell(0.0), direct)
+        with pytest.raises(ValueError, match="finite"):
+            fidelity_pure(rho, direct)
+
+
 class TestDensityMatrixValidation:
     def test_hermiticity_required(self):
         mat = np.diag([1.0, 0, 0, 0]).astype(complex)
@@ -110,3 +179,12 @@ class TestDensityMatrixValidation:
     def test_trace_required(self):
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(np.eye(4, dtype=complex), 0.25, True)
+
+    def test_every_trial_checked(self):
+        good = np.diag([1.0, 0, 0, 0]).astype(complex)
+        skewed = good.copy()
+        skewed[0, 1] = 0.5
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(np.stack([good, skewed]), np.zeros(2), np.ones(2, dtype=bool))
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(np.stack([good, 2 * good]), np.zeros(2), np.ones(2, dtype=bool))
