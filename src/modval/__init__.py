@@ -18,11 +18,7 @@ from .hilbert import (
     DEFAULT_TOL,
     LinearOperator,
     PureState,
-    basis_state,
-    identity,
     inner,
-    projector,
-    tensor,
 )
 from .noise import (
     CountingConfig,
@@ -47,9 +43,7 @@ from .protocol import (
     run_protocol,
 )
 from .reconstruction import (
-    MeasurementPlan,
     ReconstructionResult,
-    Setting,
     collect_probabilities,
     definitional_modulars,
     invert_probabilities,
@@ -60,8 +54,6 @@ from .reconstruction import (
     reconstruct,
     reconstruct_state,
     s_parameter,
-    shift_modular,
-    weak_definitional,
     weak_from_modulars,
 )
 from .tomography import (
@@ -70,7 +62,6 @@ from .tomography import (
     fidelity_states,
     linear_inversion,
     pauli_expectations,
-    tomography_settings,
 )
 
 __version__ = "0.1.0"

@@ -28,7 +28,8 @@ config; --no-timestamp removes the generated-at header so outputs are
 byte-identical for a fixed config and seed.
 
 Exit codes: 0 success, 2 config error, 3 orthogonal postselection,
-4 inversion failure, 5 all trials rejected. Every error prints one line
+4 inversion failure, 5 all trials rejected (a noisy ``reconstruct`` or
+``compare`` in which no trial inverts). Every error prints one line
 ``error: <code>: <message>`` to stderr. Config errors include explicit
 ``dims`` that are not two int()-convertible factors each at least 2 (such
 as ["a", 2], 5, [1, 4] or [2, 2, 1]), and a negative noise seed from the
@@ -472,7 +473,9 @@ def cmd_compare(cfg: RunConfig) -> None:
     """Fidelities: direct reconstruction vs tomography vs the true state.
 
     Every kept trial pairs its direct reconstruction with a tomography draw
-    from its own generator; both are evaluated for all trials at once.
+    from its own generator; both are evaluated for all trials at once. A
+    rejected trial gets a row with only its error code; with every trial
+    rejected the run ends in AllTrialsRejected (exit 5) instead.
     """
     pcfg = _direct_config(cfg, _resolve_state(cfg))
     _require_two_qubits(pcfg)
@@ -491,12 +494,10 @@ def cmd_compare(cfg: RunConfig) -> None:
 
     names = ("fidelity_direct_vs_truth", "fidelity_tomography_vs_truth",
              "fidelity_direct_vs_tomography")
-    fidelities = (None,) * 3  # every trial rejected: all cells empty
-    if kept.any():
-        direct = result.amplitudes.reshape(-1, 4)[kept]
-        rho = linear_inversion(expectations)
-        fidelities = (fidelity_states(truth, direct), fidelity_pure(rho, truth),
-                      fidelity_pure(rho, direct))
+    direct = result.amplitudes.reshape(-1, 4)[kept]
+    rho = linear_inversion(expectations)
+    fidelities = (fidelity_states(truth, direct), fidelity_pure(rho, truth),
+                  fidelity_pure(rho, direct))
     columns = {"trial": list(range(kept.size)),
                **{name: _cells(values, kept, kept.size) for name, values in zip(names, fidelities)},
                "error": np.where(kept, None, NegativeDiscriminant.code).tolist()}

@@ -104,54 +104,6 @@ class LinearOperator:
         return self.mat.shape[0]
 
 
-def basis_state(dims, index: int) -> PureState:
-    """Computational basis vector |index> on the given factor structure."""
-    dims = _checked_dims(dims)
-    total = _product(dims)
-    if not 0 <= index < total:
-        raise ValueError(f"basis index {index} out of range for dimension {total}")
-    amps = np.zeros(total, dtype=np.complex128)
-    amps[index] = 1.0
-    return PureState(dims, amps)
-
-
-def identity(dims) -> LinearOperator:
-    return LinearOperator(_checked_dims(dims), np.eye(_product(dims), dtype=np.complex128))
-
-
-def tensor(a, b):
-    """Tensor product of two states or two operators (Kronecker convention).
-
-    The result's dims are the concatenation; lexicographic basis order makes
-    this a plain ``np.kron`` on the amplitudes/matrices.
-    """
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(a.dims + b.dims, np.kron(a.amps, b.amps))
-    if isinstance(a, LinearOperator) and isinstance(b, LinearOperator):
-        return LinearOperator(a.dims + b.dims, np.kron(a.mat, b.mat))
-    raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-
-
-def projector(dims, target) -> LinearOperator:
-    """Rank-1 projector |v><v| from a basis index or a unit vector.
-
-    A vector target must already be normalized (within the structural
-    tolerance); a non-normalized vector is an error, not silently fixed.
-    """
-    dims = _checked_dims(dims)
-    total = _product(dims)
-    if isinstance(target, (int, np.integer)):
-        vec = basis_state(dims, int(target)).amps
-    else:
-        vec = np.asarray(target.amps if isinstance(target, PureState) else target,
-                         dtype=np.complex128).reshape(-1)
-        if vec.size != total:
-            raise ValueError(f"vector length {vec.size} does not match dims {dims}")
-        if abs(np.linalg.norm(vec) - 1.0) > DEFAULT_TOL.structural:
-            raise ValueError("projector target vector is not normalized")
-    return LinearOperator(dims, np.outer(vec, vec.conj()))
-
-
 def _require_same_dims(a, b):
     if a.dims != b.dims:
         raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")

@@ -104,16 +104,16 @@ def _estimate(samples, rejected: int, keep: bool) -> NoisyEstimate:
 
 def noisy_trials(cfg: ProtocolConfig, counting: CountingConfig,
                  method: Method = "exact_inversion",
-                 ) -> tuple[list[np.random.Generator], np.ndarray, ReconstructionResult | None]:
+                 ) -> tuple[list[np.random.Generator], np.ndarray, ReconstructionResult]:
     """Run every counting-noise trial; returns ``(rngs, kept, result)``.
 
     The exact probabilities are computed once, so OrthogonalPostselection
     surfaces before any draw. Trial t draws all its counts with one binomial
     call on its own generator ``rngs[t]``, left positioned after that draw
     for callers that draw further noise per trial. ``result`` holds all T
-    trials (None when none is kept); ``kept`` (T,) is False where the
-    inversion hit NegativeDiscriminant, and that trial's row of ``result``
-    is nan.
+    trials; ``kept`` (T,) is False where the inversion hit
+    NegativeDiscriminant, and that trial's row of ``result`` is nan. With no
+    trial kept, AllTrialsRejected is raised instead.
     """
     if method == "definitional":
         raise ConfigError("counting noise applies to measured probabilities; "
@@ -125,7 +125,10 @@ def noisy_trials(cfg: ProtocolConfig, counting: CountingConfig,
     modulars = invert_probabilities(frequencies, cfg.epsilon, method, clamp=counting.clamp)
     kept = ~np.isnan(modulars).any(axis=-1)
     if not kept.any():
-        return rngs, kept, None
+        raise AllTrialsRejected(
+            f"all {counting.trials} trials failed inversion; "
+            "increase pairs_per_setting or enable clamping"
+        )
     return rngs, kept, reconstruct(dims=cfg.dims, postselection=cfg.postselection,
                                    s=s_parameter(cfg.g), modulars=modulars)
 
@@ -135,11 +138,6 @@ def monte_carlo(cfg: ProtocolConfig, counting: CountingConfig,
                 keep_samples: bool = False) -> MonteCarloResult:
     """Means and spreads of every reconstructed quantity over the kept ``noisy_trials``."""
     _, kept, result = noisy_trials(cfg, counting, method)
-    if result is None:
-        raise AllTrialsRejected(
-            f"all {counting.trials} trials failed inversion; "
-            "increase pairs_per_setting or enable clamping"
-        )
     n_kept = int(kept.sum())
     rejected = counting.trials - n_kept
     modulars = result.modulars[kept]

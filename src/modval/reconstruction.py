@@ -28,78 +28,19 @@ from __future__ import annotations
 import cmath
 import functools
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import Literal
 
 import numpy as np
 
 from .errors import NegativeDiscriminant, OrthogonalPostselection, ZeroReferenceWeakValue
-from .hilbert import DEFAULT_TOL, LinearOperator, PureState, identity, inner, projector, tensor
-from .protocol import ProtocolConfig, run_protocol
+from .hilbert import DEFAULT_TOL, LinearOperator, PureState, inner
+from .protocol import ProtocolConfig, SettingSpec, run_protocol
 
 Method = Literal["first_order", "exact_inversion", "definitional"]
 METHODS = ("first_order", "exact_inversion", "definitional")
 
 # reference weak values below this fraction of the largest one count as zero
 _REFERENCE_RTOL = 1e-9
-
-
-class Setting(NamedTuple):
-    """One entry of the measurement plan; unused indices are None."""
-
-    kind: str  # "single_a" | "single_b" | "pair"
-    j: int | None = None
-    l: int | None = None
-
-
-@dataclass(frozen=True)
-class PlanEntry:
-    setting: Setting
-    dims: tuple[int, int]
-
-    @property
-    def observable(self) -> LinearOperator:
-        """The setting's observable, embedded on the full (m, n) system space.
-
-        Built on first use: only the definitional oracle needs the dense
-        matrix. It is kept with the cached plan up to m*n = 64, where a
-        plan's observables take 4 MiB; they grow as (m*n)^3.
-        """
-        kept = self.__dict__.get("_observable")
-        if kept is not None:
-            return kept
-        st = self.setting
-        if st.kind == "single_a":
-            op = _embedded_projector(self.dims, "a", st.j)
-        elif st.kind == "single_b":
-            op = _embedded_projector(self.dims, "b", st.l)
-        else:
-            op = LinearOperator(self.dims, _embedded_projector(self.dims, "a", st.j).mat
-                                + _embedded_projector(self.dims, "b", st.l).mat)
-        if self.dims[0] * self.dims[1] <= 64:
-            object.__setattr__(self, "_observable", op)
-        return op
-
-
-@dataclass(frozen=True)
-class MeasurementPlan:
-    """All settings needed to determine an m x n pure state."""
-
-    dims: tuple[int, int]
-    entries: tuple[PlanEntry, ...]
-
-    @functools.cached_property
-    def settings(self) -> tuple[Setting, ...]:
-        """The entries' settings in plan order, as ``run_protocol`` takes them."""
-        return tuple(entry.setting for entry in self.entries)
-
-    @property
-    def n_settings(self) -> int:
-        return len(self.entries)
-
-    @property
-    def n_parameters(self) -> int:
-        # one complex number (two real parameters) per setting
-        return 2 * len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -126,17 +67,11 @@ class ReconstructionResult:
         return PureState(self.dims, self.amplitudes.reshape(-1))
 
 
-def _embedded_projector(dims, side: str, index: int) -> LinearOperator:
-    m, n = dims
-    if side == "a":
-        return tensor(projector((m,), index), identity((n,)))
-    return tensor(identity((m,)), projector((n,), index))
-
-
 @functools.lru_cache(maxsize=32)
-def measurement_plan(m: int, n: int) -> MeasurementPlan:
-    """Settings for an m x n system: singles on each side, then all pairs.
+def measurement_plan(m: int, n: int) -> tuple[SettingSpec, ...]:
+    """Settings ``(kind, j, l)`` for an m x n system: singles on each side, then all pairs.
 
+    ``kind`` is "single_a", "single_b" or "pair"; an unused index is None.
     Plan size is (m-1)+(n-1)+(m-1)(n-1) = m*n - 1 settings; with a real and
     an imaginary part each that is 2*m*n - 2 numbers, exactly the parameter
     count of a normalized state with one global phase removed. The plan
@@ -145,11 +80,36 @@ def measurement_plan(m: int, n: int) -> MeasurementPlan:
     """
     if m < 2 or n < 2:
         raise ValueError("both subsystem dimensions must be at least 2")
-    dims = (m, n)
-    settings = ([Setting("single_a", j=j) for j in range(1, m)]
-                + [Setting("single_b", l=l) for l in range(1, n)]
-                + [Setting("pair", j=j, l=l) for j in range(1, m) for l in range(1, n)])
-    return MeasurementPlan(dims, tuple(PlanEntry(st, dims) for st in settings))
+    return (tuple(("single_a", j, None) for j in range(1, m))
+            + tuple(("single_b", None, l) for l in range(1, n))
+            + tuple(("pair", j, l) for j in range(1, m) for l in range(1, n)))
+
+
+def _observable(dims: tuple[int, int], kind: str, j: int | None, l: int | None) -> LinearOperator:
+    """A setting's observable on the (m, n) system space: the projector on row
+    j of A, on column l of B, or their sum, diagonal in the product basis."""
+    diagonal = np.zeros(dims)
+    if kind != "single_b":
+        diagonal[j, :] += 1.0
+    if kind != "single_a":
+        diagonal[:, l] += 1.0
+    return LinearOperator(dims, np.diag(diagonal.ravel()))
+
+
+@functools.lru_cache(maxsize=32)
+def _kept_observables(m: int, n: int) -> tuple[LinearOperator, ...]:
+    return tuple(_observable((m, n), *setting) for setting in measurement_plan(m, n))
+
+
+def _plan_observables(m: int, n: int) -> tuple[LinearOperator, ...]:
+    """The plan's observables in plan order, for the definitional oracle.
+
+    Kept per size up to m*n = 64, where a plan's observables take 4 MiB;
+    they grow as (m*n)^3, so a larger plan rebuilds them on every call.
+    """
+    if m * n > 64:
+        return _kept_observables.__wrapped__(m, n)
+    return _kept_observables(m, n)
 
 
 def split_plan(values, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -188,14 +148,6 @@ def modular_definitional(observable: LinearOperator, g: float, psi: PureState,
     lam, vecs = np.linalg.eigh(mat)
     evolved = (vecs * np.exp(-1j * float(g) * lam)) @ (vecs.conj().T @ psi.amps)
     return complex(np.vdot(phi.amps, evolved) / den)
-
-
-def weak_definitional(observable: LinearOperator, psi: PureState, phi: PureState) -> complex:
-    """<phi|O|psi> / <phi|psi>."""
-    if observable.dims != psi.dims:
-        raise ValueError("observable dims must match the state")
-    den = _postselection_denominator(psi, phi)
-    return complex(np.vdot(phi.amps, observable.mat @ psi.amps) / den)
 
 
 def _complex(re, im):
@@ -282,36 +234,21 @@ def weak_from_modulars(m_pair, m_a, m_b, s: complex):
     return _divide(np.asarray(m_pair) - m_a - m_b + 1.0, s * s)
 
 
-def shift_modular(value: complex, c: float, s: complex) -> complex:
-    """Modular value after shifting the observable by c times the identity.
-
-    Shifting O -> cI + O multiplies exp(-i*g*O) by the scalar e^{-i*g*c},
-    which in terms of s = e^{-ig} - 1 is (1+s)^c. Non-integer c uses the
-    principal branch of the complex power; the measurement plan only ever
-    needs integer c.
-    """
-    return (1.0 + s) ** c * value
-
-
 def s_parameter(g: float) -> complex:
     """s = e^{-ig} - 1; equals -2 at the default coupling g = pi."""
     return cmath.exp(-1j * float(g)) - 1.0
 
 
-def collect_probabilities(cfg: ProtocolConfig,
-                          plan: MeasurementPlan | None = None) -> np.ndarray:
+def collect_probabilities(cfg: ProtocolConfig) -> np.ndarray:
     """Exact detector probabilities (p1, p2) for every setting, (S, 2) in plan order."""
-    if plan is None:
-        plan = measurement_plan(*cfg.dims)
-    outcome = run_protocol(cfg, plan.settings)
+    outcome = run_protocol(cfg, measurement_plan(*cfg.dims))
     return np.stack([outcome.p1, outcome.p2], axis=-1)
 
 
 def definitional_modulars(cfg: ProtocolConfig) -> np.ndarray:
     """Oracle modular values straight from the states (no meter involved), (S,) in plan order."""
-    return np.array([modular_definitional(entry.observable, cfg.g, cfg.system_state,
-                                          cfg.postselection)
-                     for entry in measurement_plan(*cfg.dims).entries], dtype=np.complex128)
+    return np.array([modular_definitional(observable, cfg.g, cfg.system_state, cfg.postselection)
+                     for observable in _plan_observables(*cfg.dims)], dtype=np.complex128)
 
 
 def _weak_value_matrix(modulars: np.ndarray, dims: tuple[int, int], s: complex) -> np.ndarray:

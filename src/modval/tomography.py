@@ -25,9 +25,11 @@ _PAULIS = {
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
 
-SETTING_LABELS = tuple(a + b for a in PAULI_LABELS for b in PAULI_LABELS)
 _SETTINGS = tuple(LinearOperator((2, 2), np.kron(_PAULIS[a], _PAULIS[b]))
                   for a in PAULI_LABELS for b in PAULI_LABELS)
+
+# largest accepted deviation of the identity-identity expectation from 1
+_IDENTITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -56,11 +58,6 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
 
 
-def tomography_settings() -> tuple[LinearOperator, ...]:
-    """The 16 Pauli-product observables, ordered II, IX, ..., ZZ."""
-    return _SETTINGS
-
-
 def pauli_expectations(psi: PureState) -> np.ndarray:
     """Exact <psi|sigma_i (x) sigma_j|psi> for all 16 settings."""
     if psi.dims != (2, 2):
@@ -69,7 +66,7 @@ def pauli_expectations(psi: PureState) -> np.ndarray:
                      for obs in _SETTINGS])
 
 
-def linear_inversion(expectations, *, identity_tol: float = 1e-6) -> DensityMatrix:
+def linear_inversion(expectations) -> DensityMatrix:
     """Density matrix from the 16 Pauli expectations (II, IX, ..., ZZ order).
 
     Leading axes of the (..., 16) input are trials, each inverted bit for bit
@@ -78,7 +75,7 @@ def linear_inversion(expectations, *, identity_tol: float = 1e-6) -> DensityMatr
     values = np.asarray(expectations, dtype=float)
     if values.shape[-1:] != (16,):
         raise ValueError(f"expected 16 expectation values, got shape {values.shape}")
-    if np.any(np.abs(values[..., 0] - 1.0) > identity_tol):
+    if np.any(np.abs(values[..., 0] - 1.0) > _IDENTITY_TOL):
         raise ValueError("the identity-identity expectation must equal 1")
     mat = np.zeros(values.shape[:-1] + (4, 4), dtype=np.complex128)
     for value, obs in zip(np.moveaxis(values, -1, 0), _SETTINGS):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modval.errors import OrthogonalPostselection
-from modval.hilbert import DEFAULT_TOL, PureState, inner, tensor
+from modval.hilbert import DEFAULT_TOL, PureState, inner
 from modval.protocol import (
     METER_DIMS,
     MeterOutcome,
@@ -11,7 +11,7 @@ from modval.protocol import (
     _initial_meter,
 )
 from modval.reconstruction import measurement_plan
-from tests.oracle import apply, build_interaction, normalize, partial_inner
+from tests.oracle import apply, build_interaction, normalize, partial_inner, tensor
 
 
 def random_state(rng, dims=(2, 2)) -> PureState:
@@ -99,6 +99,6 @@ def per_setting_run_protocol(cfg, kind, j=None, l=None):
 
 def per_setting_probabilities(cfg):
     """(S, 2) detector probabilities from one ``per_setting_run_protocol`` per plan entry."""
-    outcomes = [per_setting_run_protocol(cfg, e.setting.kind, e.setting.j, e.setting.l)
-                for e in measurement_plan(*cfg.dims).entries]
+    outcomes = [per_setting_run_protocol(cfg, kind, j, l)
+                for kind, j, l in measurement_plan(*cfg.dims)]
     return np.array([(outcome.p1, outcome.p2) for outcome in outcomes])

@@ -5,6 +5,13 @@ builds a joint-space operator. These helpers do it the textbook way: the
 full controlled-phase unitary on (meter A, meter B, system A, system B)
 applied to meter (x) system, the system postselected with ``partial_inner``,
 then ``normalize``. ``tests.conftest.dense_run_protocol`` composes them.
+
+The dense operator builders (``basis_state``, ``identity``, ``tensor``,
+``projector``), the reference quantities ``weak_definitional`` and
+``shift_modular``, and the Pauli products ``tomography_settings`` live here
+too: only the tests need them. ``plan_observable`` builds a measurement-plan
+observable from projectors, the reference for the diagonal observables of
+``modval.reconstruction``.
 """
 
 from __future__ import annotations
@@ -17,11 +24,9 @@ from modval.hilbert import (
     DEFAULT_TOL,
     LinearOperator,
     PureState,
+    _checked_dims,
     _product,
     _require_same_dims,
-    identity,
-    projector,
-    tensor,
 )
 from modval.protocol import (
     DOWN,
@@ -31,6 +36,111 @@ from modval.protocol import (
     _check_setting,
     _entangled_meter,
 )
+from modval.reconstruction import _postselection_denominator
+
+PAULIS = (
+    np.eye(2, dtype=np.complex128),
+    np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    np.array([[1, 0], [0, -1]], dtype=np.complex128),
+)
+
+
+def basis_state(dims, index: int) -> PureState:
+    """Computational basis vector |index> on the given factor structure."""
+    dims = _checked_dims(dims)
+    total = _product(dims)
+    if not 0 <= index < total:
+        raise ValueError(f"basis index {index} out of range for dimension {total}")
+    amps = np.zeros(total, dtype=np.complex128)
+    amps[index] = 1.0
+    return PureState(dims, amps)
+
+
+def identity(dims) -> LinearOperator:
+    return LinearOperator(_checked_dims(dims), np.eye(_product(dims), dtype=np.complex128))
+
+
+def tensor(a, b):
+    """Tensor product of two states or two operators (Kronecker convention).
+
+    The result's dims are the concatenation; lexicographic basis order makes
+    this a plain ``np.kron`` on the amplitudes/matrices.
+    """
+    if isinstance(a, PureState) and isinstance(b, PureState):
+        return PureState(a.dims + b.dims, np.kron(a.amps, b.amps))
+    if isinstance(a, LinearOperator) and isinstance(b, LinearOperator):
+        return LinearOperator(a.dims + b.dims, np.kron(a.mat, b.mat))
+    raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
+
+
+def projector(dims, target) -> LinearOperator:
+    """Rank-1 projector |v><v| from a basis index or a unit vector.
+
+    A vector target must already be normalized (within the structural
+    tolerance); a non-normalized vector is an error, not silently fixed.
+    """
+    dims = _checked_dims(dims)
+    total = _product(dims)
+    if isinstance(target, (int, np.integer)):
+        vec = basis_state(dims, int(target)).amps
+    else:
+        vec = np.asarray(target.amps if isinstance(target, PureState) else target,
+                         dtype=np.complex128).reshape(-1)
+        if vec.size != total:
+            raise ValueError(f"vector length {vec.size} does not match dims {dims}")
+        if abs(np.linalg.norm(vec) - 1.0) > DEFAULT_TOL.structural:
+            raise ValueError("projector target vector is not normalized")
+    return LinearOperator(dims, np.outer(vec, vec.conj()))
+
+
+def embedded(side: Literal["a", "b"], index: int, dims=(2, 2)) -> LinearOperator:
+    """|index><index| on system A (side "a") or B, identity on the other side."""
+    m, n = dims
+    if side == "a":
+        return tensor(projector((m,), index), identity((n,)))
+    return tensor(identity((m,)), projector((n,), index))
+
+
+def pair_sum(j: int, l: int, dims=(2, 2)) -> LinearOperator:
+    return LinearOperator(dims, embedded("a", j, dims).mat + embedded("b", l, dims).mat)
+
+
+def pair_product(j: int, l: int, dims=(2, 2)) -> LinearOperator:
+    return LinearOperator(dims, embedded("a", j, dims).mat @ embedded("b", l, dims).mat)
+
+
+def plan_observable(dims, kind: InteractionKind, j: int | None, l: int | None) -> LinearOperator:
+    """A plan setting's observable: an embedded projector, or the pair's sum of two."""
+    if kind == "single_a":
+        return embedded("a", j, dims)
+    if kind == "single_b":
+        return embedded("b", l, dims)
+    return pair_sum(j, l, dims)
+
+
+def weak_definitional(observable: LinearOperator, psi: PureState, phi: PureState) -> complex:
+    """<phi|O|psi> / <phi|psi>."""
+    if observable.dims != psi.dims:
+        raise ValueError("observable dims must match the state")
+    den = _postselection_denominator(psi, phi)
+    return complex(np.vdot(phi.amps, observable.mat @ psi.amps) / den)
+
+
+def shift_modular(value: complex, c: float, s: complex) -> complex:
+    """Modular value after shifting the observable by c times the identity.
+
+    Shifting O -> cI + O multiplies exp(-i*g*O) by the scalar e^{-i*g*c},
+    which in terms of s = e^{-ig} - 1 is (1+s)^c. Non-integer c uses the
+    principal branch of the complex power; the measurement plan only ever
+    needs integer c.
+    """
+    return (1.0 + s) ** c * value
+
+
+def tomography_settings() -> tuple[LinearOperator, ...]:
+    """The 16 Pauli-product observables sigma_i (x) sigma_j, ordered II, IX, ..., ZZ."""
+    return tuple(LinearOperator((2, 2), np.kron(a, b)) for a in PAULIS for b in PAULIS)
 
 
 def is_idempotent(op: LinearOperator) -> bool:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from modval.errors import OrthogonalPostselection
-from modval.hilbert import LinearOperator, identity, projector, tensor
+from modval.hilbert import LinearOperator
 from modval.noise import CountingConfig, monte_carlo
 from modval.presets import alt_postselection, phase_bell, state_preset, uniform_plus
 from modval.protocol import ProtocolConfig
@@ -24,30 +24,23 @@ from modval.reconstruction import (
     reconstruct,
     reconstruct_state,
     s_parameter,
-    shift_modular,
-    weak_definitional,
     weak_from_modulars,
 )
 from modval.tomography import fidelity_pure, fidelity_states, linear_inversion, pauli_expectations
 from tests.conftest import random_pair
-from tests.oracle import build_interaction
+from tests.oracle import (
+    build_interaction,
+    embedded,
+    pair_product,
+    pair_sum,
+    plan_observable,
+    projector,
+    shift_modular,
+    weak_definitional,
+)
 
 EPSILON = 0.2
 THETA_GRID = np.linspace(-math.pi, math.pi, 41)
-
-
-def embedded(side, index):
-    if side == "a":
-        return tensor(projector((2,), index), identity((2,)))
-    return tensor(identity((2,)), projector((2,), index))
-
-
-def pair_sum(j, l):
-    return LinearOperator((2, 2), embedded("a", j).mat + embedded("b", l).mat)
-
-
-def pair_product(j, l):
-    return LinearOperator((2, 2), embedded("a", j).mat @ embedded("b", l).mat)
 
 
 def forward_probabilities(m_val, eps):
@@ -91,9 +84,9 @@ def test_criterion_2_first_order_curve():
         if abs(abs(theta) - math.pi) < 1e-9:
             continue
         cfg = phase_config(theta)
-        probs = collect_probabilities(cfg, plan)
-        for k, entry in enumerate(plan.entries):
-            m_val = modular_definitional(entry.observable, cfg.g,
+        probs = collect_probabilities(cfg)
+        for k, setting in enumerate(plan):
+            m_val = modular_definitional(plan_observable((2, 2), *setting), cfg.g,
                                          cfg.system_state, cfg.postselection)
             model = modular_first_order(*forward_probabilities(m_val, EPSILON), EPSILON)
             pipeline = modular_first_order(*probs[k], EPSILON)
@@ -166,8 +159,8 @@ def test_criterion_5_parameter_counting():
     for m in range(2, 5):
         for n in range(2, 5):
             plan = measurement_plan(m, n)
-            assert plan.n_settings == (m - 1) + (n - 1) + (m - 1) * (n - 1)
-            assert plan.n_parameters == 2 * m * n - 2
+            assert len(plan) == (m - 1) + (n - 1) + (m - 1) * (n - 1)
+            assert 2 * len(plan) == 2 * m * n - 2
     report(5, "exact integer counts for all 2 <= m, n <= 4")
 
 

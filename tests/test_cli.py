@@ -238,6 +238,15 @@ class TestDeterminismAndErrors:
         assert main(["reconstruct", "--config", cfg]) == EXIT_ALL_REJECTED
         assert "all_trials_rejected" in capsys.readouterr().err
 
+    def test_compare_all_trials_rejected_exit_code(self, capsys):
+        config = str(Path(__file__).parent.parent / "configs" / "fig4a.json")
+        assert main(["compare", "--config", config, "--pairs", "1", "--trials", "3",
+                     "--seed", "0"]) == EXIT_ALL_REJECTED
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: all_trials_rejected: all 3 trials failed inversion")
+        assert err.count("\n") == 1
+
     def test_inversion_failure_maps_to_exit_four(self):
         codes = {err: code for err, code in _EXIT_BY_ERROR}
         assert codes[NegativeDiscriminant] == EXIT_INVERSION == 4

@@ -5,18 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from modval.hilbert import (
-    MAX_TOTAL_DIM,
-    LinearOperator,
-    PureState,
+from modval.hilbert import MAX_TOTAL_DIM, LinearOperator, PureState, inner
+from tests.conftest import random_state
+from tests.oracle import (
+    apply,
     basis_state,
+    exp_projector_phase,
     identity,
-    inner,
+    normalize,
+    partial_inner,
     projector,
     tensor,
 )
-from tests.conftest import random_state
-from tests.oracle import apply, exp_projector_phase, normalize, partial_inner
 
 
 def taylor_expm(mat: np.ndarray, terms: int = 60) -> np.ndarray:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from modval import protocol, reconstruction
 from modval.errors import OrthogonalPostselection
-from modval.hilbert import LinearOperator, PureState, identity, projector, tensor
+from modval.hilbert import PureState
 from modval.presets import alt_postselection, phase_bell, uniform_plus
 from modval.protocol import (
     IDX_DOWN_UP,
@@ -26,18 +26,7 @@ from tests.conftest import (
     random_pair,
     random_state,
 )
-from tests.oracle import build_interaction, prepare_meter
-
-
-def embedded(side, index, dims=(2, 2)):
-    m, n = dims
-    if side == "a":
-        return tensor(projector((m,), index), identity((n,)))
-    return tensor(identity((m,)), projector((n,), index))
-
-
-def pair_observable(j, l, dims=(2, 2)):
-    return LinearOperator(dims, embedded("a", j, dims).mat + embedded("b", l, dims).mat)
+from tests.oracle import build_interaction, embedded, pair_sum, prepare_meter, tensor
 
 
 class TestPrepareMeter:
@@ -134,7 +123,7 @@ class TestRunProtocol:
         # final meter = N [ eps * M |du> + |ud> ] with M from the
         # definitional oracle; the amplitude ratio is phase-free
         cases = {
-            ("pair", 1, 1): pair_observable(1, 1),
+            ("pair", 1, 1): pair_sum(1, 1),
             ("single_a", 1, None): embedded("a", 1),
             ("single_b", None, 1): embedded("b", 1),
         }
@@ -154,7 +143,7 @@ class TestRunProtocol:
             psi, phi = random_pair(rng)
             eps = rng.uniform(0.05, 0.8)
             cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=eps)
-            m_val = modular_definitional(pair_observable(1, 1), cfg.g, psi, phi)
+            m_val = modular_definitional(pair_sum(1, 1), cfg.g, psi, phi)
             overlap = abs(np.vdot(phi.amps, psi.amps)) ** 2
             expected = overlap * (1 + eps**2 * abs(m_val) ** 2) / (1 + eps**2)
             out = run_protocol(cfg, "pair", j=1, l=1)

@@ -2,7 +2,7 @@
 
 import cmath
 import math
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modval.errors import NegativeDiscriminant, OrthogonalPostselection, ZeroReferenceWeakValue
-from modval.hilbert import LinearOperator, PureState, identity, inner, projector, tensor
+from modval.hilbert import LinearOperator, PureState, inner
 from modval.presets import phase_bell, state_preset, uniform_plus
 from modval import protocol, reconstruction
 from modval.protocol import ProtocolConfig, run_protocol
 from modval.reconstruction import (
-    Setting,
     collect_probabilities,
     definitional_modulars,
     invert_probabilities,
@@ -26,27 +25,18 @@ from modval.reconstruction import (
     reconstruct,
     reconstruct_state,
     s_parameter,
-    shift_modular,
-    weak_definitional,
     weak_from_modulars,
 )
 from tests.conftest import random_pair, random_state
+from tests.oracle import (
+    embedded,
+    pair_product,
+    pair_sum,
+    plan_observable,
+    shift_modular,
+    weak_definitional,
+)
 from tests.test_hilbert import taylor_expm
-
-
-def embedded(side, index, dims=(2, 2)):
-    m, n = dims
-    if side == "a":
-        return tensor(projector((m,), index), identity((n,)))
-    return tensor(identity((m,)), projector((n,), index))
-
-
-def pair_sum(j, l, dims=(2, 2)):
-    return LinearOperator(dims, embedded("a", j, dims).mat + embedded("b", l, dims).mat)
-
-
-def pair_product(j, l, dims=(2, 2)):
-    return LinearOperator(dims, embedded("a", j, dims).mat @ embedded("b", l, dims).mat)
 
 
 def forward_probabilities(m_val: complex, eps: float) -> tuple[float, float]:
@@ -151,7 +141,7 @@ class TestExactInversion:
 
     def test_exact_pipeline_raises_on_unreachable_probabilities(self, monkeypatch):
         # exact probabilities always invert; force one setting off the disk
-        def off_disk(cfg, plan=None):
+        def off_disk(cfg):
             return np.array([[0.5, 0.5], [1.0, 1.0], [0.5, 0.5]])
 
         monkeypatch.setattr(reconstruction, "collect_probabilities", off_disk)
@@ -227,34 +217,44 @@ class TestMeasurementPlan:
     ])
     def test_counts(self, m, n, settings, params):
         plan = measurement_plan(m, n)
-        assert plan.n_settings == settings
-        assert plan.n_parameters == params
-        assert plan.n_parameters == 2 * m * n - 2
+        assert len(plan) == settings
+        assert 2 * len(plan) == params
+        assert 2 * len(plan) == 2 * m * n - 2
 
     def test_entry_structure(self):
         plan = measurement_plan(2, 2)
-        kinds = [e.setting.kind for e in plan.entries]
-        assert kinds == ["single_a", "single_b", "pair"]
+        assert plan == (("single_a", 1, None), ("single_b", None, 1), ("pair", 1, 1))
         # singles are projectors, the pair entry is their sum
-        np.testing.assert_allclose(plan.entries[2].observable.mat,
-                                   plan.entries[0].observable.mat
-                                   + plan.entries[1].observable.mat)
+        observables = reconstruction._plan_observables(2, 2)
+        np.testing.assert_allclose(observables[2].mat, observables[0].mat + observables[1].mat)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (4, 3), (5, 4)])
+    def test_observables_equal_the_projector_build(self, dims):
+        # the diagonal build, bit for bit, against tensor(projector, identity)
+        # and, for a pair, the sum of the two embedded projectors
+        observables = reconstruction._plan_observables(*dims)
+        assert len(observables) == len(measurement_plan(*dims))
+        for setting, observable in zip(measurement_plan(*dims), observables):
+            reference = plan_observable(dims, *setting)
+            assert observable.dims == reference.dims == dims
+            assert observable.mat.tobytes() == reference.mat.tobytes(), setting
 
     def test_plan_is_index_only(self, monkeypatch):
         # the exact pipeline builds no system-space operator; only the
-        # definitional oracle asks a plan entry for its observable
+        # definitional oracle builds the plan's observables
         def no_operators(self):
             raise AssertionError("dense operator built")
 
         cfg = ProtocolConfig(system_state=random_state(np.random.default_rng(5), (4, 3)),
                              postselection=uniform_plus(4, 3))
-        measurement_plan.cache_clear()  # a fresh plan, with no observable built yet
+        measurement_plan.cache_clear()
+        reconstruction._kept_observables.cache_clear()  # no observable built yet
         monkeypatch.setattr(LinearOperator, "__post_init__", no_operators)
         plan = measurement_plan(4, 3)
-        assert all(entry.dims == (4, 3) for entry in plan.entries)
+        assert all(len(setting) == 3 for setting in plan)
         reconstruct_state(cfg, "exact_inversion")
         with pytest.raises(AssertionError, match="dense operator"):
-            plan.entries[0].observable
+            reconstruction._plan_observables(4, 3)
 
     def test_minimum_dimension(self):
         with pytest.raises(ValueError):
@@ -263,20 +263,20 @@ class TestMeasurementPlan:
     def test_plan_is_cached_and_immutable(self):
         plan = measurement_plan(4, 3)
         assert measurement_plan(4, 3) is plan
-        assert isinstance(plan.entries, tuple) and isinstance(plan.settings, tuple)
-        assert plan.settings == tuple(entry.setting for entry in plan.entries)
-        with pytest.raises(FrozenInstanceError):
-            plan.dims = (2, 2)
-        observable = plan.entries[-1].observable
-        assert plan.entries[-1].observable is observable
+        assert isinstance(plan, tuple) and all(isinstance(st, tuple) for st in plan)
+        with pytest.raises(TypeError):
+            plan[0] = ("pair", 1, 1)
+        observable = reconstruction._plan_observables(4, 3)[-1]
+        assert reconstruction._plan_observables(4, 3)[-1] is observable
         assert not observable.mat.flags.writeable
         # a large plan rebuilds its observables instead of keeping (m*n)^3 numbers
-        large = measurement_plan(9, 8).entries[0]
-        assert large.observable is not large.observable
-        np.testing.assert_array_equal(large.observable.mat, large.observable.mat)
+        large = reconstruction._plan_observables(9, 8)[0]
+        again = reconstruction._plan_observables(9, 8)[0]
+        assert large is not again
+        np.testing.assert_array_equal(large.mat, again.mat)
         # the readout's run-independent index: built once per plan, read-only
-        index = protocol._index_settings(plan.settings, plan.dims, "entangled")
-        assert protocol._index_settings(plan.settings, plan.dims, "entangled") is index
+        index = protocol._index_settings(plan, (4, 3), "entangled")
+        assert protocol._index_settings(plan, (4, 3), "entangled") is index
         assert index.kinds == ("single_a", "single_b", "pair")
         np.testing.assert_array_equal(index.rows, [1, 2, 3, -1, -1] + [1, 1, 2, 2, 3, 3])
         np.testing.assert_array_equal(index.cols, [-1, -1, -1, 1, 2] + [1, 2] * 3)
@@ -302,21 +302,22 @@ class TestMeasurementPlan:
         for _ in range(2):
             assert collect_probabilities(cfg).tobytes() == want.tobytes()
         assert len(calls) == 2
-        assert all(settings is measurement_plan(4, 3).settings for settings in calls)
+        assert all(settings is measurement_plan(4, 3) for settings in calls)
 
     def test_sweep_builds_each_observable_once(self, monkeypatch, tmp_path, capsys):
         from modval.cli import main
 
         config = tmp_path / "sweep.json"
         config.write_text('{"schema_version": 1, "state": {"preset": "fig3"}}')
-        measurement_plan.cache_clear()
+        reconstruction._kept_observables.cache_clear()
         built = []
-        monkeypatch.setattr(reconstruction, "tensor",
-                            lambda a, b: built.append(1) or tensor(a, b))
+        build = reconstruction._observable
+        monkeypatch.setattr(reconstruction, "_observable",
+                            lambda *args: built.append(args) or build(*args))
         for steps in ("5", "9"):
             assert main(["sweep-theta", "--config", str(config), "--steps", steps]) == 0
-        # single_a, single_b and the pair (two projectors): four, for every theta
-        assert len(built) == 4
+        # single_a, single_b and the pair: three, for every theta
+        assert len(built) == 3
         capsys.readouterr()
 
 
@@ -347,8 +348,8 @@ class TestReconstruct:
                                  postselection=uniform_plus(), epsilon=eps)
             pipeline = reconstruct_state(cfg, "first_order")
             model_probs = [forward_probabilities(
-                modular_definitional(entry.observable, cfg.g, cfg.system_state,
-                                     cfg.postselection), eps) for entry in plan.entries]
+                modular_definitional(plan_observable((2, 2), *setting), cfg.g, cfg.system_state,
+                                     cfg.postselection), eps) for setting in plan]
             model = reconstruct(dims=(2, 2), postselection=uniform_plus(),
                                 s=s_parameter(cfg.g),
                                 modulars=invert_probabilities(model_probs, eps, "first_order"))
@@ -385,8 +386,8 @@ class TestReconstruct:
         while count < 30:
             psi, phi = random_pair(rng, min_overlap=0.4)
             count += 1
-            for entry in plan.entries:
-                m_val = modular_definitional(entry.observable, math.pi, psi, phi)
+            for setting in plan:
+                m_val = modular_definitional(plan_observable((2, 2), *setting), math.pi, psi, phi)
                 for eps in errors:
                     p1, p2 = forward_probabilities(m_val, eps)
                     est = modular_first_order(p1, p2, eps)
@@ -436,20 +437,19 @@ def loop_weak_value_matrix(modulars, dims, s):
     """Scalar reference for the weak-value completion: the per-setting double
     loop in Python complex arithmetic that the array version replaced."""
     m, n = dims
-    mods = {entry.setting: complex(v)
-            for entry, v in zip(measurement_plan(m, n).entries, modulars)}
+    mods = {setting: complex(v) for setting, v in zip(measurement_plan(m, n), modulars)}
     weak = np.zeros((m, n), dtype=np.complex128)
     wa = np.zeros(m, dtype=np.complex128)
     wb = np.zeros(n, dtype=np.complex128)
-    for entry in measurement_plan(m, n).entries:
-        st = entry.setting
-        if st.kind == "single_a":
-            wa[st.j] = (mods[st] - 1.0) / s
-        elif st.kind == "single_b":
-            wb[st.l] = (mods[st] - 1.0) / s
+    for setting in measurement_plan(m, n):
+        kind, j, l = setting
+        if kind == "single_a":
+            wa[j] = (mods[setting] - 1.0) / s
+        elif kind == "single_b":
+            wb[l] = (mods[setting] - 1.0) / s
         else:
-            weak[st.j, st.l] = (mods[st] - mods[Setting("single_a", j=st.j)]
-                                - mods[Setting("single_b", l=st.l)] + 1.0) / (s * s)
+            weak[j, l] = (mods[setting] - mods[("single_a", j, None)]
+                          - mods[("single_b", None, l)] + 1.0) / (s * s)
     for j in range(1, m):
         weak[j, 0] = wa[j] - weak[j, 1:].sum()
     for l in range(1, n):

@@ -16,9 +16,9 @@ from modval.tomography import (
     fidelity_states,
     linear_inversion,
     pauli_expectations,
-    tomography_settings,
 )
 from tests.conftest import random_state
+from tests.oracle import tomography_settings
 
 
 def one_trial_inversion(values):
