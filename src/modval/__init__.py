@@ -27,7 +27,7 @@ from .noise import (
     monte_carlo,
     noisy_trials,
     sample_pauli_expectations,
-    trial_rng,
+    trial_rngs,
 )
 from .presets import (
     alt_postselection,

@@ -31,9 +31,9 @@ Exit codes: 0 success, 2 config error, 3 orthogonal postselection,
 4 inversion failure, 5 all trials rejected (a noisy ``reconstruct`` or
 ``compare`` in which no trial inverts). Every error prints one line
 ``error: <code>: <message>`` to stderr. Config errors include explicit
-``dims`` that are not two int()-convertible factors each at least 2 (such
-as ["a", 2], 5, [1, 4] or [2, 2, 1]), and a negative noise seed from the
-config or from --seed.
+``dims`` that are not a list of two integral factors each at least 2 (such
+as ["a", 2], [2.9, 2], "22", 5, [1, 4] or [2, 2, 1]), and a negative noise
+seed from the config or from --seed.
 
 Tables are built column by column (``write_table``) and written with one
 csv.writer call, or as JSON rows of the same values.
@@ -61,7 +61,7 @@ from .errors import (
     OrthogonalPostselection,
 )
 from .hilbert import PureState
-from .noise import CountingConfig, monte_carlo, noisy_trials, sample_pauli_expectations, trial_rng
+from .noise import CountingConfig, monte_carlo, noisy_trials, sample_pauli_expectations, trial_rngs
 from .presets import (
     POSTSELECTION_PRESETS,
     STATE_PRESETS,
@@ -106,11 +106,12 @@ class RunConfig:
 
 def _parse_amplitudes(spec: dict, field: str) -> PureState:
     amps_raw = spec["amps"]
-    try:
-        dims = tuple(int(d) for d in spec.get("dims", (2, 2)))
+    raw = spec.get("dims", (2, 2))
+    try:  # a list of integral factors: int() alone would read "22" and [2.9, 2] as (2, 2)
+        dims = tuple(int(d) for d in raw if isinstance(raw, (list, tuple)) and float(d) == int(d))
     except (TypeError, ValueError, OverflowError):
         dims = ()
-    if len(dims) != 2 or min(dims) < 2:
+    if len(dims) != 2 or len(raw) != 2 or min(dims) < 2:
         raise ConfigError(f"{field}.dims must be two integers, each at least 2, "
                           f"got {spec.get('dims')!r}")
     try:
@@ -457,7 +458,7 @@ def cmd_tomography(cfg: RunConfig) -> None:
     expectations = pauli_expectations(pcfg.system_state)
     meta = {}
     if cfg.noise is not None:
-        rng = trial_rng(cfg.noise.seed, 0)
+        rng = trial_rngs(cfg.noise.seed, 1)[0]
         expectations = sample_pauli_expectations(expectations, cfg.noise.pairs_per_setting, rng)
         meta.update(pairs_per_setting=cfg.noise.pairs_per_setting, seed=cfg.noise.seed)
     rho = linear_inversion(expectations)
@@ -489,8 +490,8 @@ def cmd_compare(cfg: RunConfig) -> None:
         meta.update(pairs_per_setting=cfg.noise.pairs_per_setting,
                     trials=cfg.noise.trials, seed=cfg.noise.seed)
         rngs, kept, result = noisy_trials(pcfg, cfg.noise, cfg.method)
-        expectations = [sample_pauli_expectations(exact_expect, cfg.noise.pairs_per_setting, rng)
-                        for rng, keep in zip(rngs, kept.tolist()) if keep]
+        rngs = [rng for rng, keep in zip(rngs, kept.tolist()) if keep]
+        expectations = sample_pauli_expectations(exact_expect, cfg.noise.pairs_per_setting, rngs)
 
     names = ("fidelity_direct_vs_truth", "fidelity_tomography_vs_truth",
              "fidelity_direct_vs_tomography")

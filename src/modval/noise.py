@@ -9,12 +9,15 @@ reconstructed in one batched call, and trials outside the reachable set
 deviations; the CLI's ``compare`` pairs each trial with a tomography draw
 from the trial's own generator.
 
-Per-trial randomness derives from the run seed through spawn keys
-(seed_i = f(seed, i)), so results do not depend on execution order.
+Per-trial randomness derives from the run seed through spawn keys, so results do
+not depend on execution order; ``trial_rngs`` seeds every trial's generator at once.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +78,64 @@ class MonteCarloResult:
     fidelity: NoisyEstimate  # |<truth|estimate>|^2 against the configured state
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Deterministic, order-independent per-trial generator."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe) on 32-bit words with a 4-word pool. No
+# constant depends on the data, so trial_rngs hashes the seed once and the trial words as arrays.
+_MASK = 0xFFFF_FFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R_NEG = 0xCA01F9DD, -0x4973F715 & _MASK  # mix's "- R * y" as "+ (-R) * y"
+
+
+@functools.cache
+def _constants(init: int, mult: int, steps: int) -> tuple[tuple[int, int], ...]:
+    """(constant, successor) of a hash's first ``steps`` steps."""
+    consts = [init * pow(mult, k, 1 << 32) & _MASK for k in range(steps + 1)]
+    return tuple(zip(consts, consts[1:]))
+
+
+def _hash(value, const, successor):
+    """One hash step on ints or uint64 arrays of 32-bit words; no product passes 64 bits."""
+    value = (value ^ const) * successor & _MASK
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = (_MIX_L * x & _MASK) + (_MIX_R_NEG * y & _MASK) & _MASK
+    return result ^ result >> 16
+
+
+@functools.cache
+def _state_seed_sequence():
+    """ISeedSequence handing PCG64 a fixed state, built on first use (numpy.random is lazy)."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateSeedSequence(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state  # PCG64 asks for 4 uint64 words
+
+    return StateSeedSequence
+
+
+def trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
+    """Trial t's generator, bit for bit ``default_rng(SeedSequence(seed, spawn_key=(t,)))``."""
+    if (seed := operator.index(seed)) < 0:  # a numpy integer too, as SeedSequence takes
+        raise ValueError("seed must be non-negative")
+    words = [seed >> 32 * k & _MASK for k in range(max(4, -(-seed.bit_length() // 32)))]
+    steps = iter(_constants(_INIT_A, _MULT_A, 4 * len(words) + 4))  # 4 per seed word, 4 for t
+    pool = [_hash(word, *next(steps)) for word in words[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], _hash(pool[src], *next(steps)))
+    for word, dst in itertools.product(words[4:], range(4)):
+        pool[dst] = _mix(pool[dst], _hash(word, *next(steps)))
+    spawn = _hash(np.arange(trials, dtype=np.uint64)[:, None], *np.array(list(steps), np.uint64).T)
+    pools = _mix(np.array(pool, dtype=np.uint64), spawn)
+    out_steps = np.array(_constants(_INIT_B, _MULT_B, 8), np.uint64).T.reshape(2, 2, 4)
+    state = _hash(pools[:, None], *out_steps)  # (T, 2, 4): word 4r + c hashes pool word c
+    seed_sequence = _state_seed_sequence()
+    return [np.random.Generator(np.random.PCG64(seed_sequence(row)))
+            for row in state.reshape(-1, 8).astype("<u4").view("<u8").astype(np.uint64)]
 
 
 def _complex_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +178,7 @@ def noisy_trials(cfg: ProtocolConfig, counting: CountingConfig,
                           "definitional modulars have none (use first_order or exact_inversion)")
     exact = collect_probabilities(cfg)
     pairs = counting.pairs_per_setting
-    rngs = [trial_rng(counting.seed, trial) for trial in range(counting.trials)]
+    rngs = trial_rngs(counting.seed, counting.trials)
     frequencies = np.stack([rng.binomial(pairs, exact) for rng in rngs]) / pairs
     modulars = invert_probabilities(frequencies, cfg.epsilon, method, clamp=counting.clamp)
     kept = ~np.isnan(modulars).any(axis=-1)
@@ -157,18 +215,19 @@ def monte_carlo(cfg: ProtocolConfig, counting: CountingConfig,
 
 
 def sample_pauli_expectations(expectations: np.ndarray, pairs: int,
-                              rng: np.random.Generator) -> np.ndarray:
+                              rng: np.random.Generator | list[np.random.Generator]) -> np.ndarray:
     """Shot-noise model for tomography: one binomial draw per Pauli setting.
 
     Each two-outcome (+1/-1) Pauli measurement on ``pairs`` photon pairs is
     summarized by a binomial count of +1 outcomes, drawn for all settings
-    in one call; the identity setting has no statistical error.
+    in one call; the identity setting has no statistical error. A list of K
+    generators, each making that call in turn, gives a (K, 16) stack.
     """
     if pairs < 1:
         raise ValueError("pairs must be at least 1")
+    single = isinstance(rng, np.random.Generator)
     expectations = np.asarray(expectations, dtype=float)
     p_plus = np.clip((1.0 + expectations[1:]) / 2.0, 0.0, 1.0)
-    noisy = np.empty_like(expectations)
-    noisy[0] = 1.0  # identity (x) identity
-    noisy[1:] = 2.0 * rng.binomial(pairs, p_plus) / pairs - 1.0
-    return noisy
+    counts = np.array([gen.binomial(pairs, p_plus) for gen in ([rng] if single else rng)])
+    noisy = np.concatenate([np.ones((len(counts), 1)), 2.0 * counts / pairs - 1.0], axis=1)
+    return noisy[0] if single else noisy

@@ -8,10 +8,11 @@ then ``normalize``. ``tests.conftest.dense_run_protocol`` composes them.
 
 The dense operator builders (``basis_state``, ``identity``, ``tensor``,
 ``projector``), the reference quantities ``weak_definitional`` and
-``shift_modular``, and the Pauli products ``tomography_settings`` live here
-too: only the tests need them. ``plan_observable`` builds a measurement-plan
-observable from projectors, the reference for the diagonal observables of
-``modval.reconstruction``.
+``shift_modular``, the Pauli products ``tomography_settings`` and the
+per-trial generator ``trial_rng`` (numpy's own SeedSequence, the reference
+for ``modval.noise.trial_rngs``) live here too: only the tests need them.
+``plan_observable`` builds a measurement-plan observable from projectors,
+the reference for the diagonal observables of ``modval.reconstruction``.
 """
 
 from __future__ import annotations
@@ -227,3 +228,8 @@ def build_interaction(kind: InteractionKind, j: int | None, l: int | None,
         exp_b = exp_projector_phase(q_b, g).mat
         mat = exp_b if mat is None else mat @ exp_b
     return LinearOperator((2, 2, m, n), mat)
+
+
+def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """Trial ``trial``'s generator, seeded through numpy's own SeedSequence."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))

@@ -1,23 +1,28 @@
 """Counting statistics and Monte Carlo propagation."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modval.errors import AllTrialsRejected, ConfigError
 from modval.hilbert import PureState, inner
+from modval.cli import main
 from modval.noise import (
     CountingConfig,
     monte_carlo,
     noisy_trials,
     sample_pauli_expectations,
-    trial_rng,
+    trial_rngs,
 )
 from modval.presets import phase_bell, uniform_plus
 from modval.protocol import ProtocolConfig
 from modval.reconstruction import collect_probabilities, split_plan
 from tests.conftest import random_pair
+from tests.oracle import trial_rng
 from modval.tomography import pauli_expectations
 
 
@@ -145,7 +150,52 @@ class TestNoisyTrials:
         assert mc.fidelity.samples_kept == kept.sum()
 
 
+class TestTrialRngs:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**200), trials=st.integers(1, 64))
+    @example(seed=2**32 - 1, trials=3)
+    @example(seed=2**32, trials=3)
+    @example(seed=2**128 - 1, trials=3)
+    @example(seed=2**128, trials=3)
+    def test_streams_equal_numpy_seed_sequence(self, seed, trials):
+        rngs = trial_rngs(seed, trials)
+        assert len(rngs) == trials
+        for trial, rng in enumerate(rngs):
+            assert rng.bit_generator.state == trial_rng(seed, trial).bit_generator.state
+
+    def test_seed_must_be_a_non_negative_integer(self):
+        with pytest.raises(ValueError, match="seed"):
+            trial_rngs(-1, 2)
+        with pytest.raises(TypeError):
+            trial_rngs(7.0, 2)
+        rng = trial_rngs(np.int64(7), 2)[1]
+        assert rng.bit_generator.state == trial_rng(7, 1).bit_generator.state
+
+    def test_runs_without_numpy_seeding(self, tmp_path, monkeypatch, capsys):
+        # the generators come from the batched hash alone, never from numpy's seeding
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy seeding called")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "schema_version": 1, "state": {"preset": "fig4a"},
+            "noise": {"pairs_per_setting": 10_000, "trials": 4, "seed": 3}}))
+        for command in ("reconstruct", "compare"):
+            assert main([command, "--config", str(config), "--no-timestamp"]) == 0
+            assert capsys.readouterr().err == ""
+
+
 class TestSamplePauliExpectations:
+    def test_stack_equals_per_generator_draws(self):
+        values = pauli_expectations(phase_bell(0.3))
+        stacked = sample_pauli_expectations(values, 500, trial_rngs(9, 5))
+        single = np.stack([sample_pauli_expectations(values, 500, rng)
+                           for rng in trial_rngs(9, 5)])
+        assert stacked.shape == (5, 16)
+        assert stacked.tobytes() == single.tobytes()
+
     def test_identity_is_exact(self):
         values = pauli_expectations(phase_bell(0.0))
         noisy = sample_pauli_expectations(values, 100, trial_rng(1, 0))

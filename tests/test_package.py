@@ -13,7 +13,7 @@ PUBLIC_NAMES = {
     "DEFAULT_TOL", "LinearOperator", "PureState", "inner",
     # noise
     "CountingConfig", "MonteCarloResult", "NoisyEstimate", "monte_carlo", "noisy_trials",
-    "sample_pauli_expectations", "trial_rng",
+    "sample_pauli_expectations", "trial_rngs",
     # presets
     "alt_postselection", "phase_bell", "postselection_preset", "state_preset", "uniform_plus",
     # protocol
@@ -30,7 +30,7 @@ PUBLIC_NAMES = {
 
 # names that only the tests use; they live in tests/oracle.py
 TEST_ONLY = ("basis_state", "identity", "projector", "tensor", "tomography_settings",
-             "shift_modular", "weak_definitional")
+             "shift_modular", "weak_definitional", "trial_rng")
 REMOVED = ("Setting", "PlanEntry", "MeasurementPlan")
 
 
