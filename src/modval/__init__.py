@@ -37,7 +37,6 @@ from .presets import (
     uniform_plus,
 )
 from .protocol import (
-    MeterOutcome,
     PlanOutcome,
     ProtocolConfig,
     run_protocol,

@@ -30,10 +30,14 @@ byte-identical for a fixed config and seed.
 Exit codes: 0 success, 2 config error, 3 orthogonal postselection,
 4 inversion failure, 5 all trials rejected (a noisy ``reconstruct`` or
 ``compare`` in which no trial inverts). Every error prints one line
-``error: <code>: <message>`` to stderr. Config errors include explicit
-``dims`` that are not a list of two integral factors each at least 2 (such
-as ["a", 2], [2.9, 2], "22", 5, [1, 4] or [2, 2, 1]), and a negative noise
-seed from the config or from --seed.
+``error: <code>: <message>`` to stderr. Config errors include a config
+that cannot be read and an output that cannot be written (a directory, or
+a path in a missing directory); explicit ``dims`` that are not a list of
+two integral factors each at least 2 (such as ["a", 2], [2.9, 2], "22", 5,
+[1, 4] or [2, 2, 1]); a null in a field with a non-null default (only
+"theta" may be null); numbers too large for a float or, for
+pairs_per_setting, above 2**63 - 1; and a negative noise seed from the
+config or from --seed.
 
 Tables are built column by column (``write_table``) and written with one
 csv.writer call, or as JSON rows of the same values.
@@ -116,8 +120,10 @@ def _parse_amplitudes(spec: dict, field: str) -> PureState:
                           f"got {spec.get('dims')!r}")
     try:
         amps = np.array([complex(re, im) for re, im in amps_raw])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{field}.amps must be a list of [re, im] pairs: {exc}") from None
+    if not np.all(np.isfinite(amps)):  # NaN or Infinity literals
+        raise ConfigError(f"{field}.amps must be finite numbers")
     norm = float(np.linalg.norm(amps))
     if norm == 0.0:
         raise ConfigError(f"{field}.amps must not be all zero")
@@ -170,6 +176,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(
             f"config {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from None
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer past the digit limit
+        raise ConfigError(f"config {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     version = doc.get("schema_version")
@@ -178,10 +186,12 @@ def load_config(path: str) -> RunConfig:
 
     def field(name, default=None, kind=None):
         value = doc.get(name, default)
+        if value is None and default is not None:
+            raise ConfigError(f"field {name!r} must not be null")
         if value is not None and kind is not None:
             try:
                 value = kind(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError(f"field {name!r} has invalid value {value!r}") from None
         return value
 
@@ -197,6 +207,8 @@ def load_config(path: str) -> RunConfig:
     if noise_doc is not None:
         if not isinstance(noise_doc, dict):
             raise ConfigError("noise must be an object")
+        if noise_doc.get("clamp", False) is None:
+            raise ConfigError("noise: field 'clamp' must not be null")
         try:
             noise = CountingConfig(
                 pairs_per_setting=int(noise_doc["pairs_per_setting"]),
@@ -206,7 +218,7 @@ def load_config(path: str) -> RunConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"noise is missing required field {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"noise: {exc}") from None
 
     state_spec = doc.get("state")
@@ -299,7 +311,8 @@ def write_table(columns: dict[str, list], *, meta: dict, output_path: str, fmt: 
     A column is a list of Python values, one per row (the ``.tolist()`` of
     an array), with None for an empty cell. csv.writer formats every cell:
     None as an empty cell, a float as its repr, anything else with str. A
-    JSON document carries the same values, one object per row.
+    JSON document carries the same values, one object per row. An output
+    file that cannot be opened or written raises ConfigError.
     """
     meta_out = {"schema_version": SCHEMA_VERSION, **meta}
     fieldnames = list(columns)
@@ -325,9 +338,12 @@ def write_table(columns: dict[str, list], *, meta: dict, output_path: str, fmt: 
         text = json.dumps(doc, indent=2) + "\n"
     if output_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {output_path}: {exc}") from None
 
 
 def _cells(values, at, rows: int) -> list:

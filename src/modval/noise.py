@@ -35,6 +35,10 @@ from .reconstruction import (
 from .tomography import fidelity_states
 
 
+# numpy's binomial draws take an int64 trial count
+_MAX_PAIRS = 2**63 - 1
+
+
 @dataclass(frozen=True)
 class CountingConfig:
     """Counting statistics: photon pairs per setting, trials, and seed."""
@@ -47,6 +51,8 @@ class CountingConfig:
     def __post_init__(self):
         if self.pairs_per_setting < 1:
             raise ValueError("pairs_per_setting must be at least 1")
+        if self.pairs_per_setting > _MAX_PAIRS:
+            raise ValueError(f"pairs_per_setting must be at most 2**63 - 1 = {_MAX_PAIRS}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:

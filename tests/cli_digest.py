@@ -52,6 +52,14 @@ ERROR_CASES = (
     ("pairs0", {}, ["--pairs", "0"]),
     ("orthogonal", {"state": {"preset": "fig3"}, "theta": math.pi}, []),
     ("all-rejected", {"noise": {"pairs_per_setting": 1, "trials": 3, "seed": 0}}, []),
+    ("epsilon-null", {"epsilon": None}, []),
+    ("g-null", {"g": None}, []),
+    ("output-null", {"output_path": None}, []),
+    # json.dumps writes inf as Infinity, which json.load reads as it reads 1e400
+    ("pairs-1e400", {"noise": {"pairs_per_setting": math.inf}}, []),
+    ("flag-pairs-huge", {}, ["--pairs", "100000000000000000000000"]),
+    ("out-dir", {}, ["--out", "."]),
+    ("out-missing-dir", {}, ["--out", "missing-dir/out.csv"]),
 )
 
 

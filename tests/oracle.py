@@ -4,7 +4,8 @@
 builds a joint-space operator. These helpers do it the textbook way: the
 full controlled-phase unitary on (meter A, meter B, system A, system B)
 applied to meter (x) system, the system postselected with ``partial_inner``,
-then ``normalize``. ``tests.conftest.dense_run_protocol`` composes them.
+then ``normalize`` and the two detector states of ``detector_states``.
+``tests.conftest.dense_run_protocol`` composes them.
 
 The dense operator builders (``basis_state``, ``identity``, ``tensor``,
 ``projector``), the reference quantities ``weak_definitional`` and
@@ -17,6 +18,7 @@ the reference for the diagonal observables of ``modval.reconstruction``.
 
 from __future__ import annotations
 
+import math
 from typing import Literal
 
 import numpy as np
@@ -30,14 +32,17 @@ from modval.hilbert import (
     _require_same_dims,
 )
 from modval.protocol import (
-    DOWN,
-    METER_DIMS,
-    UP,
+    IDX_DOWN_UP,
+    IDX_UP_DOWN,
     InteractionKind,
     _check_setting,
     _entangled_meter,
 )
 from modval.reconstruction import _postselection_denominator
+
+# the meter: two path qubits (A, B), each with levels up and down
+UP, DOWN = 0, 1
+METER_DIMS = (2, 2)
 
 PAULIS = (
     np.eye(2, dtype=np.complex128),
@@ -196,6 +201,17 @@ def prepare_meter(epsilon: float) -> PureState:
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     return PureState(METER_DIMS, _entangled_meter(epsilon))
+
+
+def detector_states() -> tuple[PureState, PureState]:
+    """The detectors (|ud> + |du>)/sqrt2 and (|ud> + i|du>)/sqrt2 on the meter."""
+    def detector(phase: complex) -> PureState:
+        amps = np.zeros(4, dtype=np.complex128)
+        amps[IDX_UP_DOWN] = 1.0 / math.sqrt(2.0)
+        amps[IDX_DOWN_UP] = phase / math.sqrt(2.0)
+        return PureState(METER_DIMS, amps)
+
+    return detector(1.0), detector(1j)
 
 
 def _meter_side_projector(side: Literal["a", "b"]) -> LinearOperator:

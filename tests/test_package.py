@@ -17,7 +17,7 @@ PUBLIC_NAMES = {
     # presets
     "alt_postselection", "phase_bell", "postselection_preset", "state_preset", "uniform_plus",
     # protocol
-    "MeterOutcome", "PlanOutcome", "ProtocolConfig", "run_protocol",
+    "PlanOutcome", "ProtocolConfig", "run_protocol",
     # reconstruction
     "ReconstructionResult", "collect_probabilities", "definitional_modulars",
     "invert_probabilities", "measurement_plan", "modular_definitional",
@@ -31,7 +31,7 @@ PUBLIC_NAMES = {
 # names that only the tests use; they live in tests/oracle.py
 TEST_ONLY = ("basis_state", "identity", "projector", "tensor", "tomography_settings",
              "shift_modular", "weak_definitional", "trial_rng")
-REMOVED = ("Setting", "PlanEntry", "MeasurementPlan")
+REMOVED = ("Setting", "PlanEntry", "MeasurementPlan", "MeterOutcome", "MeterMode")
 
 
 def test_public_names_are_the_explicit_list():

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from modval.presets import alt_postselection, phase_bell, uniform_plus
 from modval.protocol import (
     IDX_DOWN_UP,
     IDX_UP_DOWN,
+    PlanOutcome,
     ProtocolConfig,
     run_protocol,
 )
@@ -81,30 +83,34 @@ class TestBuildInteraction:
             np.testing.assert_allclose(u @ u.conj().T, np.eye(16), atol=1e-12)
 
 
+def run_one(cfg, kind, j=None, l=None) -> PlanOutcome:
+    return run_protocol(cfg, [(kind, j, l)])
+
+
 class TestRunProtocol:
     def test_reference_configuration_probability(self):
         cfg = ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus(),
                              epsilon=0.2)
-        out = run_protocol(cfg, "pair", j=1, l=1)
-        assert abs(out.p1 - 9 / 13) <= 1e-12
-        assert abs(out.p2 - 0.5) <= 1e-12
+        out = run_one(cfg, "pair", 1, 1)
+        assert abs(out.p1[0] - 9 / 13) <= 1e-12
+        assert abs(out.p2[0] - 0.5) <= 1e-12
         # conditional state (|ud> + 0.2|du>)/sqrt(1.04), modular value 1
         expected = np.zeros(4, dtype=complex)
         expected[IDX_UP_DOWN] = 1 / math.sqrt(1.04)
         expected[IDX_DOWN_UP] = 0.2 / math.sqrt(1.04)
-        np.testing.assert_allclose(out.conditional_meter_state.amps, expected, atol=1e-12)
+        np.testing.assert_allclose(out.conditional_meter_amps[0], expected, atol=1e-12)
 
     def test_vanishing_asymmetry_limit(self):
         cfg = ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus(),
                              epsilon=1e-8)
-        out = run_protocol(cfg, "pair", j=1, l=1)
-        assert abs(out.p1 - 0.5) <= 1e-7
-        assert abs(out.p2 - 0.5) <= 1e-7
+        out = run_one(cfg, "pair", 1, 1)
+        assert abs(out.p1[0] - 0.5) <= 1e-7
+        assert abs(out.p2[0] - 0.5) <= 1e-7
 
     def test_orthogonal_postselection_raises(self):
         cfg = ProtocolConfig(system_state=phase_bell(math.pi), postselection=uniform_plus())
         with pytest.raises(OrthogonalPostselection):
-            run_protocol(cfg, "pair", j=1, l=1)
+            run_one(cfg, "pair", 1, 1)
 
     @pytest.mark.parametrize("kind,j,l", [("pair", 1, 1), ("pair", 0, 1),
                                           ("single_a", 1, None), ("single_b", None, 0)])
@@ -113,11 +119,8 @@ class TestRunProtocol:
             psi, phi = random_pair(rng)
             cfg = ProtocolConfig(system_state=psi, postselection=phi,
                                  epsilon=rng.uniform(0.05, 1.0))
-            out = run_protocol(cfg, kind, j=j, l=l)
-            amps = out.conditional_meter_state.amps
+            amps = run_one(cfg, kind, j, l).conditional_meter_amps[0]
             assert abs(amps[0]) <= 1e-12 and abs(amps[3]) <= 1e-12
-            assert abs(out.p1_tilde - out.p1 / 2) <= 1e-12
-            assert abs(out.p2_tilde - out.p2 / 2) <= 1e-12
 
     def test_conditional_state_carries_the_modular_value(self, rng):
         # final meter = N [ eps * M |du> + |ud> ] with M from the
@@ -131,10 +134,10 @@ class TestRunProtocol:
             psi, phi = random_pair(rng)
             eps = rng.uniform(0.05, 0.5)
             cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=eps)
-            for (kind, j, l), obs in cases.items():
+            out = run_protocol(cfg, list(cases))
+            for k, obs in enumerate(cases.values()):
                 m_val = modular_definitional(obs, cfg.g, psi, phi)
-                out = run_protocol(cfg, kind, j=j, l=l)
-                amps = out.conditional_meter_state.amps
+                amps = out.conditional_meter_amps[k]
                 ratio = amps[IDX_DOWN_UP] / amps[IDX_UP_DOWN]
                 assert abs(ratio - eps * m_val) <= 1e-10
 
@@ -146,8 +149,8 @@ class TestRunProtocol:
             m_val = modular_definitional(pair_sum(1, 1), cfg.g, psi, phi)
             overlap = abs(np.vdot(phi.amps, psi.amps)) ** 2
             expected = overlap * (1 + eps**2 * abs(m_val) ** 2) / (1 + eps**2)
-            out = run_protocol(cfg, "pair", j=1, l=1)
-            assert abs(out.postselection_probability - expected) <= 1e-12
+            out = run_one(cfg, "pair", 1, 1)
+            assert abs(out.postselection_probability[0] - expected) <= 1e-12
 
     def test_product_system_factorizes(self, rng):
         # for product preparation and postselection the pair modular value
@@ -161,57 +164,52 @@ class TestRunProtocol:
             eps = 0.3
             cfg = ProtocolConfig(system_state=PureState((2, 2), psi.amps),
                                  postselection=PureState((2, 2), phi.amps), epsilon=eps)
-            ratios = {}
-            for kind, j, l in (("pair", 1, 1), ("single_a", 1, None), ("single_b", None, 1)):
-                amps = run_protocol(cfg, kind, j=j, l=l).conditional_meter_state.amps
-                ratios[kind] = amps[IDX_DOWN_UP] / amps[IDX_UP_DOWN] / eps
-            assert abs(ratios["pair"] - ratios["single_a"] * ratios["single_b"]) <= 1e-10
+            amps = run_protocol(cfg, [("pair", 1, 1), ("single_a", 1, None),
+                                      ("single_b", None, 1)]).conditional_meter_amps
+            pair, single_a, single_b = amps[:, IDX_DOWN_UP] / amps[:, IDX_UP_DOWN] / eps
+            assert abs(pair - single_a * single_b) <= 1e-10
 
 
-def all_settings(dims, mode):
+def all_settings(dims):
     m, n = dims
     settings = [("single_a", j, None) for j in range(m)]
     settings += [("single_b", None, l) for l in range(n)]
-    if mode == "entangled":
-        settings += [("pair", j, l) for j in range(m) for l in range(n)]
+    settings += [("pair", j, l) for j in range(m) for l in range(n)]
     return settings
 
 
-def assert_matches_oracle(cfg, kind, j, l, atol=1e-12):
-    got = run_protocol(cfg, kind, j=j, l=l)
-    want = dense_run_protocol(cfg, kind, j=j, l=l)
-    assert got.conditional_meter_state.dims == want.conditional_meter_state.dims
-    np.testing.assert_allclose(got.conditional_meter_state.amps,
-                               want.conditional_meter_state.amps, rtol=0, atol=atol)
-    for name in ("postselection_probability", "p1", "p2", "p1_tilde", "p2_tilde"):
-        assert abs(getattr(got, name) - getattr(want, name)) <= atol, name
+def assert_matches_oracle(cfg, settings, atol=1e-12):
+    got = run_protocol(cfg, settings)
+    want = dense_run_protocol(cfg, settings)
+    for field in fields(PlanOutcome):
+        got_value, want_value = getattr(got, field.name), getattr(want, field.name)
+        assert got_value.shape == want_value.shape == (len(settings), *got_value.shape[1:])
+        np.testing.assert_allclose(got_value, want_value, rtol=0, atol=atol,
+                                   err_msg=field.name)
 
 
 class TestDiagonalReadoutMatchesDenseOracle:
     """run_protocol against the dense meter (x) system simulation."""
 
-    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (4, 3), (5, 4)])
-    @pytest.mark.parametrize("mode", ["entangled", "product"])
-    def test_every_setting_and_field(self, rng, dims, mode):
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (4, 3), (5, 4), (7, 5)])
+    def test_every_setting_and_field(self, rng, dims):
         for _ in range(3):
             psi, phi = random_pair(rng, dims)
             cfg = ProtocolConfig(system_state=psi, postselection=phi,
                                  epsilon=rng.uniform(0.05, 1.0),
-                                 g=rng.uniform(0.3, 2 * math.pi - 0.3), meter_mode=mode)
-            for kind, j, l in all_settings(dims, mode):
-                assert_matches_oracle(cfg, kind, j, l)
+                                 g=rng.uniform(0.3, 2 * math.pi - 0.3))
+            assert_matches_oracle(cfg, all_settings(dims))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(m=st.integers(2, 4), n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
            epsilon=st.floats(0.05, 1.0, exclude_min=True),
-           g=st.floats(0.3, 2 * math.pi - 0.3),
-           mode=st.sampled_from(["entangled", "product"]), data=st.data())
-    def test_random_dims_property(self, m, n, seed, epsilon, g, mode, data):
+           g=st.floats(0.3, 2 * math.pi - 0.3), data=st.data())
+    def test_random_dims_property(self, m, n, seed, epsilon, g, data):
         psi, phi = random_pair(np.random.default_rng(seed), (m, n))
-        cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=epsilon, g=g,
-                             meter_mode=mode)
-        kind, j, l = data.draw(st.sampled_from(all_settings((m, n), mode)))
-        assert_matches_oracle(cfg, kind, j, l)
+        cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=epsilon, g=g)
+        plan_settings = data.draw(st.lists(st.sampled_from(all_settings((m, n))),
+                                           min_size=1, max_size=8))
+        assert_matches_oracle(cfg, plan_settings)
 
     def test_error_paths_match(self):
         cfg = ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus())
@@ -219,18 +217,23 @@ class TestDiagonalReadoutMatchesDenseOracle:
                                   ("single_a", None, 1, "out of range"),
                                   ("single_b", 1, -1, "out of range")):
             with pytest.raises(ValueError, match=match):
-                run_protocol(cfg, kind, j=j, l=l)
+                run_one(cfg, kind, j, l)
             with pytest.raises(ValueError, match=match):
-                dense_run_protocol(cfg, kind, j=j, l=l)
+                dense_run_protocol(cfg, [(kind, j, l)])
+
+
+def row(outcome: PlanOutcome, k: int) -> PlanOutcome:
+    """Setting k of a readout, as a one-setting ``PlanOutcome``."""
+    return PlanOutcome(*(getattr(outcome, field.name)[k:k + 1] for field in fields(PlanOutcome)))
 
 
 def assert_same_bits(got, want):
-    """Every MeterOutcome field equal bit for bit."""
-    assert got.conditional_meter_state.dims == want.conditional_meter_state.dims
-    assert (got.conditional_meter_state.amps.tobytes()
-            == want.conditional_meter_state.amps.tobytes())
-    for name in ("postselection_probability", "p1", "p2", "p1_tilde", "p2_tilde"):
-        assert getattr(got, name).hex() == getattr(want, name).hex(), name
+    """Every PlanOutcome field equal bit for bit."""
+    for field in fields(PlanOutcome):
+        got_value, want_value = getattr(got, field.name), getattr(want, field.name)
+        assert got_value.shape == want_value.shape, field.name
+        assert got_value.dtype == want_value.dtype, field.name
+        assert got_value.tobytes() == want_value.tobytes(), field.name
 
 
 _COUPLINGS = st.one_of(st.sampled_from([math.pi, 1.0, 2.5]),
@@ -253,24 +256,21 @@ class TestBatchedReadoutMatchesPerSettingReference:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(m=st.integers(2, 6), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
-           epsilon=st.floats(0.01, 1.0), g=_COUPLINGS,
-           mode=st.sampled_from(["entangled", "product"]))
-    def test_one_setting_is_a_row_of_the_batch(self, m, n, seed, epsilon, g, mode):
+           epsilon=st.floats(0.01, 1.0), g=_COUPLINGS)
+    def test_one_setting_is_a_row_of_the_batch(self, m, n, seed, epsilon, g):
         psi, phi = random_pair(np.random.default_rng(seed), (m, n))
-        cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=epsilon, g=g,
-                             meter_mode=mode)
-        plan_settings = all_settings((m, n), mode)
+        cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=epsilon, g=g)
+        plan_settings = all_settings((m, n))
         outcome = run_protocol(cfg, plan_settings)
-        for k, (kind, j, l) in enumerate(plan_settings):
-            assert_same_bits(run_protocol(cfg, kind, j, l), outcome[k])
-            assert_same_bits(per_setting_run_protocol(cfg, kind, j, l), outcome[k])
+        assert_same_bits(per_setting_run_protocol(cfg, plan_settings), outcome)
+        for k, setting in enumerate(plan_settings):
+            assert_same_bits(run_protocol(cfg, [setting]), row(outcome, k))
 
     def test_collect_probabilities_is_one_batched_call(self, monkeypatch, rng):
         configs = {dims: ProtocolConfig(*random_pair(rng, dims)) for dims in ((2, 2), (6, 5))}
         batches = []
 
-        def counted_run_protocol(cfg, plan_settings, *args):
-            assert not args and not isinstance(plan_settings, str), "one-setting run"
+        def counted_run_protocol(cfg, plan_settings):
             batches.append(len(plan_settings))
             return run_protocol(cfg, plan_settings)
 
@@ -291,12 +291,10 @@ class TestBatchedReadoutMatchesPerSettingReference:
     def test_blocks_of_settings_match_one_block(self, monkeypatch, rng):
         psi, phi = random_pair(rng, (4, 3))
         cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=0.4, g=2.5)
-        plan_settings = all_settings((4, 3), "entangled")
+        plan_settings = all_settings((4, 3))
         whole = run_protocol(cfg, plan_settings)
         monkeypatch.setattr(protocol, "_BLOCK_ELEMENTS", 4 * 12 * 5)  # five settings a block
-        blocked = run_protocol(cfg, plan_settings)
-        for k in range(len(plan_settings)):
-            assert_same_bits(blocked[k], whole[k])
+        assert_same_bits(run_protocol(cfg, plan_settings), whole)
 
     def test_settings_keep_their_order_and_errors(self):
         cfg = ProtocolConfig(system_state=phase_bell(0.3), postselection=uniform_plus())
@@ -304,37 +302,12 @@ class TestBatchedReadoutMatchesPerSettingReference:
         outcome = run_protocol(cfg, plan_settings)
         assert outcome.p1.shape == (3,)
         for k, setting in enumerate(plan_settings):
-            assert_same_bits(run_protocol(cfg, *setting), outcome[k])
+            assert_same_bits(run_protocol(cfg, [setting]), row(outcome, k))
         with pytest.raises(ValueError, match="out of range"):
             run_protocol(cfg, [("pair", 1, 1), ("pair", 2, 1)])
-        with pytest.raises(TypeError, match="inside each"):
-            run_protocol(cfg, plan_settings, 1, 1)
         cfg = ProtocolConfig(system_state=phase_bell(math.pi), postselection=uniform_plus())
         with pytest.raises(OrthogonalPostselection):
             run_protocol(cfg, plan_settings)
-
-
-class TestProductMeterMode:
-    def test_single_runs_match_entangled_probabilities(self, rng):
-        for _ in range(10):
-            psi, phi = random_pair(rng)
-            eps = rng.uniform(0.05, 0.5)
-            ent = ProtocolConfig(system_state=psi, postselection=phi, epsilon=eps)
-            prod = ProtocolConfig(system_state=psi, postselection=phi, epsilon=eps,
-                                  meter_mode="product")
-            for kind, j, l in (("single_a", 1, None), ("single_b", None, 1)):
-                a = run_protocol(ent, kind, j=j, l=l)
-                b = run_protocol(prod, kind, j=j, l=l)
-                assert abs(a.p1 - b.p1) <= 1e-12
-                assert abs(a.p2 - b.p2) <= 1e-12
-                assert abs(b.p1_tilde - b.p1 / 2) <= 1e-12
-                assert abs(b.p2_tilde - b.p2 / 2) <= 1e-12
-
-    def test_pair_requires_entangled_meter(self):
-        cfg = ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus(),
-                             meter_mode="product")
-        with pytest.raises(ValueError, match="entangled"):
-            run_protocol(cfg, "pair", j=1, l=1)
 
 
 class TestConfigValidation:
@@ -370,5 +343,4 @@ class TestConfigValidation:
     def test_alt_postselection_is_usable_at_pi(self):
         cfg = ProtocolConfig(system_state=phase_bell(math.pi),
                              postselection=alt_postselection())
-        out = run_protocol(cfg, "pair", j=1, l=1)
-        assert out.postselection_probability > 0.1
+        assert run_one(cfg, "pair", 1, 1).postselection_probability[0] > 0.1

@@ -275,13 +275,11 @@ class TestMeasurementPlan:
         assert large is not again
         np.testing.assert_array_equal(large.mat, again.mat)
         # the readout's run-independent index: built once per plan, read-only
-        index = protocol._index_settings(plan, (4, 3), "entangled")
-        assert protocol._index_settings(plan, (4, 3), "entangled") is index
-        assert index.kinds == ("single_a", "single_b", "pair")
+        index = protocol._index_settings(plan, (4, 3))
+        assert protocol._index_settings(plan, (4, 3)) is index
         np.testing.assert_array_equal(index.rows, [1, 2, 3, -1, -1] + [1, 1, 2, 2, 3, 3])
         np.testing.assert_array_equal(index.cols, [-1, -1, -1, 1, 2] + [1, 2] * 3)
-        assert index.detectors.shape == (11, 4, 4)
-        for array in (index.codes, index.rows, index.cols, index.detectors):
+        for array in (index.rows, index.cols):
             assert not array.flags.writeable
 
     def test_collect_probabilities_reuses_the_plan(self, monkeypatch):
@@ -290,9 +288,9 @@ class TestMeasurementPlan:
         want = collect_probabilities(cfg)
         calls = []
 
-        def counted_run_protocol(cfg, settings, *args):
+        def counted_run_protocol(cfg, settings):
             calls.append(settings)
-            return run_protocol(cfg, settings, *args)
+            return run_protocol(cfg, settings)
 
         def no_validation(*args):
             raise AssertionError("settings validated again")
