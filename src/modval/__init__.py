@@ -12,7 +12,6 @@ from .errors import (
     ModvalError,
     NegativeDiscriminant,
     OrthogonalPostselection,
-    ZeroReferenceWeakValue,
 )
 from .hilbert import (
     DEFAULT_TOL,

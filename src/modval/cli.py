@@ -23,8 +23,10 @@ The JSON config schema (version 1)::
       "format": "csv"                    // csv | json
     }
 
-Flags --method/--epsilon/--pairs/--trials/--seed/--out/--format override the
-config; --no-timestamp removes the generated-at header so outputs are
+Flags --method/--epsilon/--out/--format replace those fields of the document
+and --pairs/--trials/--seed those of its noise object (created if absent)
+before anything is validated, so a flag is checked exactly as the field it
+overrides. --no-timestamp removes the generated-at header so outputs are
 byte-identical for a fixed config and seed.
 
 Exit codes: 0 success, 2 config error, 3 orthogonal postselection,
@@ -32,12 +34,14 @@ Exit codes: 0 success, 2 config error, 3 orthogonal postselection,
 ``compare`` in which no trial inverts). Every error prints one line
 ``error: <code>: <message>`` to stderr. Config errors include a config
 that cannot be read and an output that cannot be written (a directory, or
-a path in a missing directory); explicit ``dims`` that are not a list of
-two integral factors each at least 2 (such as ["a", 2], [2.9, 2], "22", 5,
-[1, 4] or [2, 2, 1]); a null in a field with a non-null default (only
-"theta" may be null); numbers too large for a float or, for
-pairs_per_setting, above 2**63 - 1; and a negative noise seed from the
-config or from --seed.
+a path in a missing directory); a wrongly typed field (a number is a JSON
+number or a numeric string, never a bool; pairs_per_setting, trials, seed
+and each dims factor must be integral, theta, epsilon and g finite; clamp
+must be a bool, method, format and output_path strings); ``dims`` that are
+not two factors each at least 2; a null in a field with a non-null default
+(only "theta" may be null); pairs_per_setting above 2**63 - 1 or trials
+above 10**6; a negative seed; and a ``sweep-theta`` state other than the
+fig3 preset.
 
 Tables are built column by column (``write_table``) and written with one
 csv.writer call, or as JSON rows of the same values.
@@ -108,18 +112,61 @@ class RunConfig:
     timestamp: bool = True
 
 
+def _typed(value, kind: type):
+    """``value`` read as ``kind`` (str, bool, int or float), or ValueError.
+
+    A str or bool field takes only a JSON string or bool. A number is a JSON
+    number or a numeric string, never a bool; an int must be integral (int()
+    alone would read 2.5 as 2) and a float finite.
+    """
+    if kind in (str, bool):
+        if not isinstance(value, kind):
+            raise ValueError(value)
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(value)
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    number = kind(value)  # int("2.5") raises ValueError, float(10**400) OverflowError
+    if kind is float and not math.isfinite(number):
+        raise ValueError(value)
+    return number
+
+
+_KIND_NAMES = {str: "a string", bool: "true or false", int: "an integer", float: "a finite number"}
+_REQUIRED = object()  # the default of a field that must be given
+
+
+def _field(doc: dict, name: str, kind: type, default, where: str = ""):
+    """Field ``name`` of ``doc`` read by ``_typed``, or ``default`` when absent.
+
+    A null is an error unless the default is None.
+    """
+    value = doc.get(name, default)
+    if value is _REQUIRED:
+        raise ConfigError(f"{where}missing required field {name!r}")
+    if value is None:
+        if default is None:
+            return None
+        raise ConfigError(f"{where}field {name!r} must not be null")
+    try:
+        return _typed(value, kind)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"{where}field {name!r} must be {_KIND_NAMES[kind]}, "
+                          f"got {value!r}") from None
+
+
 def _parse_amplitudes(spec: dict, field: str) -> PureState:
-    amps_raw = spec["amps"]
-    raw = spec.get("dims", (2, 2))
-    try:  # a list of integral factors: int() alone would read "22" and [2.9, 2] as (2, 2)
-        dims = tuple(int(d) for d in raw if isinstance(raw, (list, tuple)) and float(d) == int(d))
-    except (TypeError, ValueError, OverflowError):
+    raw = spec.get("dims", [2, 2])
+    try:
+        dims = tuple(_typed(d, int) for d in raw) if isinstance(raw, list) else ()
+    except (ValueError, OverflowError):
         dims = ()
-    if len(dims) != 2 or len(raw) != 2 or min(dims) < 2:
+    if len(dims) != 2 or min(dims) < 2:
         raise ConfigError(f"{field}.dims must be two integers, each at least 2, "
                           f"got {spec.get('dims')!r}")
     try:
-        amps = np.array([complex(re, im) for re, im in amps_raw])
+        amps = np.array([complex(re, im) for re, im in spec["amps"]])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{field}.amps must be a list of [re, im] pairs: {exc}") from None
     if not np.all(np.isfinite(amps)):  # NaN or Infinity literals
@@ -165,8 +212,8 @@ def _resolve_postselection(cfg: RunConfig, dims: tuple[int, int]) -> PureState:
     raise ConfigError("postselection must carry either a preset name or explicit amps")
 
 
-def load_config(path: str) -> RunConfig:
-    """Parse and validate a run configuration document."""
+def _read_document(path: str) -> dict:
+    """The JSON object of a config file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -180,45 +227,50 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
+    return doc
+
+
+def _overlay(doc: dict, args: argparse.Namespace) -> dict:
+    """The config document with the given flags written over its fields.
+
+    --pairs/--trials/--seed go into the noise object, which they create if
+    it is absent; a noise that is not an object is left for the validation
+    to reject.
+    """
+    top = {"method": args.method, "epsilon": args.epsilon, "output_path": args.out,
+           "format": args.format}
+    noise = {"pairs_per_setting": args.pairs, "trials": args.trials, "seed": args.seed}
+    doc = {**doc, **{name: value for name, value in top.items() if value is not None}}
+    noise = {name: value for name, value in noise.items() if value is not None}
+    base = {} if doc.get("noise") is None else doc["noise"]
+    if noise and isinstance(base, dict):
+        doc["noise"] = {**base, **noise}
+    return doc
+
+
+def parse_config(doc: dict) -> RunConfig:
+    """Validate a run configuration document, typing every scalar field."""
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
-
-    def field(name, default=None, kind=None):
-        value = doc.get(name, default)
-        if value is None and default is not None:
-            raise ConfigError(f"field {name!r} must not be null")
-        if value is not None and kind is not None:
-            try:
-                value = kind(value)
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"field {name!r} has invalid value {value!r}") from None
-        return value
-
-    method = field("method", "exact_inversion", str)
+    method = _field(doc, "method", str, "exact_inversion")
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
-    fmt = field("format", "csv", str)
+    fmt = _field(doc, "format", str, "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
 
-    noise_doc = doc.get("noise")
-    noise = None
-    if noise_doc is not None:
-        if not isinstance(noise_doc, dict):
+    noise = doc.get("noise")
+    if noise is not None:
+        if not isinstance(noise, dict):
             raise ConfigError("noise must be an object")
-        if noise_doc.get("clamp", False) is None:
-            raise ConfigError("noise: field 'clamp' must not be null")
+        fields = (("pairs_per_setting", int, _REQUIRED), ("trials", int, 1), ("seed", int, 0),
+                  ("clamp", bool, False))
+        counting = {name: _field(noise, name, kind, default, "noise: ")
+                    for name, kind, default in fields}
         try:
-            noise = CountingConfig(
-                pairs_per_setting=int(noise_doc["pairs_per_setting"]),
-                trials=int(noise_doc.get("trials", 1)),
-                seed=int(noise_doc.get("seed", 0)),
-                clamp=bool(noise_doc.get("clamp", False)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"noise is missing required field {exc.args[0]!r}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
+            noise = CountingConfig(**counting)
+        except ValueError as exc:
             raise ConfigError(f"noise: {exc}") from None
 
     state_spec = doc.get("state")
@@ -227,58 +279,17 @@ def load_config(path: str) -> RunConfig:
     postsel_spec = doc.get("postselection", {"preset": "uniform_plus"})
     if not isinstance(postsel_spec, dict):
         raise ConfigError("field 'postselection' must be an object")
-
-    def finite(name, default):
-        # json.load accepts NaN and Infinity literals
-        value = field(name, default, float)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"field {name!r} must be a finite number, got {value!r}")
-        return value
-
     return RunConfig(
         state_spec=state_spec,
         postselection_spec=postsel_spec,
-        theta=finite("theta", None),
-        epsilon=finite("epsilon", 0.2),
-        g=finite("g", math.pi),
+        theta=_field(doc, "theta", float, None),
+        epsilon=_field(doc, "epsilon", float, 0.2),
+        g=_field(doc, "g", float, math.pi),
         method=method,
         noise=noise,
-        output_path=field("output_path", "-", str),
+        output_path=_field(doc, "output_path", str, "-"),
         format=fmt,
     )
-
-
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.method is not None:
-        if args.method not in METHODS:
-            raise ConfigError(f"--method must be one of {METHODS}")
-        cfg = replace(cfg, method=args.method)
-    if args.epsilon is not None:
-        cfg = replace(cfg, epsilon=args.epsilon)
-    if args.out is not None:
-        cfg = replace(cfg, output_path=args.out)
-    if args.format is not None:
-        cfg = replace(cfg, format=args.format)
-    if args.no_timestamp:
-        cfg = replace(cfg, timestamp=False)
-    if args.pairs is not None or args.trials is not None or args.seed is not None:
-        base = cfg.noise
-        try:
-            noise = CountingConfig(
-                pairs_per_setting=args.pairs if args.pairs is not None
-                else (base.pairs_per_setting if base else None),
-                trials=args.trials if args.trials is not None
-                else (base.trials if base else 1),
-                seed=args.seed if args.seed is not None
-                else (base.seed if base else 0),
-                clamp=base.clamp if base else False,
-            )
-        except TypeError:
-            raise ConfigError("--pairs is required to enable noise from the command line") from None
-        except ValueError as exc:
-            raise ConfigError(f"noise: {exc}") from None
-        cfg = replace(cfg, noise=noise)
-    return cfg
 
 
 def _protocol_config(cfg: RunConfig, state: PureState) -> ProtocolConfig:
@@ -427,7 +438,7 @@ def cmd_sweep_theta(cfg: RunConfig, theta_min: float, theta_max: float, steps: i
     for flag, value in (("--theta-min", theta_min), ("--theta-max", theta_max)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag} must be a finite number, got {value!r}")
-    if "preset" in cfg.state_spec and cfg.state_spec["preset"] != "fig3":
+    if cfg.state_spec.get("preset") != "fig3":
         raise ConfigError("sweep-theta requires the fig3 state preset")
     if cfg.noise is not None:
         sys.stderr.write("warning: sweep-theta runs the exact pipeline; noise config ignored\n")
@@ -474,8 +485,8 @@ def cmd_tomography(cfg: RunConfig) -> None:
     expectations = pauli_expectations(pcfg.system_state)
     meta = {}
     if cfg.noise is not None:
-        rng = trial_rngs(cfg.noise.seed, 1)[0]
-        expectations = sample_pauli_expectations(expectations, cfg.noise.pairs_per_setting, rng)
+        expectations = sample_pauli_expectations(expectations, cfg.noise.pairs_per_setting,
+                                                 trial_rngs(cfg.noise.seed, 1))[0]
         meta.update(pairs_per_setting=cfg.noise.pairs_per_setting, seed=cfg.noise.seed)
     rho = linear_inversion(expectations)
     meta.update(min_eigenvalue=rho.min_eigenvalue, positive=rho.positive)
@@ -562,7 +573,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        doc = _overlay(_read_document(args.config), args)
+        cfg = replace(parse_config(doc), timestamp=not args.no_timestamp)
         if args.command == "reconstruct":
             cmd_reconstruct(cfg)
         elif args.command == "sweep-theta":

@@ -27,12 +27,6 @@ class NegativeDiscriminant(ModvalError):
     code = "negative_discriminant"
 
 
-class ZeroReferenceWeakValue(ModvalError):
-    """The requested reference component has a vanishing weak value."""
-
-    code = "zero_reference_weak_value"
-
-
 class AllTrialsRejected(ModvalError):
     """Every Monte Carlo trial failed inversion; no estimate available."""
 

@@ -37,6 +37,8 @@ from .tomography import fidelity_states
 
 # numpy's binomial draws take an int64 trial count
 _MAX_PAIRS = 2**63 - 1
+# a desk-scale cap, as hilbert.MAX_TOTAL_DIM is; the calibrated runs use 200 trials
+_MAX_TRIALS = 10**6
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,8 @@ class CountingConfig:
             raise ValueError(f"pairs_per_setting must be at most 2**63 - 1 = {_MAX_PAIRS}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.trials > _MAX_TRIALS:
+            raise ValueError(f"trials must be at most {_MAX_TRIALS}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -64,15 +68,14 @@ class NoisyEstimate:
     """Mean and spread of one reconstructed quantity over kept trials.
 
     For complex quantities the std packs the componentwise spreads as
-    std(Re) + 1j*std(Im). ``samples`` holds the kept per-trial values when
-    requested.
+    std(Re) + 1j*std(Im). ``samples`` holds the kept per-trial values.
     """
 
     mean: np.ndarray | complex | float
     std: np.ndarray | complex | float
     samples_kept: int
     samples_rejected: int
-    samples: np.ndarray | None = None
+    samples: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -156,14 +159,13 @@ def _complex_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def _estimate(samples, rejected: int, keep: bool) -> NoisyEstimate:
+def _estimate(samples, rejected: int) -> NoisyEstimate:
     samples = np.array(samples)
     mean, std = _complex_stats(samples)
     if samples.ndim == 1:
         mean = mean.item()
         std = std.item()
-    return NoisyEstimate(mean, std, samples.shape[0], rejected,
-                         samples if keep else None)
+    return NoisyEstimate(mean, std, samples.shape[0], rejected, samples)
 
 
 def noisy_trials(cfg: ProtocolConfig, counting: CountingConfig,
@@ -198,8 +200,7 @@ def noisy_trials(cfg: ProtocolConfig, counting: CountingConfig,
 
 
 def monte_carlo(cfg: ProtocolConfig, counting: CountingConfig,
-                *, method: Method = "exact_inversion",
-                keep_samples: bool = False) -> MonteCarloResult:
+                *, method: Method = "exact_inversion") -> MonteCarloResult:
     """Means and spreads of every reconstructed quantity over the kept ``noisy_trials``."""
     _, kept, result = noisy_trials(cfg, counting, method)
     n_kept = int(kept.sum())
@@ -209,31 +210,29 @@ def monte_carlo(cfg: ProtocolConfig, counting: CountingConfig,
     # reduced column by column: an axis-0 reduction of the (K, S) stack rounds differently
     mod_stats = [_complex_stats(modulars[:, k]) for k in range(modulars.shape[1])]
     return MonteCarloResult(
-        amplitudes=_estimate(amplitudes, rejected, keep_samples),
-        weak_values=_estimate(result.weak_values[kept], rejected, keep_samples),
+        amplitudes=_estimate(amplitudes, rejected),
+        weak_values=_estimate(result.weak_values[kept], rejected),
         modulars=NoisyEstimate(np.array([mean for mean, _ in mod_stats]),
                                np.array([std for _, std in mod_stats]), n_kept, rejected,
-                               modulars if keep_samples else None),
-        normalizer=_estimate(result.normalizer[kept], rejected, keep_samples),
+                               modulars),
+        normalizer=_estimate(result.normalizer[kept], rejected),
         fidelity=_estimate(fidelity_states(cfg.system_state, amplitudes.reshape(n_kept, -1)),
-                           rejected, keep_samples),
+                           rejected),
     )
 
 
 def sample_pauli_expectations(expectations: np.ndarray, pairs: int,
-                              rng: np.random.Generator | list[np.random.Generator]) -> np.ndarray:
+                              rngs: list[np.random.Generator]) -> np.ndarray:
     """Shot-noise model for tomography: one binomial draw per Pauli setting.
 
     Each two-outcome (+1/-1) Pauli measurement on ``pairs`` photon pairs is
     summarized by a binomial count of +1 outcomes, drawn for all settings
-    in one call; the identity setting has no statistical error. A list of K
-    generators, each making that call in turn, gives a (K, 16) stack.
+    in one call; the identity setting has no statistical error. Each of the
+    K generators makes that call in turn, giving a (K, 16) stack.
     """
     if pairs < 1:
         raise ValueError("pairs must be at least 1")
-    single = isinstance(rng, np.random.Generator)
     expectations = np.asarray(expectations, dtype=float)
     p_plus = np.clip((1.0 + expectations[1:]) / 2.0, 0.0, 1.0)
-    counts = np.array([gen.binomial(pairs, p_plus) for gen in ([rng] if single else rng)])
-    noisy = np.concatenate([np.ones((len(counts), 1)), 2.0 * counts / pairs - 1.0], axis=1)
-    return noisy[0] if single else noisy
+    counts = np.array([rng.binomial(pairs, p_plus) for rng in rngs])
+    return np.concatenate([np.ones((len(counts), 1)), 2.0 * counts / pairs - 1.0], axis=1)

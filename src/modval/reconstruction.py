@@ -32,7 +32,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import NegativeDiscriminant, OrthogonalPostselection, ZeroReferenceWeakValue
+from .errors import NegativeDiscriminant, OrthogonalPostselection
 from .hilbert import DEFAULT_TOL, LinearOperator, PureState, inner
 from .protocol import ProtocolConfig, SettingSpec, run_protocol
 
@@ -275,25 +275,17 @@ def _weak_value_matrix(modulars: np.ndarray, dims: tuple[int, int], s: complex) 
     return weak
 
 
-def _select_reference(raw: np.ndarray, reference) -> np.ndarray:
-    """Flat index (...) of the reference component of every trial."""
+def _select_reference(raw: np.ndarray) -> np.ndarray:
+    """Flat index (...) of every trial's reference component: (0, 0) unless
+    its weak value vanishes next to the largest, else the largest. Some
+    component is always nonzero: were all others 0, the completion would
+    give weak[0, 0] = 1."""
     m, n = raw.shape[-2:]
     magnitudes = np.abs(raw).reshape(raw.shape[:-2] + (m * n,))
-    scale = magnitudes.max(axis=-1)
-    if np.any(scale == 0.0):
-        raise ZeroReferenceWeakValue("all components have vanishing weak value")
-    if reference == "auto":
-        first = raw[..., 0, 0]
-        # np.hypot rounds as abs() of a single complex does
-        keep = np.hypot(first.real, first.imag) > _REFERENCE_RTOL * scale
-        return np.where(keep, 0, np.argmax(magnitudes, axis=-1))
-    ref = (int(reference[0]), int(reference[1]))
-    chosen = raw[(...,) + ref]
-    if np.any(np.hypot(chosen.real, chosen.imag) <= _REFERENCE_RTOL * scale):
-        raise ZeroReferenceWeakValue(
-            f"weak value at reference component {ref} vanishes; choose another"
-        )
-    return np.full(scale.shape, ref[0] * n + ref[1])
+    first = raw[..., 0, 0]
+    # np.hypot rounds as abs() of a single complex does
+    keep = np.hypot(first.real, first.imag) > _REFERENCE_RTOL * magnitudes.max(axis=-1)
+    return np.where(keep, 0, np.argmax(magnitudes, axis=-1))
 
 
 def require_full_support(postselection: PureState) -> None:
@@ -311,7 +303,7 @@ def require_full_support(postselection: PureState) -> None:
 
 
 def reconstruct(*, dims: tuple[int, int], postselection: PureState, s: complex,
-                modulars, reference="auto") -> ReconstructionResult:
+                modulars) -> ReconstructionResult:
     """Turn plan-ordered modular values (..., S) into normalized amplitudes.
 
     Leading axes are independent trials, each reconstructed bit for bit as
@@ -332,7 +324,7 @@ def reconstruct(*, dims: tuple[int, int], postselection: PureState, s: complex,
     weak = _weak_value_matrix(modulars, (m, n), s)
     raw = weak / phi.conj()
     lead = raw.shape[:-2]
-    ref = _select_reference(raw, reference)
+    ref = _select_reference(raw)
     with np.errstate(invalid="ignore"):  # nan trials stay nan without a warning
         ratios = raw / np.take_along_axis(raw.reshape(lead + (m * n,)), ref[..., None],
                                           axis=-1)[..., None]

@@ -22,6 +22,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -60,6 +61,13 @@ ERROR_CASES = (
     ("flag-pairs-huge", {}, ["--pairs", "100000000000000000000000"]),
     ("out-dir", {}, ["--out", "."]),
     ("out-missing-dir", {}, ["--out", "missing-dir/out.csv"]),
+    # wrongly typed values that used to be coerced, and trial counts past the cap
+    ("clamp-str", {"noise": {"pairs_per_setting": 1000, "trials": 3, "clamp": "no"}}, []),
+    ("output-int", {"output_path": 5}, []),
+    ("theta-bool", {"state": {"preset": "fig3"}, "theta": True}, []),
+    ("pairs-2.5", {"noise": {"pairs_per_setting": 2.5}}, []),
+    ("trials-1e400", {"noise": {"pairs_per_setting": 1000, "trials": 10**400}}, []),
+    ("flag-trials-huge", {}, ["--pairs", "1000", "--trials", "100000000000000000000000"]),
 )
 
 
@@ -152,9 +160,14 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     from modval.cli import main as modval_main
 
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for label, command, fields, flags in runs()[::args.every]:
-            print(digest(capture(modval_main, Path(tmp), command, fields, flags)), label)
+        os.chdir(tmp)  # relative outputs, such as "5" from "output_path": 5, land here
+        try:
+            for label, command, fields, flags in runs()[::args.every]:
+                print(digest(capture(modval_main, Path(tmp), command, fields, flags)), label)
+        finally:
+            os.chdir(cwd)
     return 0
 
 

@@ -116,7 +116,7 @@ def test_criterion_3_demonstration_states():
         assert fid >= 1 - 1e-10, f"{name}: exact fidelity {fid}"
 
         counting = CountingConfig(pairs_per_setting=100_000, trials=200, seed=2026)
-        mc = monte_carlo(cfg, counting, keep_samples=True)
+        mc = monte_carlo(cfg, counting)
         medians[name] = float(np.median(mc.fidelity.samples))
         # calibrated run (seed 2026): medians ~0.9999 for all four states
         assert medians[name] >= 0.99, f"{name}: median fidelity {medians[name]:.4f}"

@@ -146,6 +146,15 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, state={"preset": "fig3"})
         assert main(["sweep-theta", "--config", cfg, "--steps", "1"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("state", [
+        {"amps": [[0.5, 0]] * 6, "dims": [3, 2]}, {"amps": [[0.5, 0]] * 4, "dims": "zz"}, {},
+    ])
+    def test_explicit_amplitudes_are_not_swept(self, tmp_path, capsys, state):
+        cfg = write_config(tmp_path, state=state)
+        assert main(["sweep-theta", "--config", cfg, "--steps", "3"]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", "error: config_error: sweep-theta requires the fig3 state preset\n")
+
 
 class TestTomographyCommand:
     def test_correlated_state_matrix(self, tmp_path, capsys):
@@ -393,6 +402,29 @@ class TestDeterminismAndErrors:
     def test_noise_flags_require_pairs(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["reconstruct", "--config", cfg, "--trials", "5"]) == EXIT_CONFIG
+
+    def test_pairs_flag_completes_the_noise_block(self, tmp_path, capsys):
+        noise = {"trials": 3, "seed": 5, "clamp": True}
+        written = write_config(tmp_path, "written.json",
+                               noise={**noise, "pairs_per_setting": 100})
+        assert main(["reconstruct", "--config", written, "--no-timestamp"]) == EXIT_OK
+        want = capsys.readouterr()
+        cfg = write_config(tmp_path, noise=noise)
+        assert main(["reconstruct", "--config", cfg, "--pairs", "100",
+                     "--no-timestamp"]) == EXIT_OK
+        assert capsys.readouterr() == want
+
+    @pytest.mark.parametrize("overrides, flags", [
+        ({"method": "magic", "epsilon": True, "output_path": 5, "format": "xml"},
+         ["--method", "first_order", "--epsilon", "0.3", "--out", "-", "--format", "json"]),
+        ({"noise": {"pairs_per_setting": 2.5, "trials": 0, "seed": -1}},
+         ["--pairs", "100000", "--trials", "2", "--seed", "1"]),
+    ])
+    def test_flags_replace_config_values_before_validation(self, tmp_path, capsys,
+                                                           overrides, flags):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["reconstruct", "--config", cfg, *flags]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_noise_from_flags_alone(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

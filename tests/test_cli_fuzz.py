@@ -50,8 +50,7 @@ def dump(doc) -> str:
 
 
 HUGE = 10**400
-EXIT_BY_CODE = {"config_error": 2, "zero_reference_weak_value": 2,
-                "orthogonal_postselection": 3, "negative_discriminant": 4,
+EXIT_BY_CODE = {"config_error": 2, "orthogonal_postselection": 3, "negative_discriminant": 4,
                 "all_trials_rejected": 5}
 ERROR_LINE = re.compile(r"error: ([a-z_]+): \S.*")
 WARNING_LINE = re.compile(r"warning: (\w+ amplitudes renormalized \(norm was .*\)"
@@ -209,18 +208,31 @@ FORMER_TRACEBACKS = [
     # an unwritable output: IsADirectoryError, FileNotFoundError
     (fig4a(), "reconstruct", ["--out=outdir"]),
     (fig4a(output_path="missing/out.csv"), "tomography", []),
+    # a trial count past the cap: ValueError from np.arange
+    (fig4a(noise={"pairs_per_setting": 1000, "trials": 10**400}), "reconstruct", []),
+    (fig4a(), "compare", ["--pairs=1000", "--trials=100000000000000000000000"]),
+]
+
+# (config, subcommand, flags) whose wrongly typed value was coerced (exit 0) and now exit 2
+FORMER_COERCIONS = [
+    (fig4a(noise={"pairs_per_setting": 1000, "trials": 3, "clamp": "no"}), "reconstruct", []),
+    (fig4a(output_path=5), "reconstruct", []),
+    (fig4a(state={"preset": "fig3"}, theta=True), "reconstruct", []),
+    (fig4a(noise={"pairs_per_setting": 2.5}), "tomography", []),
 ]
 
 
-def with_former_tracebacks(test):
-    for doc, command, flags in FORMER_TRACEBACKS:
-        test = example(doc=doc, command_line=(command, flags))(test)
-    return test
+def with_examples(cases):
+    def decorate(test):
+        for doc, command, flags in cases:
+            test = example(doc=doc, command_line=(command, flags))(test)
+        return test
+    return decorate
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(doc=documents, command_line=command_lines())
-@with_former_tracebacks
+@with_examples(FORMER_TRACEBACKS + FORMER_COERCIONS)
 def test_every_input_ends_in_a_result_or_one_error_line(run_dir, doc, command_line):
     code, err = run(run_dir, doc, *command_line)
     assert code in {0, 2, 3, 4, 5}
@@ -236,6 +248,51 @@ def test_every_input_ends_in_a_result_or_one_error_line(run_dir, doc, command_li
 @pytest.mark.parametrize("doc, command, flags", FORMER_TRACEBACKS)
 def test_former_tracebacks_are_config_errors(run_dir, doc, command, flags):
     code, err = run(run_dir, doc, command, flags)
+    assert code == 2
+    assert err.startswith("error: config_error: ") and err.count("\n") == 1
+
+
+INTEGER_FIELDS = ("pairs_per_setting", "trials", "seed")
+not_integral = st.one_of(st.floats().filter(lambda x: not x.is_integer()),
+                         st.sampled_from(["2.5", "1e3", Raw("1e400"), Raw("NaN")]))
+not_bool = st.one_of(st.integers(-1, 2), st.floats(), st.sampled_from(["no", "true", "", [], {}]))
+not_string = st.one_of(st.integers(), st.floats(), st.booleans(), st.sampled_from([[], {}, ["-"]]))
+
+
+@st.composite
+def mistyped_documents(draw):
+    """A runnable fig4a config with one field of the wrong type."""
+    noise = {"pairs_per_setting": 1000, "trials": 2, "seed": 1}
+    doc = fig4a(noise=noise)
+    kind = draw(st.sampled_from(["bool number", "non-integral", "clamp", "path"]))
+    if kind == "bool number":
+        name = draw(st.sampled_from(("theta", "epsilon", "g") + INTEGER_FIELDS))
+        value = draw(st.booleans())
+    elif kind == "non-integral":
+        name = draw(st.sampled_from(INTEGER_FIELDS + ("dims",)))
+        value = draw(not_integral)
+    elif kind == "clamp":
+        name, value = "clamp", draw(not_bool)
+    else:
+        name, value = "output_path", draw(not_string)
+    if name == "dims":
+        doc["state"] = {"amps": [[0.5, 0]] * 4, "dims": [value, 2]}
+    elif name in INTEGER_FIELDS + ("clamp",):
+        noise[name] = value
+    else:
+        doc[name] = value
+    return doc
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(doc=mistyped_documents(),
+       command_line=st.tuples(st.sampled_from(["reconstruct", "compare", "tomography"]),
+                              st.just([])))
+@with_examples(FORMER_COERCIONS)
+def test_mistyped_fields_are_config_errors(run_dir, doc, command_line):
+    # a bool in a number field, a non-integral integer field, a non-bool clamp or a
+    # non-string output path
+    code, err = run(run_dir, doc, *command_line)
     assert code == 2
     assert err.startswith("error: config_error: ") and err.count("\n") == 1
 

@@ -55,8 +55,8 @@ class TestMonteCarlo:
     def test_deterministic_per_seed(self):
         cfg = bell_config()
         counting = CountingConfig(pairs_per_setting=2000, trials=20, seed=123)
-        a = monte_carlo(cfg, counting, keep_samples=True)
-        b = monte_carlo(cfg, counting, keep_samples=True)
+        a = monte_carlo(cfg, counting)
+        b = monte_carlo(cfg, counting)
         assert np.array_equal(a.amplitudes.samples, b.amplitudes.samples)
         assert np.array_equal(a.fidelity.samples, b.fidelity.samples)
         assert a.normalizer.mean == b.normalizer.mean
@@ -132,7 +132,7 @@ class TestNoisyTrials:
         assert 0 < kept.sum() < counting.trials
         assert np.all(np.isnan(result.amplitudes[~kept]))
         assert np.all(np.isfinite(result.amplitudes[kept]))
-        mc = monte_carlo(cfg, counting, keep_samples=True)
+        mc = monte_carlo(cfg, counting)
         assert mc.amplitudes.samples_rejected == counting.trials - kept.sum()
         assert np.array_equal(mc.amplitudes.samples, result.amplitudes[kept])
 
@@ -145,7 +145,7 @@ class TestNoisyTrials:
         _, kept, result = noisy_trials(cfg, counting)
         want = [abs(inner(psi, PureState(dims, result.amplitudes[k].reshape(-1)))) ** 2
                 for k in np.flatnonzero(kept)]
-        mc = monte_carlo(cfg, counting, keep_samples=True)
+        mc = monte_carlo(cfg, counting)
         assert mc.fidelity.samples.tobytes() == np.array(want).tobytes()
         assert mc.fidelity.samples_kept == kept.sum()
 
@@ -191,20 +191,20 @@ class TestSamplePauliExpectations:
     def test_stack_equals_per_generator_draws(self):
         values = pauli_expectations(phase_bell(0.3))
         stacked = sample_pauli_expectations(values, 500, trial_rngs(9, 5))
-        single = np.stack([sample_pauli_expectations(values, 500, rng)
-                           for rng in trial_rngs(9, 5)])
+        single = np.concatenate([sample_pauli_expectations(values, 500, [rng])
+                                 for rng in trial_rngs(9, 5)])
         assert stacked.shape == (5, 16)
         assert stacked.tobytes() == single.tobytes()
 
     def test_identity_is_exact(self):
         values = pauli_expectations(phase_bell(0.0))
-        noisy = sample_pauli_expectations(values, 100, trial_rng(1, 0))
+        noisy = sample_pauli_expectations(values, 100, [trial_rng(1, 0)])[0]
         assert noisy[0] == 1.0
 
     def test_range_and_determinism(self):
         values = pauli_expectations(phase_bell(0.5))
-        a = sample_pauli_expectations(values, 1000, trial_rng(3, 0))
-        b = sample_pauli_expectations(values, 1000, trial_rng(3, 0))
+        a = sample_pauli_expectations(values, 1000, [trial_rng(3, 0)])[0]
+        b = sample_pauli_expectations(values, 1000, [trial_rng(3, 0)])[0]
         assert np.array_equal(a, b)
         assert np.all(a >= -1) and np.all(a <= 1)
 
@@ -218,3 +218,9 @@ class TestCountingConfig:
         with pytest.raises(ValueError, match="seed"):
             CountingConfig(pairs_per_setting=10, trials=1, seed=-1)
         CountingConfig(pairs_per_setting=10, trials=1, seed=0)
+
+    def test_trials_are_capped(self):
+        CountingConfig(pairs_per_setting=10, trials=10**6, seed=0)  # built, never run
+        for trials in (10**6 + 1, 10**400):
+            with pytest.raises(ValueError, match="trials must be at most 1000000"):
+                CountingConfig(pairs_per_setting=10, trials=trials, seed=0)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modval.errors import NegativeDiscriminant, OrthogonalPostselection, ZeroReferenceWeakValue
+from modval.errors import NegativeDiscriminant, OrthogonalPostselection
 from modval.hilbert import LinearOperator, PureState, inner
 from modval.presets import phase_bell, state_preset, uniform_plus
 from modval import protocol, reconstruction
@@ -394,18 +394,13 @@ class TestReconstruct:
         assert mean[0.1] <= 0.6 * mean[0.2]
         assert mean[0.05] <= 0.6 * mean[0.1]
 
-    def test_zero_reference_fallback_and_error(self):
-        # state with no (H, H) component: auto reference falls back, an
-        # explicit (0, 0) reference is an error
+    def test_zero_reference_fallback(self):
+        # state with no (H, H) component: the reference falls back to another one
         psi = PureState((2, 2), np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2))
         cfg = ProtocolConfig(system_state=psi, postselection=uniform_plus())
         result = reconstruct_state(cfg, "definitional")
         assert result.reference_component != (0, 0)
         assert abs(inner(psi, result.state())) ** 2 >= 1 - 1e-10
-        mods = definitional_modulars(cfg)
-        with pytest.raises(ZeroReferenceWeakValue):
-            reconstruct(dims=(2, 2), postselection=uniform_plus(), s=-2.0,
-                        modulars=mods, reference=(0, 0))
 
     def test_modulars_must_cover_the_plan(self):
         with pytest.raises(ValueError, match="3 plan entries"):

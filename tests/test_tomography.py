@@ -121,8 +121,9 @@ class TestBatchedTrials:
     def test_inversion_and_fidelities_match_one_trial_calls(self, seed, trials, pairs):
         rng = np.random.default_rng(seed)
         truth = random_state(rng)
-        expectations = np.array([sample_pauli_expectations(pauli_expectations(truth), pairs, rng)
-                                 for _ in range(trials)])
+        exact = pauli_expectations(truth)
+        expectations = np.concatenate([sample_pauli_expectations(exact, pairs, [rng])
+                                       for _ in range(trials)])
         direct = np.array([random_state(rng).amps for _ in range(trials)])
         rho = linear_inversion(expectations)
         assert rho.mat.shape == (trials, 4, 4)
