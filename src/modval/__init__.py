@@ -15,7 +15,6 @@ from .errors import (
 )
 from .hilbert import (
     DEFAULT_TOL,
-    LinearOperator,
     PureState,
     inner,
 )

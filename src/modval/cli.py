@@ -35,13 +35,15 @@ Exit codes: 0 success, 2 config error, 3 orthogonal postselection,
 ``error: <code>: <message>`` to stderr. Config errors include a config
 that cannot be read and an output that cannot be written (a directory, or
 a path in a missing directory); a wrongly typed field (a number is a JSON
-number or a numeric string, never a bool; pairs_per_setting, trials, seed
-and each dims factor must be integral, theta, epsilon and g finite; clamp
-must be a bool, method, format and output_path strings); ``dims`` that are
-not two factors each at least 2; a null in a field with a non-null default
-(only "theta" may be null); pairs_per_setting above 2**63 - 1 or trials
-above 10**6; a negative seed; and a ``sweep-theta`` state other than the
-fig3 preset.
+number, or a string that is one by the JSON number grammar
+``-?(0|[1-9][0-9]*)([.][0-9]+)?([eE][+-]?[0-9]+)?`` in ASCII digits with no
+space or underscore, never a bool; pairs_per_setting, trials, seed and each
+dims factor must be integral, theta, epsilon and g finite; clamp must be a
+bool, method, format and output_path strings); ``dims`` that are not two
+factors each at least 2; a null in a field with a non-null default (only
+"theta" may be null); pairs_per_setting above 2**63 - 1 or trials above
+10**6; a negative seed; a ``sweep-theta`` state other than the fig3
+preset; and ``--steps`` below 2 or above 10**6 (the trials cap).
 
 Tables are built column by column (``write_table``) and written with one
 csv.writer call, or as JSON rows of the same values.
@@ -55,6 +57,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -90,6 +93,9 @@ EXIT_PROTOCOL = 3
 EXIT_INVERSION = 4
 EXIT_ALL_REJECTED = 5
 
+# a desk-scale cap on sweep-theta's grid, as noise caps trials
+_MAX_STEPS = 10**6
+
 _EXIT_BY_ERROR = (
     (OrthogonalPostselection, EXIT_PROTOCOL),
     (NegativeDiscriminant, EXIT_INVERSION),
@@ -112,18 +118,26 @@ class RunConfig:
     timestamp: bool = True
 
 
+# the JSON number grammar (RFC 8259) in ASCII digits; int() and float()
+# also read "1_000", " 2 " and non-ASCII digits
+_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:[.][0-9]+)?(?:[eE][+-]?[0-9]+)?")
+
+
 def _typed(value, kind: type):
     """``value`` read as ``kind`` (str, bool, int or float), or ValueError.
 
     A str or bool field takes only a JSON string or bool. A number is a JSON
-    number or a numeric string, never a bool; an int must be integral (int()
-    alone would read 2.5 as 2) and a float finite.
+    number or a string that fully matches the JSON number grammar, never a
+    bool; an int must be integral (int() alone would read 2.5 as 2) and a
+    float finite.
     """
     if kind in (str, bool):
         if not isinstance(value, kind):
             raise ValueError(value)
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(value)
+    if isinstance(value, str) and not _JSON_NUMBER.fullmatch(value):
         raise ValueError(value)
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(value)
@@ -435,6 +449,8 @@ def cmd_sweep_theta(cfg: RunConfig, theta_min: float, theta_max: float, steps: i
     """
     if steps < 2:
         raise ConfigError("--steps must be at least 2")
+    if steps > _MAX_STEPS:
+        raise ConfigError(f"--steps must be at most {_MAX_STEPS}")
     for flag, value in (("--theta-min", theta_min), ("--theta-max", theta_max)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag} must be a finite number, got {value!r}")

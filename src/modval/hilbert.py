@@ -1,12 +1,14 @@
-"""Dense complex linear algebra over small tensor-product Hilbert spaces.
+"""Pure states over small tensor-product Hilbert spaces.
 
 Conventions shared by every module in the package:
 
 * A space is an ordered tuple of factor dimensions ``dims``.
 * Basis order is lexicographic with the FIRST factor most significant,
   i.e. index = ((i0*d1 + i1)*d2 + i2)*... for factor indices (i0, i1, ...).
-* States and operators are immutable after construction; every operation
-  is a pure function returning fresh values, so concurrent use is safe.
+* States are immutable after construction; every operation is a pure
+  function returning fresh values, so concurrent use is safe.
+* Observables are plain square arrays on that basis; the package builds no
+  operator type (the dense operators of the tests live in ``tests/oracle.py``).
 
 Dimensions are capped at a total of 4096 (desk-scale protocols only).
 """
@@ -79,29 +81,6 @@ class PureState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-
-@dataclass(frozen=True)
-class LinearOperator:
-    """Square complex matrix acting on a declared factor structure."""
-
-    dims: tuple[int, ...]
-    mat: np.ndarray
-
-    def __post_init__(self):
-        dims = _checked_dims(self.dims)
-        total = _product(dims)
-        mat = np.asarray(self.mat)
-        if mat.shape != (total, total):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match dims {dims} (side {total})"
-            )
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "mat", _frozen_complex(mat, (total, total)))
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
 
 
 def _require_same_dims(a, b):

@@ -33,8 +33,8 @@ from typing import Literal
 import numpy as np
 
 from .errors import NegativeDiscriminant, OrthogonalPostselection
-from .hilbert import DEFAULT_TOL, LinearOperator, PureState, inner
-from .protocol import ProtocolConfig, SettingSpec, run_protocol
+from .hilbert import DEFAULT_TOL, PureState, inner
+from .protocol import ProtocolConfig, SettingSpec, _index_settings, run_protocol
 
 Method = Literal["first_order", "exact_inversion", "definitional"]
 METHODS = ("first_order", "exact_inversion", "definitional")
@@ -85,33 +85,6 @@ def measurement_plan(m: int, n: int) -> tuple[SettingSpec, ...]:
             + tuple(("pair", j, l) for j in range(1, m) for l in range(1, n)))
 
 
-def _observable(dims: tuple[int, int], kind: str, j: int | None, l: int | None) -> LinearOperator:
-    """A setting's observable on the (m, n) system space: the projector on row
-    j of A, on column l of B, or their sum, diagonal in the product basis."""
-    diagonal = np.zeros(dims)
-    if kind != "single_b":
-        diagonal[j, :] += 1.0
-    if kind != "single_a":
-        diagonal[:, l] += 1.0
-    return LinearOperator(dims, np.diag(diagonal.ravel()))
-
-
-@functools.lru_cache(maxsize=32)
-def _kept_observables(m: int, n: int) -> tuple[LinearOperator, ...]:
-    return tuple(_observable((m, n), *setting) for setting in measurement_plan(m, n))
-
-
-def _plan_observables(m: int, n: int) -> tuple[LinearOperator, ...]:
-    """The plan's observables in plan order, for the definitional oracle.
-
-    Kept per size up to m*n = 64, where a plan's observables take 4 MiB;
-    they grow as (m*n)^3, so a larger plan rebuilds them on every call.
-    """
-    if m * n > 64:
-        return _kept_observables.__wrapped__(m, n)
-    return _kept_observables(m, n)
-
-
 def split_plan(values, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cut plan-ordered values (..., S) into the single_a (..., m-1), single_b
     (..., n-1) and pair (..., m-1, n-1) blocks; index j >= 1 sits at j-1."""
@@ -130,18 +103,21 @@ def _postselection_denominator(psi: PureState, phi: PureState) -> complex:
     return den
 
 
-def modular_definitional(observable: LinearOperator, g: float, psi: PureState,
-                         phi: PureState) -> complex:
+def modular_definitional(observable, g: float, psi: PureState, phi: PureState) -> complex:
     """<phi|exp(-i*g*O)|psi> / <phi|psi> via a dense matrix exponential.
 
+    ``observable`` is a square Hermitian array on the state's product basis.
     exp(-i*g*O) is built from the eigendecomposition O = V diag(lam) V^dagger
     as V diag(e^{-i*g*lam}) V^dagger, so O must be Hermitian; a
     non-Hermitian observable is rejected instead of silently computing
     something else.
     """
-    if observable.dims != psi.dims:
-        raise ValueError("observable dims must match the state")
-    mat = observable.mat
+    mat = np.asarray(observable, dtype=np.complex128)
+    if mat.shape != (psi.dim, psi.dim):
+        raise ValueError(f"observable shape {mat.shape} does not match the state "
+                         f"(side {psi.dim})")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("observable entries must be finite")
     if np.max(np.abs(mat - mat.conj().T)) > DEFAULT_TOL.structural:
         raise ValueError("modular_definitional requires a Hermitian observable")
     den = _postselection_denominator(psi, phi)
@@ -246,9 +222,21 @@ def collect_probabilities(cfg: ProtocolConfig) -> np.ndarray:
 
 
 def definitional_modulars(cfg: ProtocolConfig) -> np.ndarray:
-    """Oracle modular values straight from the states (no meter involved), (S,) in plan order."""
-    return np.array([modular_definitional(observable, cfg.g, cfg.system_state, cfg.postselection)
-                     for observable in _plan_observables(*cfg.dims)], dtype=np.complex128)
+    """Oracle modular values straight from the states (no meter involved), (S,) in plan order.
+
+    Every plan observable is diagonal in the product basis: 1 on the coupled
+    row j of A plus 1 on the coupled column l of B, so a pair's is 2 at (j, l).
+    The diagonals come from the readout's setting index, and each is
+    exponentiated as its own dense (m*n, m*n) matrix, one at a time.
+    """
+    m, n = cfg.dims
+    rows, cols = _index_settings(measurement_plan(m, n), (m, n))
+    # an uncoupled side's index is -1, which matches no row or column
+    diagonals = ((rows[:, None, None] == np.arange(m)[:, None]) * 1.0
+                 + (cols[:, None, None] == np.arange(n)))
+    return np.array([modular_definitional(np.diag(diagonal), cfg.g, cfg.system_state,
+                                          cfg.postselection)
+                     for diagonal in diagonals.reshape(len(rows), m * n)], dtype=np.complex128)
 
 
 def _weak_value_matrix(modulars: np.ndarray, dims: tuple[int, int], s: complex) -> np.ndarray:

@@ -15,18 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DEFAULT_TOL, LinearOperator, PureState
+from .hilbert import DEFAULT_TOL, PureState
 
-PAULI_LABELS = ("I", "X", "Y", "Z")
-_PAULIS = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
 
-_SETTINGS = tuple(LinearOperator((2, 2), np.kron(_PAULIS[a], _PAULIS[b]))
-                  for a in PAULI_LABELS for b in PAULI_LABELS)
+def _pauli_products() -> np.ndarray:
+    """sigma_i (x) sigma_j over the Paulis (I, X, Y, Z) as one read-only
+    (16, 4, 4) array, ordered II, IX, ..., ZZ."""
+    paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                       [[1, 0], [0, -1]]], dtype=np.complex128)
+    products = np.array([np.kron(a, b) for a in paulis for b in paulis])
+    products.flags.writeable = False
+    return products
+
+
+_SETTINGS = _pauli_products()
 
 # largest accepted deviation of the identity-identity expectation from 1
 _IDENTITY_TOL = 1e-6
@@ -62,8 +64,7 @@ def pauli_expectations(psi: PureState) -> np.ndarray:
     """Exact <psi|sigma_i (x) sigma_j|psi> for all 16 settings."""
     if psi.dims != (2, 2):
         raise ValueError("tomography expects a two-qubit state")
-    return np.array([np.vdot(psi.amps, obs.mat @ psi.amps).real
-                     for obs in _SETTINGS])
+    return np.array([np.vdot(psi.amps, obs @ psi.amps).real for obs in _SETTINGS])
 
 
 def linear_inversion(expectations) -> DensityMatrix:
@@ -79,7 +80,7 @@ def linear_inversion(expectations) -> DensityMatrix:
         raise ValueError("the identity-identity expectation must equal 1")
     mat = np.zeros(values.shape[:-1] + (4, 4), dtype=np.complex128)
     for value, obs in zip(np.moveaxis(values, -1, 0), _SETTINGS):
-        mat += value[..., None, None] * obs.mat
+        mat += value[..., None, None] * obs
     mat /= 4.0
     min_eig = np.linalg.eigvalsh(mat)[..., 0]
     if min_eig.ndim == 0:

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 FIG4 = ("fig4a", "fig4b", "fig4c", "fig4d")
-EXPLICIT_DIMS = ((2, 2), (3, 2), (2, 3), (4, 3), (5, 4), (7, 5))
+EXPLICIT_DIMS = ((2, 2), (3, 2), (2, 3), (4, 3), (5, 4), (7, 5), (9, 8))
 FORMATS = ("csv", "json")
 METHODS = ("exact_inversion", "first_order", "definitional")
 # (label, noise config, extra flags): high-count, one trial, and low-count

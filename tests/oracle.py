@@ -7,27 +7,29 @@ applied to meter (x) system, the system postselected with ``partial_inner``,
 then ``normalize`` and the two detector states of ``detector_states``.
 ``tests.conftest.dense_run_protocol`` composes them.
 
-The dense operator builders (``basis_state``, ``identity``, ``tensor``,
-``projector``), the reference quantities ``weak_definitional`` and
-``shift_modular``, the Pauli products ``tomography_settings`` and the
-per-trial generator ``trial_rng`` (numpy's own SeedSequence, the reference
-for ``modval.noise.trial_rngs``) live here too: only the tests need them.
+The dense operator type ``LinearOperator`` and its builders (``basis_state``,
+``identity``, ``tensor``, ``projector``), the reference quantities
+``weak_definitional`` and ``shift_modular``, the Pauli products
+``tomography_settings`` and the per-trial generator ``trial_rng`` (numpy's
+own SeedSequence, the reference for ``modval.noise.trial_rngs``) live here
+too: only the tests need them.
 ``plan_observable`` builds a measurement-plan observable from projectors,
-the reference for the diagonal observables of ``modval.reconstruction``.
+the reference for the diagonals that ``modval.reconstruction`` exponentiates.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from modval.hilbert import (
     DEFAULT_TOL,
-    LinearOperator,
     PureState,
     _checked_dims,
+    _frozen_complex,
     _product,
     _require_same_dims,
 )
@@ -50,6 +52,29 @@ PAULIS = (
     np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     np.array([[1, 0], [0, -1]], dtype=np.complex128),
 )
+
+
+@dataclass(frozen=True)
+class LinearOperator:
+    """Square complex matrix acting on a declared factor structure."""
+
+    dims: tuple[int, ...]
+    mat: np.ndarray
+
+    def __post_init__(self):
+        dims = _checked_dims(self.dims)
+        total = _product(dims)
+        mat = np.asarray(self.mat)
+        if mat.shape != (total, total):
+            raise ValueError(
+                f"matrix shape {mat.shape} does not match dims {dims} (side {total})"
+            )
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "mat", _frozen_complex(mat, (total, total)))
+
+    @property
+    def dim(self) -> int:
+        return self.mat.shape[0]
 
 
 def basis_state(dims, index: int) -> PureState:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from modval.errors import OrthogonalPostselection
-from modval.hilbert import LinearOperator
 from modval.noise import CountingConfig, monte_carlo
 from modval.presets import alt_postselection, phase_bell, state_preset, uniform_plus
 from modval.protocol import ProtocolConfig
@@ -86,7 +85,7 @@ def test_criterion_2_first_order_curve():
         cfg = phase_config(theta)
         probs = collect_probabilities(cfg)
         for k, setting in enumerate(plan):
-            m_val = modular_definitional(plan_observable((2, 2), *setting), cfg.g,
+            m_val = modular_definitional(plan_observable((2, 2), *setting).mat, cfg.g,
                                          cfg.system_state, cfg.postselection)
             model = modular_first_order(*forward_probabilities(m_val, EPSILON), EPSILON)
             pipeline = modular_first_order(*probs[k], EPSILON)
@@ -135,9 +134,9 @@ def test_criterion_4_oracle_equivalence_suite():
         g = rng.uniform(0.3, 2 * math.pi - 0.3)
         s = s_parameter(g)
         composed = weak_from_modulars(
-            modular_definitional(pair_sum(1, 1), g, psi, phi),
-            modular_definitional(embedded("a", 1), g, psi, phi),
-            modular_definitional(embedded("b", 1), g, psi, phi), s)
+            modular_definitional(pair_sum(1, 1).mat, g, psi, phi),
+            modular_definitional(embedded("a", 1).mat, g, psi, phi),
+            modular_definitional(embedded("b", 1).mat, g, psi, phi), s)
         direct = weak_definitional(pair_product(1, 1), psi, phi)
         worst_weak = max(worst_weak, abs(composed - direct))
 
@@ -182,7 +181,7 @@ def test_criterion_6_modular_identities():
 
         vec = rng.normal(size=4) + 1j * rng.normal(size=4)
         proj = projector((2, 2), vec / np.linalg.norm(vec))
-        lhs = modular_definitional(proj, g, psi, phi)
+        lhs = modular_definitional(proj.mat, g, psi, phi)
         rhs = 1.0 + s * weak_definitional(proj, psi, phi)
         worst_proj = max(worst_proj, abs(lhs - rhs))
 
@@ -190,10 +189,8 @@ def test_criterion_6_modular_identities():
         herm = (herm + herm.conj().T) / 2
         herm /= np.max(np.abs(np.linalg.eigvalsh(herm)))
         c = int(rng.integers(-2, 4))
-        shifted = modular_definitional(LinearOperator((2, 2), c * np.eye(4) + herm),
-                                       g, psi, phi)
-        predicted = shift_modular(
-            modular_definitional(LinearOperator((2, 2), herm), g, psi, phi), c, s)
+        shifted = modular_definitional(c * np.eye(4) + herm, g, psi, phi)
+        predicted = shift_modular(modular_definitional(herm, g, psi, phi), c, s)
         worst_shift = max(worst_shift, abs(shifted - predicted))
     assert worst_proj <= 1e-10, f"projector identity error {worst_proj:.3e}"
     assert worst_shift <= 1e-10, f"shift identity error {worst_shift:.3e}"

@@ -146,6 +146,19 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, state={"preset": "fig3"})
         assert main(["sweep-theta", "--config", cfg, "--steps", "1"]) == EXIT_CONFIG
 
+    def test_steps_capped_before_the_grid_is_built(self, tmp_path, capsys, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("theta grid built")
+
+        cfg = write_config(tmp_path, state={"preset": "fig3"})
+        monkeypatch.setattr(np, "linspace", no_grid)
+        for steps in ("1000001", "1000000000000"):
+            assert main(["sweep-theta", "--config", cfg, "--steps", steps]) == EXIT_CONFIG
+            assert capsys.readouterr() == (
+                "", "error: config_error: --steps must be at most 1000000\n")
+        with pytest.raises(AssertionError, match="grid built"):  # the cap itself is allowed
+            main(["sweep-theta", "--config", cfg, "--steps", "1000000"])
+
     @pytest.mark.parametrize("state", [
         {"amps": [[0.5, 0]] * 6, "dims": [3, 2]}, {"amps": [[0.5, 0]] * 4, "dims": "zz"}, {},
     ])

@@ -219,6 +219,10 @@ FORMER_COERCIONS = [
     (fig4a(output_path=5), "reconstruct", []),
     (fig4a(state={"preset": "fig3"}, theta=True), "reconstruct", []),
     (fig4a(noise={"pairs_per_setting": 2.5}), "tomography", []),
+    # numeric strings outside the JSON number grammar, read by int() and float()
+    (fig4a(noise={"pairs_per_setting": 1000, "trials": "1_000"}), "reconstruct", []),
+    (fig4a(noise={"pairs_per_setting": 1000, "trials": "\u0662"}), "compare", []),
+    (fig4a(epsilon=" 0_2e-1 "), "reconstruct", []),
 ]
 
 

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from modval.hilbert import MAX_TOTAL_DIM, LinearOperator, PureState, inner
+from modval.hilbert import MAX_TOTAL_DIM, PureState, inner
 from tests.conftest import random_state
 from tests.oracle import (
+    LinearOperator,
     apply,
     basis_state,
     exp_projector_phase,

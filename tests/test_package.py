@@ -10,7 +10,7 @@ PUBLIC_NAMES = {
     "AllTrialsRejected", "ConfigError", "ModvalError", "NegativeDiscriminant",
     "OrthogonalPostselection",
     # hilbert
-    "DEFAULT_TOL", "LinearOperator", "PureState", "inner",
+    "DEFAULT_TOL", "PureState", "inner",
     # noise
     "CountingConfig", "MonteCarloResult", "NoisyEstimate", "monte_carlo", "noisy_trials",
     "sample_pauli_expectations", "trial_rngs",
@@ -29,8 +29,8 @@ PUBLIC_NAMES = {
 }
 
 # names that only the tests use; they live in tests/oracle.py
-TEST_ONLY = ("basis_state", "identity", "projector", "tensor", "tomography_settings",
-             "shift_modular", "weak_definitional", "trial_rng")
+TEST_ONLY = ("LinearOperator", "basis_state", "identity", "projector", "tensor",
+             "tomography_settings", "shift_modular", "weak_definitional", "trial_rng")
 REMOVED = ("Setting", "PlanEntry", "MeasurementPlan", "MeterOutcome", "MeterMode",
            "ZeroReferenceWeakValue")
 

@@ -136,7 +136,7 @@ class TestRunProtocol:
             cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=eps)
             out = run_protocol(cfg, list(cases))
             for k, obs in enumerate(cases.values()):
-                m_val = modular_definitional(obs, cfg.g, psi, phi)
+                m_val = modular_definitional(obs.mat, cfg.g, psi, phi)
                 amps = out.conditional_meter_amps[k]
                 ratio = amps[IDX_DOWN_UP] / amps[IDX_UP_DOWN]
                 assert abs(ratio - eps * m_val) <= 1e-10
@@ -146,7 +146,7 @@ class TestRunProtocol:
             psi, phi = random_pair(rng)
             eps = rng.uniform(0.05, 0.8)
             cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=eps)
-            m_val = modular_definitional(pair_sum(1, 1), cfg.g, psi, phi)
+            m_val = modular_definitional(pair_sum(1, 1).mat, cfg.g, psi, phi)
             overlap = abs(np.vdot(phi.amps, psi.amps)) ** 2
             expected = overlap * (1 + eps**2 * abs(m_val) ** 2) / (1 + eps**2)
             out = run_one(cfg, "pair", 1, 1)

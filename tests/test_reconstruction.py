@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modval.errors import NegativeDiscriminant, OrthogonalPostselection
-from modval.hilbert import LinearOperator, PureState, inner
+from modval.hilbert import PureState, inner
 from modval.presets import phase_bell, state_preset, uniform_plus
 from modval import protocol, reconstruction
 from modval.protocol import ProtocolConfig, run_protocol
@@ -49,21 +50,23 @@ def forward_probabilities(m_val: complex, eps: float) -> tuple[float, float]:
 
 class TestModularDefinitional:
     def test_single_projector_at_pi(self):
-        value = modular_definitional(embedded("a", 1), math.pi, phase_bell(0.0), uniform_plus())
+        value = modular_definitional(embedded("a", 1).mat, math.pi, phase_bell(0.0),
+                                     uniform_plus())
         assert abs(value) <= 1e-12  # weak value 1/2, so 1 + (-2)(1/2) = 0
 
     def test_projector_sum_at_pi(self):
-        value = modular_definitional(pair_sum(1, 1), math.pi, phase_bell(0.0), uniform_plus())
+        value = modular_definitional(pair_sum(1, 1).mat, math.pi, phase_bell(0.0),
+                                     uniform_plus())
         assert abs(value - 1.0) <= 1e-12  # the two pi phases cancel on |VV>
 
     def test_zero_observable(self, rng):
         psi, phi = random_pair(rng)
-        zero = LinearOperator((2, 2), np.zeros((4, 4)))
-        assert abs(modular_definitional(zero, math.pi, psi, phi) - 1.0) <= 1e-12
+        assert abs(modular_definitional(np.zeros((4, 4)), math.pi, psi, phi) - 1.0) <= 1e-12
 
     def test_orthogonal_raises(self):
         with pytest.raises(OrthogonalPostselection):
-            modular_definitional(embedded("a", 1), math.pi, phase_bell(math.pi), uniform_plus())
+            modular_definitional(embedded("a", 1).mat, math.pi, phase_bell(math.pi),
+                                 uniform_plus())
 
     def test_matches_taylor_series_exponential(self, rng):
         for dims in ((2, 2), (3, 2)):
@@ -75,14 +78,22 @@ class TestModularDefinitional:
             g = rng.uniform(0.3, 2 * math.pi - 0.3)
             evolved = taylor_expm(-1j * g * herm) @ psi.amps
             expected = np.vdot(phi.amps, evolved) / np.vdot(phi.amps, psi.amps)
-            value = modular_definitional(LinearOperator(dims, herm), g, psi, phi)
+            value = modular_definitional(herm, g, psi, phi)
             assert abs(value - expected) <= 1e-10
+
+    def test_shape_and_finite_entries_checked(self, rng):
+        psi, phi = random_pair(rng)
+        for wrong in (np.eye(3), np.eye(4)[:3], np.ones(4)):
+            with pytest.raises(ValueError, match="shape"):
+                modular_definitional(wrong, math.pi, psi, phi)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                modular_definitional(np.diag([1.0, bad, 0.0, 0.0]), math.pi, psi, phi)
 
     def test_non_hermitian_rejected(self, rng):
         psi, phi = random_pair(rng)
-        shear = LinearOperator((2, 2), np.triu(np.ones((4, 4))))
         with pytest.raises(ValueError, match="Hermitian"):
-            modular_definitional(shear, math.pi, psi, phi)
+            modular_definitional(np.triu(np.ones((4, 4))), math.pi, psi, phi)
 
 
 class TestWeakDefinitional:
@@ -176,9 +187,9 @@ class TestWeakFromModulars:
             g = rng.uniform(0.3, 2 * math.pi - 0.3)
             s = s_parameter(g)
             composed = weak_from_modulars(
-                modular_definitional(pair_sum(1, 1), g, psi, phi),
-                modular_definitional(embedded("a", 1), g, psi, phi),
-                modular_definitional(embedded("b", 1), g, psi, phi), s)
+                modular_definitional(pair_sum(1, 1).mat, g, psi, phi),
+                modular_definitional(embedded("a", 1).mat, g, psi, phi),
+                modular_definitional(embedded("b", 1).mat, g, psi, phi), s)
             direct = weak_definitional(pair_product(1, 1), psi, phi)
             assert abs(composed - direct) <= 1e-10
 
@@ -204,11 +215,26 @@ class TestShiftModular:
             herm = (herm + herm.conj().T) / 2
             herm /= np.max(np.abs(np.linalg.eigvalsh(herm)))
             c = int(rng.integers(-2, 4))
-            obs = LinearOperator((2, 2), herm)
-            shifted = LinearOperator((2, 2), c * np.eye(4) + herm)
-            lhs = modular_definitional(shifted, g, psi, phi)
-            rhs = shift_modular(modular_definitional(obs, g, psi, phi), c, s)
+            lhs = modular_definitional(c * np.eye(4) + herm, g, psi, phi)
+            rhs = shift_modular(modular_definitional(herm, g, psi, phi), c, s)
             assert abs(lhs - rhs) <= 1e-10
+
+
+def exponentiated(monkeypatch, dims) -> list[np.ndarray]:
+    """The matrices that ``definitional_modulars`` hands to ``np.linalg.eigh``, in order."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(mat):
+        seen.append(np.array(mat))
+        return eigh(mat)
+
+    cfg = ProtocolConfig(system_state=random_state(np.random.default_rng(3), dims),
+                         postselection=uniform_plus(*dims))
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", recording_eigh)
+        definitional_modulars(cfg)
+    return seen
 
 
 class TestMeasurementPlan:
@@ -221,40 +247,59 @@ class TestMeasurementPlan:
         assert 2 * len(plan) == params
         assert 2 * len(plan) == 2 * m * n - 2
 
-    def test_entry_structure(self):
+    def test_entry_structure(self, monkeypatch):
         plan = measurement_plan(2, 2)
         assert plan == (("single_a", 1, None), ("single_b", None, 1), ("pair", 1, 1))
         # singles are projectors, the pair entry is their sum
-        observables = reconstruction._plan_observables(2, 2)
-        np.testing.assert_allclose(observables[2].mat, observables[0].mat + observables[1].mat)
+        observables = exponentiated(monkeypatch, (2, 2))
+        np.testing.assert_array_equal(observables[0] @ observables[0], observables[0])
+        np.testing.assert_array_equal(observables[1] @ observables[1], observables[1])
+        np.testing.assert_array_equal(observables[2], observables[0] + observables[1])
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (4, 3), (5, 4)])
-    def test_observables_equal_the_projector_build(self, dims):
-        # the diagonal build, bit for bit, against tensor(projector, identity)
-        # and, for a pair, the sum of the two embedded projectors
-        observables = reconstruction._plan_observables(*dims)
+    def test_observables_equal_the_projector_build(self, monkeypatch, dims):
+        # every matrix the definitional oracle exponentiates, bit for bit,
+        # against tensor(projector, identity) and, for a pair, the sum of the
+        # two embedded projectors
+        observables = exponentiated(monkeypatch, dims)
         assert len(observables) == len(measurement_plan(*dims))
         for setting, observable in zip(measurement_plan(*dims), observables):
-            reference = plan_observable(dims, *setting)
-            assert observable.dims == reference.dims == dims
-            assert observable.mat.tobytes() == reference.mat.tobytes(), setting
+            reference = plan_observable(dims, *setting).mat
+            assert observable.dtype == reference.dtype
+            assert observable.tobytes() == reference.tobytes(), setting
 
     def test_plan_is_index_only(self, monkeypatch):
-        # the exact pipeline builds no system-space operator; only the
-        # definitional oracle builds the plan's observables
-        def no_operators(self):
-            raise AssertionError("dense operator built")
+        # the exact pipeline builds and exponentiates no system-space
+        # operator; only the definitional oracle does
+        def no_exponential(*args):
+            raise AssertionError("observable exponentiated")
 
         cfg = ProtocolConfig(system_state=random_state(np.random.default_rng(5), (4, 3)),
                              postselection=uniform_plus(4, 3))
         measurement_plan.cache_clear()
-        reconstruction._kept_observables.cache_clear()  # no observable built yet
-        monkeypatch.setattr(LinearOperator, "__post_init__", no_operators)
+        monkeypatch.setattr(np.linalg, "eigh", no_exponential)
+        monkeypatch.setattr(reconstruction, "modular_definitional", no_exponential)
         plan = measurement_plan(4, 3)
         assert all(len(setting) == 3 for setting in plan)
-        reconstruct_state(cfg, "exact_inversion")
-        with pytest.raises(AssertionError, match="dense operator"):
-            reconstruction._plan_observables(4, 3)
+        for method in ("exact_inversion", "first_order"):
+            reconstruct_state(cfg, method)
+        with pytest.raises(AssertionError, match="exponentiated"):
+            reconstruct_state(cfg, "definitional")
+
+    def test_definitional_holds_one_observable_at_a_time(self):
+        # a 9x8 plan has 71 observables of 72 x 72 complex (81 KiB each); held
+        # one at a time, with its eigenvectors and temporaries, a few of them
+        cfg = ProtocolConfig(system_state=random_state(np.random.default_rng(8), (9, 8)),
+                             postselection=uniform_plus(9, 8))
+        definitional_modulars(cfg)  # warm the plan and index caches
+        one = 72 * 72 * np.dtype(np.complex128).itemsize
+        tracemalloc.start()
+        try:
+            definitional_modulars(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * one, f"peak {peak} bytes, {peak / one:.1f} observables"
 
     def test_minimum_dimension(self):
         with pytest.raises(ValueError):
@@ -266,14 +311,6 @@ class TestMeasurementPlan:
         assert isinstance(plan, tuple) and all(isinstance(st, tuple) for st in plan)
         with pytest.raises(TypeError):
             plan[0] = ("pair", 1, 1)
-        observable = reconstruction._plan_observables(4, 3)[-1]
-        assert reconstruction._plan_observables(4, 3)[-1] is observable
-        assert not observable.mat.flags.writeable
-        # a large plan rebuilds its observables instead of keeping (m*n)^3 numbers
-        large = reconstruction._plan_observables(9, 8)[0]
-        again = reconstruction._plan_observables(9, 8)[0]
-        assert large is not again
-        np.testing.assert_array_equal(large.mat, again.mat)
         # the readout's run-independent index: built once per plan, read-only
         index = protocol._index_settings(plan, (4, 3))
         assert protocol._index_settings(plan, (4, 3)) is index
@@ -301,22 +338,6 @@ class TestMeasurementPlan:
             assert collect_probabilities(cfg).tobytes() == want.tobytes()
         assert len(calls) == 2
         assert all(settings is measurement_plan(4, 3) for settings in calls)
-
-    def test_sweep_builds_each_observable_once(self, monkeypatch, tmp_path, capsys):
-        from modval.cli import main
-
-        config = tmp_path / "sweep.json"
-        config.write_text('{"schema_version": 1, "state": {"preset": "fig3"}}')
-        reconstruction._kept_observables.cache_clear()
-        built = []
-        build = reconstruction._observable
-        monkeypatch.setattr(reconstruction, "_observable",
-                            lambda *args: built.append(args) or build(*args))
-        for steps in ("5", "9"):
-            assert main(["sweep-theta", "--config", str(config), "--steps", steps]) == 0
-        # single_a, single_b and the pair: three, for every theta
-        assert len(built) == 3
-        capsys.readouterr()
 
 
 class TestReconstruct:
@@ -346,8 +367,9 @@ class TestReconstruct:
                                  postselection=uniform_plus(), epsilon=eps)
             pipeline = reconstruct_state(cfg, "first_order")
             model_probs = [forward_probabilities(
-                modular_definitional(plan_observable((2, 2), *setting), cfg.g, cfg.system_state,
-                                     cfg.postselection), eps) for setting in plan]
+                modular_definitional(plan_observable((2, 2), *setting).mat, cfg.g,
+                                     cfg.system_state, cfg.postselection), eps)
+                for setting in plan]
             model = reconstruct(dims=(2, 2), postselection=uniform_plus(),
                                 s=s_parameter(cfg.g),
                                 modulars=invert_probabilities(model_probs, eps, "first_order"))
@@ -385,7 +407,8 @@ class TestReconstruct:
             psi, phi = random_pair(rng, min_overlap=0.4)
             count += 1
             for setting in plan:
-                m_val = modular_definitional(plan_observable((2, 2), *setting), math.pi, psi, phi)
+                m_val = modular_definitional(plan_observable((2, 2), *setting).mat, math.pi,
+                                             psi, phi)
                 for eps in errors:
                     p1, p2 = forward_probabilities(m_val, eps)
                     est = modular_first_order(p1, p2, eps)
@@ -474,6 +497,17 @@ class TestProperties:
         epsilon = min(1.0, margin / np.max(np.abs(definitional_modulars(cfg))))
         result = reconstruct_state(replace(cfg, epsilon=epsilon), "exact_inversion")
         assert abs(inner(psi, result.state())) ** 2 >= 1 - 1e-10
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(m=st.integers(2, 5), n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+           g=st.floats(0.3, 2 * math.pi - 0.3))
+    def test_definitional_modulars_equal_per_setting_calls(self, m, n, seed, g):
+        psi, phi = random_pair(np.random.default_rng(seed), (m, n), min_overlap=0.05)
+        cfg = ProtocolConfig(system_state=psi, postselection=phi, g=g)
+        expected = np.array([modular_definitional(plan_observable((m, n), *setting).mat,
+                                                  g, psi, phi)
+                             for setting in measurement_plan(m, n)])
+        assert definitional_modulars(cfg).tobytes() == expected.tobytes()
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(m=st.integers(2, 6), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
