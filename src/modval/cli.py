@@ -23,6 +23,11 @@ The JSON config schema (version 1)::
       "format": "csv"                    // csv | json
     }
 
+``parse_config`` resolves the document once, into the ``ProtocolConfig``
+every subcommand runs. Only the keys shown are read; a state or
+postselection object holds "preset" alone or "amps" (JSON numbers, never
+bools) with an optional "dims".
+
 Flags --method/--epsilon/--out/--format replace those fields of the document
 and --pairs/--trials/--seed those of its noise object (created if absent)
 before anything is validated, so a flag is checked exactly as the field it
@@ -42,8 +47,9 @@ dims factor must be integral, theta, epsilon and g finite; clamp must be a
 bool, method, format and output_path strings); ``dims`` that are not two
 factors each at least 2; a null in a field with a non-null default (only
 "theta" may be null); pairs_per_setting above 2**63 - 1 or trials above
-10**6; a negative seed; a ``sweep-theta`` state other than the fig3
-preset; and ``--steps`` below 2 or above 10**6 (the trials cap).
+10**6; a negative seed; an unknown key; and, checked first, a
+``sweep-theta`` state other than the fig3 preset and ``--steps`` below 2
+or above 10**6 (the trials cap).
 
 Tables are built column by column (``write_table``) and written with one
 csv.writer call, or as JSON rows of the same values.
@@ -79,7 +85,6 @@ from .presets import (
     phase_bell,
     postselection_preset,
     state_preset,
-    uniform_plus,
 )
 from .protocol import ProtocolConfig
 from .reconstruction import METHODS, reconstruct_state, require_full_support, split_plan
@@ -106,11 +111,7 @@ _EXIT_BY_ERROR = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    state_spec: dict
-    postselection_spec: dict
-    theta: float | None
-    epsilon: float
-    g: float
+    protocol: ProtocolConfig
     method: str
     noise: CountingConfig | None
     output_path: str
@@ -149,6 +150,18 @@ def _typed(value, kind: type):
 
 _KIND_NAMES = {str: "a string", bool: "true or false", int: "an integer", float: "a finite number"}
 _REQUIRED = object()  # the default of a field that must be given
+# the fields of a config document and of its noise object; any other key is an error
+_FIELDS = ("schema_version", "state", "theta", "postselection", "epsilon", "g", "method",
+           "noise", "output_path", "format")
+_NOISE_FIELDS = (("pairs_per_setting", int, _REQUIRED), ("trials", int, 1), ("seed", int, 0),
+                 ("clamp", bool, False))
+
+
+def _reject_unknown(obj: dict, known: tuple[str, ...], where: str = "") -> None:
+    """ConfigError naming the first key of ``obj`` outside ``known``."""
+    for name in obj:
+        if name not in known:
+            raise ConfigError(f"{where}unknown field {name!r} (allowed: {', '.join(known)})")
 
 
 def _field(doc: dict, name: str, kind: type, default, where: str = ""):
@@ -183,47 +196,33 @@ def _parse_amplitudes(spec: dict, field: str) -> PureState:
         amps = np.array([complex(re, im) for re, im in spec["amps"]])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{field}.amps must be a list of [re, im] pairs: {exc}") from None
+    if any(type(part) is bool for pair in spec["amps"] for part in pair):  # complex(True) is 1
+        raise ConfigError(f"{field}.amps must be numbers, not true or false")
     if not np.all(np.isfinite(amps)):  # NaN or Infinity literals
         raise ConfigError(f"{field}.amps must be finite numbers")
     norm = float(np.linalg.norm(amps))
     if norm == 0.0:
         raise ConfigError(f"{field}.amps must not be all zero")
     if abs(norm - 1.0) > 1e-6:
-        sys.stderr.write(
-            f"warning: {field} amplitudes renormalized (norm was {norm:.9f})\n"
-        )
+        sys.stderr.write(f"warning: {field} amplitudes renormalized (norm was {norm:.9f})\n")
     try:
         return PureState(dims, amps / norm)
     except ValueError as exc:
         raise ConfigError(f"{field}: {exc}") from None
 
 
-def _resolve_state(cfg: RunConfig) -> PureState:
-    spec = cfg.state_spec
+def _resolve(spec: dict, field: str, presets: tuple[str, ...], preset) -> PureState:
+    """State or postselection ``field``: ``preset(name)`` of one of ``presets``, or amps."""
     if "preset" in spec:
+        _reject_unknown(spec, ("preset",), f"{field}: ")
         name = spec["preset"]
-        if name not in STATE_PRESETS:
-            raise ConfigError(f"state.preset must be one of {STATE_PRESETS}, got {name!r}")
-        return state_preset(name, cfg.theta)
+        if name not in presets:
+            raise ConfigError(f"{field}.preset must be one of {presets}, got {name!r}")
+        return preset(name)
     if "amps" in spec:
-        return _parse_amplitudes(spec, "state")
-    raise ConfigError("state must carry either a preset name or explicit amps")
-
-
-def _resolve_postselection(cfg: RunConfig, dims: tuple[int, int]) -> PureState:
-    spec = cfg.postselection_spec
-    if "preset" in spec:
-        name = spec["preset"]
-        if name == "uniform_plus":
-            return uniform_plus(*dims)
-        if name not in POSTSELECTION_PRESETS:
-            raise ConfigError(
-                f"postselection.preset must be one of {POSTSELECTION_PRESETS}, got {name!r}"
-            )
-        return postselection_preset(name)
-    if "amps" in spec:
-        return _parse_amplitudes(spec, "postselection")
-    raise ConfigError("postselection must carry either a preset name or explicit amps")
+        _reject_unknown(spec, ("amps", "dims"), f"{field}: ")
+        return _parse_amplitudes(spec, field)
+    raise ConfigError(f"{field} must carry either a preset name or explicit amps")
 
 
 def _read_document(path: str) -> dict:
@@ -263,10 +262,11 @@ def _overlay(doc: dict, args: argparse.Namespace) -> dict:
 
 
 def parse_config(doc: dict) -> RunConfig:
-    """Validate a run configuration document, typing every scalar field."""
+    """The run a config document describes, with every field validated and typed."""
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
+    _reject_unknown(doc, _FIELDS)
     method = _field(doc, "method", str, "exact_inversion")
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
@@ -278,10 +278,9 @@ def parse_config(doc: dict) -> RunConfig:
     if noise is not None:
         if not isinstance(noise, dict):
             raise ConfigError("noise must be an object")
-        fields = (("pairs_per_setting", int, _REQUIRED), ("trials", int, 1), ("seed", int, 0),
-                  ("clamp", bool, False))
+        _reject_unknown(noise, tuple(name for name, _, _ in _NOISE_FIELDS), "noise: ")
         counting = {name: _field(noise, name, kind, default, "noise: ")
-                    for name, kind, default in fields}
+                    for name, kind, default in _NOISE_FIELDS}
         try:
             noise = CountingConfig(**counting)
         except ValueError as exc:
@@ -293,32 +292,38 @@ def parse_config(doc: dict) -> RunConfig:
     postsel_spec = doc.get("postselection", {"preset": "uniform_plus"})
     if not isinstance(postsel_spec, dict):
         raise ConfigError("field 'postselection' must be an object")
-    return RunConfig(
-        state_spec=state_spec,
-        postselection_spec=postsel_spec,
-        theta=_field(doc, "theta", float, None),
-        epsilon=_field(doc, "epsilon", float, 0.2),
-        g=_field(doc, "g", float, math.pi),
-        method=method,
-        noise=noise,
-        output_path=_field(doc, "output_path", str, "-"),
-        format=fmt,
-    )
-
-
-def _protocol_config(cfg: RunConfig, state: PureState) -> ProtocolConfig:
-    postselection = _resolve_postselection(cfg, state.dims)
+    theta = _field(doc, "theta", float, None)
+    epsilon = _field(doc, "epsilon", float, 0.2)
+    g = _field(doc, "g", float, math.pi)
+    output_path = _field(doc, "output_path", str, "-")
+    state = _resolve(state_spec, "state", STATE_PRESETS, lambda name: state_preset(name, theta))
+    postselection = _resolve(postsel_spec, "postselection", POSTSELECTION_PRESETS,
+                             lambda name: postselection_preset(name, state.dims))
     try:
-        return ProtocolConfig(system_state=state, postselection=postselection,
-                              epsilon=cfg.epsilon, g=cfg.g)
+        protocol = ProtocolConfig(system_state=state, postselection=postselection,
+                                  epsilon=epsilon, g=g)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    return RunConfig(protocol=protocol, method=method, noise=noise, output_path=output_path,
+                     format=fmt)
 
 
-def _direct_config(cfg: RunConfig, state: PureState) -> ProtocolConfig:
-    """``_protocol_config`` for a direct reconstruction, checked before any run:
-    every postselection amplitude must be nonzero."""
-    pcfg = _protocol_config(cfg, state)
+def _check_sweep(doc: dict, theta_min: float, theta_max: float, steps: int) -> None:
+    """The sweep-theta checks, made on the document before ``parse_config``."""
+    if steps < 2:
+        raise ConfigError("--steps must be at least 2")
+    if steps > _MAX_STEPS:
+        raise ConfigError(f"--steps must be at most {_MAX_STEPS}")
+    for flag, value in (("--theta-min", theta_min), ("--theta-max", theta_max)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be a finite number, got {value!r}")
+    state = doc.get("state")
+    if not isinstance(state, dict) or state.get("preset") != "fig3":
+        raise ConfigError("sweep-theta requires the fig3 state preset")
+
+
+def _full_support(pcfg: ProtocolConfig) -> ProtocolConfig:
+    """``pcfg`` if every postselection amplitude is nonzero, as direct reconstruction needs."""
     try:
         require_full_support(pcfg.postselection)
     except ValueError as exc:
@@ -419,8 +424,8 @@ def _component_columns(dims: tuple[int, int], amplitudes, weak_values, modulars,
 
 def cmd_reconstruct(cfg: RunConfig) -> None:
     """Amplitude table for one configuration (exact or noise-propagated)."""
-    pcfg = _direct_config(cfg, _resolve_state(cfg))
-    meta = {"method": cfg.method, "epsilon": cfg.epsilon, "g": cfg.g}
+    pcfg = _full_support(cfg.protocol)
+    meta = {"method": cfg.method, "epsilon": pcfg.epsilon, "g": pcfg.g}
     columns = _grid_columns(("comp_a", "comp_b"), pcfg.dims)
     if cfg.noise is None:
         result = reconstruct_state(pcfg, cfg.method)
@@ -447,19 +452,10 @@ def cmd_sweep_theta(cfg: RunConfig, theta_min: float, theta_max: float, steps: i
     Rows where the postselection is orthogonal (theta = +/-pi with the
     uniform postselection) carry an error marker and empty numeric cells.
     """
-    if steps < 2:
-        raise ConfigError("--steps must be at least 2")
-    if steps > _MAX_STEPS:
-        raise ConfigError(f"--steps must be at most {_MAX_STEPS}")
-    for flag, value in (("--theta-min", theta_min), ("--theta-max", theta_max)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{flag} must be a finite number, got {value!r}")
-    if cfg.state_spec.get("preset") != "fig3":
-        raise ConfigError("sweep-theta requires the fig3 state preset")
     if cfg.noise is not None:
         sys.stderr.write("warning: sweep-theta runs the exact pipeline; noise config ignored\n")
 
-    base = _direct_config(cfg, phase_bell(0.0))
+    base = _full_support(cfg.protocol)
     thetas = np.linspace(theta_min, theta_max, steps)
     methods = ("definitional", "first_order", "exact_inversion")
     errors = []  # per row: the error code, or None
@@ -483,7 +479,7 @@ def cmd_sweep_theta(cfg: RunConfig, theta_min: float, theta_max: float, steps: i
                            ("psi_vv", values[:, 3])):
         columns.update(_complex_columns(prefix, column, at=done, rows=len(errors)))
     columns["error"] = errors
-    meta = {"epsilon": cfg.epsilon, "g": cfg.g,
+    meta = {"epsilon": base.epsilon, "g": base.g,
             "theta_min": theta_min, "theta_max": theta_max, "steps": steps}
     write_table(columns, meta=meta, output_path=cfg.output_path,
                 fmt=cfg.format, timestamp=cfg.timestamp)
@@ -496,9 +492,8 @@ def _require_two_qubits(pcfg: ProtocolConfig) -> None:
 
 def cmd_tomography(cfg: RunConfig) -> None:
     """Density-matrix artifact from linear inversion (exact or one noisy draw)."""
-    pcfg = _protocol_config(cfg, _resolve_state(cfg))
-    _require_two_qubits(pcfg)
-    expectations = pauli_expectations(pcfg.system_state)
+    _require_two_qubits(cfg.protocol)
+    expectations = pauli_expectations(cfg.protocol.system_state)
     meta = {}
     if cfg.noise is not None:
         expectations = sample_pauli_expectations(expectations, cfg.noise.pairs_per_setting,
@@ -521,11 +516,11 @@ def cmd_compare(cfg: RunConfig) -> None:
     rejected trial gets a row with only its error code; with every trial
     rejected the run ends in AllTrialsRejected (exit 5) instead.
     """
-    pcfg = _direct_config(cfg, _resolve_state(cfg))
+    pcfg = _full_support(cfg.protocol)
     _require_two_qubits(pcfg)
     truth = pcfg.system_state
     exact_expect = pauli_expectations(truth)
-    meta = {"method": cfg.method, "epsilon": cfg.epsilon}
+    meta = {"method": cfg.method, "epsilon": pcfg.epsilon}
     if cfg.noise is None:
         kept, result = np.ones(1, dtype=bool), reconstruct_state(pcfg, cfg.method)
         expectations = [exact_expect]
@@ -590,6 +585,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         doc = _overlay(_read_document(args.config), args)
+        if args.command == "sweep-theta":
+            _check_sweep(doc, args.theta_min, args.theta_max, args.steps)
         cfg = replace(parse_config(doc), timestamp=not args.no_timestamp)
         if args.command == "reconstruct":
             cmd_reconstruct(cfg)

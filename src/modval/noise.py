@@ -16,7 +16,6 @@ not depend on execution order; ``trial_rngs`` seeds every trial's generator at o
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 
@@ -88,27 +87,28 @@ class MonteCarloResult:
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq_fe) on 32-bit words with a 4-word pool. No
-# constant depends on the data, so trial_rngs hashes the seed once and the trial words as arrays.
-_MASK = 0xFFFF_FFFF
+# constant depends on the data, so the trial words are hashed as uint32 arrays, whose
+# products wrap mod 2**32 as the hash's do (numpy scalars would warn on the wrap).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R_NEG = 0xCA01F9DD, -0x4973F715 & _MASK  # mix's "- R * y" as "+ (-R) * y"
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 @functools.cache
-def _constants(init: int, mult: int, steps: int) -> tuple[tuple[int, int], ...]:
-    """(constant, successor) of a hash's first ``steps`` steps."""
-    consts = [init * pow(mult, k, 1 << 32) & _MASK for k in range(steps + 1)]
-    return tuple(zip(consts, consts[1:]))
+def _constants(init: int, mult: int, first: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(constants, successors) of a hash's steps ``first`` to ``first + steps - 1``."""
+    consts = np.array([init * pow(mult, k, 1 << 32) % (1 << 32)
+                       for k in range(first, first + steps + 1)], dtype=np.uint32)
+    return consts[:-1], consts[1:]
 
 
 def _hash(value, const, successor):
-    """One hash step on ints or uint64 arrays of 32-bit words; no product passes 64 bits."""
-    value = (value ^ const) * successor & _MASK
+    """One hash step on uint32 arrays."""
+    value = (value ^ const) * successor
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    result = (_MIX_L * x & _MASK) + (_MIX_R_NEG * y & _MASK) & _MASK
+    result = _MIX_L * x - _MIX_R * y
     return result ^ result >> 16
 
 
@@ -128,23 +128,22 @@ def _state_seed_sequence():
 
 
 def trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
-    """Trial t's generator, bit for bit ``default_rng(SeedSequence(seed, spawn_key=(t,)))``."""
+    """Trial t's generator, bit for bit ``default_rng(SeedSequence(seed, spawn_key=(t,)))``;
+    every trial's hash starts from the pool of ``SeedSequence(seed)``."""
+    from numpy.random.bit_generator import SeedSequence
+
     if (seed := operator.index(seed)) < 0:  # a numpy integer too, as SeedSequence takes
         raise ValueError("seed must be non-negative")
-    words = [seed >> 32 * k & _MASK for k in range(max(4, -(-seed.bit_length() // 32)))]
-    steps = iter(_constants(_INIT_A, _MULT_A, 4 * len(words) + 4))  # 4 per seed word, 4 for t
-    pool = [_hash(word, *next(steps)) for word in words[:4]]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = _mix(pool[dst], _hash(pool[src], *next(steps)))
-    for word, dst in itertools.product(words[4:], range(4)):
-        pool[dst] = _mix(pool[dst], _hash(word, *next(steps)))
-    spawn = _hash(np.arange(trials, dtype=np.uint64)[:, None], *np.array(list(steps), np.uint64).T)
-    pools = _mix(np.array(pool, dtype=np.uint64), spawn)
-    out_steps = np.array(_constants(_INIT_B, _MULT_B, 8), np.uint64).T.reshape(2, 2, 4)
-    state = _hash(pools[:, None], *out_steps)  # (T, 2, 4): word 4r + c hashes pool word c
+    # the pool took 4 hash steps per seed word, padded to 4 words; the spawn word takes 4 more
+    first = 4 * max(4, -(-seed.bit_length() // 32))
+    spawn = _hash(np.arange(trials, dtype=np.uint32)[:, None],
+                  *_constants(_INIT_A, _MULT_A, first, 4))
+    pools = _mix(SeedSequence(seed).pool, spawn)  # (T, 4)
+    # output word k (of 8) hashes pool word k % 4
+    state = _hash(np.tile(pools, 2), *_constants(_INIT_B, _MULT_B, 0, 8))
     seed_sequence = _state_seed_sequence()
     return [np.random.Generator(np.random.PCG64(seed_sequence(row)))
-            for row in state.reshape(-1, 8).astype("<u4").view("<u8").astype(np.uint64)]
+            for row in state.astype("<u4").view("<u8").astype(np.uint64)]
 
 
 def _complex_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

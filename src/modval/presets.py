@@ -1,9 +1,11 @@
-"""Named two-qubit preparation and postselection states.
+"""Named preparation and postselection states.
 
-The ``fig3``/``fig4*`` identifiers are the preset names of the CLI schema:
-fig3 is the phase family (|HH> + e^{i theta}|VV>)/sqrt2, fig4a-fig4d are
-the four demonstration states, and ``alt_postselection`` is the
-(+,-)-product postselection used near the orthogonal regime.
+The ``fig3``/``fig4*`` identifiers are the state preset names of the CLI
+schema: fig3 is the phase family (|HH> + e^{i theta}|VV>)/sqrt2, fig4a-fig4d
+the four two-qubit demonstration states. ``postselection_preset`` sizes
+``uniform_plus``, the uniform superposition, to the system's m x n dims;
+``alt_postselection`` is the two-qubit (+,-)-product state used near the
+orthogonal regime.
 """
 
 from __future__ import annotations
@@ -51,9 +53,10 @@ def state_preset(name: str, theta: float | None = None) -> PureState:
     raise ValueError(f"unknown state preset {name!r}; choose from {STATE_PRESETS}")
 
 
-def postselection_preset(name: str) -> PureState:
+def postselection_preset(name: str, dims: tuple[int, int]) -> PureState:
+    """Postselection preset ``name`` for a system of ``dims``."""
     if name == "uniform_plus":
-        return uniform_plus()
+        return uniform_plus(*dims)
     if name == "alt_postselection":
         return alt_postselection()
     raise ValueError(

@@ -8,7 +8,10 @@ byte for byte::
     python tests/cli_digest.py --src src > after.txt
     diff before.txt after.txt
 
-``--every N`` runs every N-th entry of the grid only.
+``--every N`` runs every N-th entry of the grid only. The full grid's output
+is pinned in ``tests/data/cli_digest.txt``, which ``tests/test_cli.py``
+compares line by line; a deliberate output change regenerates it with
+``python tests/cli_digest.py --src src > tests/data/cli_digest.txt``.
 
 A run that raises records the exception type in place of an exit code, so a
 crash shows up as a changed digest instead of ending the sweep.
@@ -152,6 +155,18 @@ def digest(captured: tuple[str, str, str]) -> str:
     return hashlib.sha256("\0".join(captured).encode("utf-8")).hexdigest()
 
 
+def lines(modval_main, every: int = 1) -> list[str]:
+    """``<sha256> <label>`` of every ``every``-th grid run, made in a temporary directory."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # relative outputs, such as "5" from "output_path": 5, land here
+        try:
+            return [f"{digest(capture(modval_main, Path(tmp), command, fields, flags))} {label}"
+                    for label, command, fields, flags in runs()[::every]]
+        finally:
+            os.chdir(cwd)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="source tree holding the modval package")
@@ -160,14 +175,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     from modval.cli import main as modval_main
 
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)  # relative outputs, such as "5" from "output_path": 5, land here
-        try:
-            for label, command, fields, flags in runs()[::args.every]:
-                print(digest(capture(modval_main, Path(tmp), command, fields, flags)), label)
-        finally:
-            os.chdir(cwd)
+    for line in lines(modval_main, args.every):
+        print(line)
     return 0
 
 

@@ -159,6 +159,15 @@ class TestSweepCommand:
         with pytest.raises(AssertionError, match="grid built"):  # the cap itself is allowed
             main(["sweep-theta", "--config", cfg, "--steps", "1000000"])
 
+    def test_sweep_checks_precede_the_document_fields(self, tmp_path, capsys):
+        # the --steps, bound and fig3 checks run on the document before it is parsed
+        cfg = write_config(tmp_path, state={"preset": "fig3"}, epsilon="abc")
+        assert main(["sweep-theta", "--config", cfg, "--steps", "1"]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "error: config_error: --steps must be at least 2\n")
+        assert main(["sweep-theta", "--config", cfg, "--steps", "3"]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", "error: config_error: field 'epsilon' must be a finite number, got 'abc'\n")
+
     @pytest.mark.parametrize("state", [
         {"amps": [[0.5, 0]] * 6, "dims": [3, 2]}, {"amps": [[0.5, 0]] * 4, "dims": "zz"}, {},
     ])
@@ -542,7 +551,14 @@ class TestParserReuse:
 
 
 class TestCliDigest:
-    """A slice of the seeded parent-vs-change sweep in tests/cli_digest.py."""
+    """The seeded sweep of tests/cli_digest.py, pinned in tests/data/cli_digest.txt."""
+
+    def test_full_grid_matches_the_pinned_digests(self):
+        pinned = (Path(__file__).parent / "data" / "cli_digest.txt").read_text().splitlines()
+        got = cli_digest.lines(main)
+        assert len(got) == len(pinned) == len(cli_digest.runs())
+        changed = [line for line, want in zip(got, pinned) if line != want]
+        assert not changed, changed[:10]
 
     def test_slice_is_deterministic_and_fails_cleanly(self, tmp_path):
         grid = cli_digest.runs()

@@ -225,6 +225,26 @@ FORMER_COERCIONS = [
     (fig4a(epsilon=" 0_2e-1 "), "reconstruct", []),
 ]
 
+# (config, subcommand, flags, error message) whose bool amplitude or unknown key was read
+# silently (exit 0: true as 1, the key dropped) and now exit 2 naming it
+FORMER_SILENT_READS = [
+    (fig4a(state={"amps": [[True, False]] + [[0.5, 0]] * 3}), "reconstruct", [],
+     "state.amps must be numbers, not true or false"),
+    (fig4a(postselection={"amps": [[0.5, 0]] * 3 + [[0.5, False]]}), "compare", [],
+     "postselection.amps must be numbers, not true or false"),
+    (fig4a(noise={"pairs_per_setting": 1000, "trails": 5}), "reconstruct", [],
+     "noise: unknown field 'trails' (allowed: pairs_per_setting, trials, seed, clamp)"),
+    (fig4a(epsilom=0.9), "reconstruct", [],
+     "unknown field 'epsilom' (allowed: schema_version, state, theta, postselection, "
+     "epsilon, g, method, noise, output_path, format)"),
+    (fig4a(state={"preset": "fig4a", "amps": [[0.5, 0]] * 4}), "reconstruct", [],
+     "state: unknown field 'amps' (allowed: preset)"),
+    (fig4a(state={"amps": [[0.5, 0]] * 4, "dim": [2, 2]}), "tomography", [],
+     "state: unknown field 'dim' (allowed: amps, dims)"),
+    (fig4a(postselection={"preset": "uniform_plus", "dims": [3, 2]}), "compare", [],
+     "postselection: unknown field 'dims' (allowed: preset)"),
+]
+
 
 def with_examples(cases):
     def decorate(test):
@@ -236,7 +256,8 @@ def with_examples(cases):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(doc=documents, command_line=command_lines())
-@with_examples(FORMER_TRACEBACKS + FORMER_COERCIONS)
+@with_examples(FORMER_TRACEBACKS + FORMER_COERCIONS
+               + [case[:3] for case in FORMER_SILENT_READS])
 def test_every_input_ends_in_a_result_or_one_error_line(run_dir, doc, command_line):
     code, err = run(run_dir, doc, *command_line)
     assert code in {0, 2, 3, 4, 5}
@@ -254,6 +275,12 @@ def test_former_tracebacks_are_config_errors(run_dir, doc, command, flags):
     code, err = run(run_dir, doc, command, flags)
     assert code == 2
     assert err.startswith("error: config_error: ") and err.count("\n") == 1
+
+
+
+@pytest.mark.parametrize("doc, command, flags, message", FORMER_SILENT_READS)
+def test_former_silent_reads_are_one_named_error(run_dir, doc, command, flags, message):
+    assert run(run_dir, doc, command, flags) == (2, f"error: config_error: {message}\n")
 
 
 INTEGER_FIELDS = ("pairs_per_setting", "trials", "seed")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from modval import protocol, reconstruction
 from modval.errors import OrthogonalPostselection
 from modval.hilbert import PureState
-from modval.presets import alt_postselection, phase_bell, uniform_plus
+from modval.presets import alt_postselection, phase_bell, postselection_preset, uniform_plus
 from modval.protocol import (
     IDX_DOWN_UP,
     IDX_UP_DOWN,
@@ -339,6 +339,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="dims"):
             ProtocolConfig(system_state=phase_bell(0.0),
                            postselection=PureState((4,), np.full(4, 0.5)))
+
+    def test_postselection_presets_take_the_system_dims(self):
+        for dims in ((2, 2), (3, 2)):
+            preset = postselection_preset("uniform_plus", dims)
+            assert preset.dims == dims
+            np.testing.assert_array_equal(preset.amps, uniform_plus(*dims).amps)
+        np.testing.assert_array_equal(postselection_preset("alt_postselection", (2, 2)).amps,
+                                      alt_postselection().amps)
 
     def test_alt_postselection_is_usable_at_pi(self):
         cfg = ProtocolConfig(system_state=phase_bell(math.pi),
