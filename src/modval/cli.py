@@ -28,19 +28,23 @@ every subcommand runs. Only the keys shown are read; a state or
 postselection object holds "preset" alone or "amps" (JSON numbers, never
 bools) with an optional "dims".
 
-Flags --method/--epsilon/--out/--format replace those fields of the document
-and --pairs/--trials/--seed those of its noise object (created if absent)
-before anything is validated, so a flag is checked exactly as the field it
-overrides. --no-timestamp removes the generated-at header so outputs are
-byte-identical for a fixed config and seed.
+The parser only splits the command line. Flags --method/--epsilon/--out/
+--format replace those fields of the document and --pairs/--trials/--seed
+those of its noise object (created if absent), as the strings given and
+before anything is validated, so each is read by the one typed reader exactly
+as the field it replaces; --steps/--theta-min/--theta-max use the same
+reader. --no-timestamp removes the generated-at header so outputs are
+byte-identical for a fixed config and seed. A usage error (an unknown flag
+or subcommand, a missing --config or flag value) is a config error.
 
-Exit codes: 0 success, 2 config error, 3 orthogonal postselection,
-4 inversion failure, 5 all trials rejected (a noisy ``reconstruct`` or
-``compare`` in which no trial inverts). Every error prints one line
-``error: <code>: <message>`` to stderr. Config errors include a config
-that cannot be read and an output that cannot be written (a directory, or
-a path in a missing directory); a wrongly typed field (a number is a JSON
-number, or a string that is one by the JSON number grammar
+Exit codes: 0 success, else the error class's ``exit_code``: 2 config
+error, 3 orthogonal postselection, 4 inversion failure, 5 all trials
+rejected (a noisy ``reconstruct`` or ``compare`` in which no trial inverts).
+Every error prints one line ``error: <code>: <message>`` to stderr. Config
+errors include a config that cannot be read and an output that cannot be
+written (a directory, or a path in a missing directory); a wrongly typed
+field or flag (a number is a JSON number, or a string that is one by the
+JSON number grammar
 ``-?(0|[1-9][0-9]*)([.][0-9]+)?([eE][+-]?[0-9]+)?`` in ASCII digits with no
 space or underscore, never a bool; pairs_per_setting, trials, seed and each
 dims factor must be integral, theta, epsilon and g finite; clamp must be a
@@ -48,11 +52,11 @@ bool, method, format and output_path strings); ``dims`` that are not two
 factors each at least 2; a null in a field with a non-null default (only
 "theta" may be null); pairs_per_setting above 2**63 - 1 or trials above
 10**6; a negative seed; an unknown key; and, checked first, a
-``sweep-theta`` state other than the fig3 preset and ``--steps`` below 2
-or above 10**6 (the trials cap).
+``sweep-theta`` state other than the fig3 preset, ``--steps`` below 2 or
+above 10**6 (the trials cap) and a non-finite ``--theta-min``/``--theta-max``.
 
-Tables are built column by column (``write_table``) and written with one
-csv.writer call, or as JSON rows of the same values.
+Each subcommand returns its table's columns; ``main`` writes every table
+with the one ``write_table`` call.
 """
 
 from __future__ import annotations
@@ -70,13 +74,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import (
-    AllTrialsRejected,
-    ConfigError,
-    ModvalError,
-    NegativeDiscriminant,
-    OrthogonalPostselection,
-)
+from .errors import ConfigError, ModvalError, NegativeDiscriminant
 from .hilbert import PureState
 from .noise import CountingConfig, monte_carlo, noisy_trials, sample_pauli_expectations, trial_rngs
 from .presets import (
@@ -92,21 +90,8 @@ from .tomography import fidelity_pure, fidelity_states, linear_inversion, pauli_
 
 SCHEMA_VERSION = 1
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_PROTOCOL = 3
-EXIT_INVERSION = 4
-EXIT_ALL_REJECTED = 5
-
 # a desk-scale cap on sweep-theta's grid, as noise caps trials
 _MAX_STEPS = 10**6
-
-_EXIT_BY_ERROR = (
-    (OrthogonalPostselection, EXIT_PROTOCOL),
-    (NegativeDiscriminant, EXIT_INVERSION),
-    (AllTrialsRejected, EXIT_ALL_REJECTED),
-    (ConfigError, EXIT_CONFIG),
-)
 
 
 @dataclass(frozen=True)
@@ -116,7 +101,6 @@ class RunConfig:
     noise: CountingConfig | None
     output_path: str
     format: str
-    timestamp: bool = True
 
 
 # the JSON number grammar (RFC 8259) in ASCII digits; int() and float()
@@ -164,8 +148,16 @@ def _reject_unknown(obj: dict, known: tuple[str, ...], where: str = "") -> None:
             raise ConfigError(f"{where}unknown field {name!r} (allowed: {', '.join(known)})")
 
 
+def _read(value, kind: type, name: str):
+    """``value`` read by ``_typed``, or a ConfigError saying what ``name`` must be."""
+    try:
+        return _typed(value, kind)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}") from None
+
+
 def _field(doc: dict, name: str, kind: type, default, where: str = ""):
-    """Field ``name`` of ``doc`` read by ``_typed``, or ``default`` when absent.
+    """Field ``name`` of ``doc`` read by ``_read``, or ``default`` when absent.
 
     A null is an error unless the default is None.
     """
@@ -176,11 +168,7 @@ def _field(doc: dict, name: str, kind: type, default, where: str = ""):
         if default is None:
             return None
         raise ConfigError(f"{where}field {name!r} must not be null")
-    try:
-        return _typed(value, kind)
-    except (ValueError, OverflowError):
-        raise ConfigError(f"{where}field {name!r} must be {_KIND_NAMES[kind]}, "
-                          f"got {value!r}") from None
+    return _read(value, kind, f"{where}field {name!r}")
 
 
 def _parse_amplitudes(spec: dict, field: str) -> PureState:
@@ -244,7 +232,7 @@ def _read_document(path: str) -> dict:
 
 
 def _overlay(doc: dict, args: argparse.Namespace) -> dict:
-    """The config document with the given flags written over its fields.
+    """The config document with the given flags written over its fields, as strings.
 
     --pairs/--trials/--seed go into the noise object, which they create if
     it is absent; a noise that is not an object is left for the validation
@@ -308,18 +296,20 @@ def parse_config(doc: dict) -> RunConfig:
                      format=fmt)
 
 
-def _check_sweep(doc: dict, theta_min: float, theta_max: float, steps: int) -> None:
-    """The sweep-theta checks, made on the document before ``parse_config``."""
+def _check_sweep(doc: dict, args: argparse.Namespace) -> tuple[float, float, int]:
+    """The sweep-theta grid (theta_min, theta_max, steps), its flags read by ``_read``;
+    checked on the document before ``parse_config``, so these errors come first."""
+    steps = _read(args.steps, int, "--steps")
     if steps < 2:
         raise ConfigError("--steps must be at least 2")
     if steps > _MAX_STEPS:
         raise ConfigError(f"--steps must be at most {_MAX_STEPS}")
-    for flag, value in (("--theta-min", theta_min), ("--theta-max", theta_max)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{flag} must be a finite number, got {value!r}")
+    theta_min = _read(args.theta_min, float, "--theta-min")
+    theta_max = _read(args.theta_max, float, "--theta-max")
     state = doc.get("state")
     if not isinstance(state, dict) or state.get("preset") != "fig3":
         raise ConfigError("sweep-theta requires the fig3 state preset")
+    return theta_min, theta_max, steps
 
 
 def _full_support(pcfg: ProtocolConfig) -> ProtocolConfig:
@@ -422,7 +412,7 @@ def _component_columns(dims: tuple[int, int], amplitudes, weak_values, modulars,
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_reconstruct(cfg: RunConfig) -> None:
+def cmd_reconstruct(cfg: RunConfig) -> tuple[dict, dict, None]:
     """Amplitude table for one configuration (exact or noise-propagated)."""
     pcfg = _full_support(cfg.protocol)
     meta = {"method": cfg.method, "epsilon": pcfg.epsilon, "g": pcfg.g}
@@ -442,11 +432,11 @@ def cmd_reconstruct(cfg: RunConfig) -> None:
                                           mc.modulars.mean, float(mc.normalizer.mean)))
         columns.update(_component_columns(pcfg.dims, mc.amplitudes.std, mc.weak_values.std,
                                           mc.modulars.std, float(mc.normalizer.std), "_std"))
-    write_table(columns, meta=meta, output_path=cfg.output_path,
-                fmt=cfg.format, timestamp=cfg.timestamp)
+    return columns, meta, None
 
 
-def cmd_sweep_theta(cfg: RunConfig, theta_min: float, theta_max: float, steps: int) -> None:
+def cmd_sweep_theta(cfg: RunConfig, theta_min: float, theta_max: float,
+                    steps: int) -> tuple[dict, dict, None]:
     """Phase sweep of the fig3 family; emits every method side by side.
 
     Rows where the postselection is orthogonal (theta = +/-pi with the
@@ -481,8 +471,7 @@ def cmd_sweep_theta(cfg: RunConfig, theta_min: float, theta_max: float, steps: i
     columns["error"] = errors
     meta = {"epsilon": base.epsilon, "g": base.g,
             "theta_min": theta_min, "theta_max": theta_max, "steps": steps}
-    write_table(columns, meta=meta, output_path=cfg.output_path,
-                fmt=cfg.format, timestamp=cfg.timestamp)
+    return columns, meta, None
 
 
 def _require_two_qubits(pcfg: ProtocolConfig) -> None:
@@ -490,8 +479,9 @@ def _require_two_qubits(pcfg: ProtocolConfig) -> None:
         raise ConfigError("tomography requires a two-qubit (2 x 2) system")
 
 
-def cmd_tomography(cfg: RunConfig) -> None:
-    """Density-matrix artifact from linear inversion (exact or one noisy draw)."""
+def cmd_tomography(cfg: RunConfig) -> tuple[dict, dict, dict]:
+    """Density-matrix artifact from linear inversion (exact or one noisy draw); a
+    JSON document also carries the matrix arrays."""
     _require_two_qubits(cfg.protocol)
     expectations = pauli_expectations(cfg.protocol.system_state)
     meta = {}
@@ -503,12 +493,10 @@ def cmd_tomography(cfg: RunConfig) -> None:
     meta.update(min_eigenvalue=rho.min_eigenvalue, positive=rho.positive)
     columns = {**_grid_columns(("row", "col"), (4, 4)),
                "re": rho.mat.real.ravel().tolist(), "im": rho.mat.imag.ravel().tolist()}
-    matrix = {"matrix_re": rho.mat.real.tolist(), "matrix_im": rho.mat.imag.tolist()}
-    write_table(columns, meta=meta, output_path=cfg.output_path, fmt=cfg.format,
-                timestamp=cfg.timestamp, json_extra=matrix)
+    return columns, meta, {"matrix_re": rho.mat.real.tolist(), "matrix_im": rho.mat.imag.tolist()}
 
 
-def cmd_compare(cfg: RunConfig) -> None:
+def cmd_compare(cfg: RunConfig) -> tuple[dict, dict, None]:
     """Fidelities: direct reconstruction vs tomography vs the true state.
 
     Every kept trial pairs its direct reconstruction with a tomography draw
@@ -540,69 +528,71 @@ def cmd_compare(cfg: RunConfig) -> None:
     columns = {"trial": list(range(kept.size)),
                **{name: _cells(values, kept, kept.size) for name, values in zip(names, fidelities)},
                "error": np.where(kept, None, NegativeDiscriminant.code).tolist()}
-    write_table(columns, meta=meta, output_path=cfg.output_path,
-                fmt=cfg.format, timestamp=cfg.timestamp)
+    return columns, meta, None
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+# subcommand -> (function, help). Each function takes the run config (sweep-theta also
+# its grid) and returns the table's (columns, meta, json_extra); the parser is built
+# from this table and ``main`` dispatches on it.
+_COMMANDS = {
+    "reconstruct": (cmd_reconstruct, "amplitude table for one configuration"),
+    "sweep-theta": (cmd_sweep_theta, "phase sweep of the fig3 state family"),
+    "tomography": (cmd_tomography, "linear-inversion density matrix baseline"),
+    "compare": (cmd_compare, "direct reconstruction vs tomography fidelities"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors (one line, exit 2)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later ``main``
-    calls (parsing leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
+    calls (parsing leaves it unchanged). It types and checks no value."""
+    parser = _Parser(
         prog="modval",
         description="Direct measurement of bipartite pure states from modular values",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("reconstruct", "amplitude table for one configuration"),
-        ("sweep-theta", "phase sweep of the fig3 state family"),
-        ("tomography", "linear-inversion density matrix baseline"),
-        ("compare", "direct reconstruction vs tomography fidelities"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON run config")
-        cmd.add_argument("--method", choices=METHODS, default=None)
-        cmd.add_argument("--epsilon", type=float, default=None)
-        cmd.add_argument("--pairs", type=int, default=None,
-                         help="photon pairs per setting (enables noise)")
-        cmd.add_argument("--trials", type=int, default=None)
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--out", default=None, help="output path ('-' for stdout)")
-        cmd.add_argument("--format", choices=("csv", "json"), default=None)
+        cmd.add_argument("--method", help=" | ".join(METHODS))
+        cmd.add_argument("--epsilon")
+        cmd.add_argument("--pairs", help="photon pairs per setting (enables noise)")
+        cmd.add_argument("--trials")
+        cmd.add_argument("--seed")
+        cmd.add_argument("--out", help="output path ('-' for stdout)")
+        cmd.add_argument("--format")
         cmd.add_argument("--no-timestamp", action="store_true",
                          help="omit the generated-at header line")
         if name == "sweep-theta":
-            cmd.add_argument("--theta-min", type=float, default=-math.pi)
-            cmd.add_argument("--theta-max", type=float, default=math.pi)
-            cmd.add_argument("--steps", type=int, default=41)
+            cmd.add_argument("--theta-min", default=-math.pi)
+            cmd.add_argument("--theta-max", default=math.pi)
+            cmd.add_argument("--steps", default=41)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         doc = _overlay(_read_document(args.config), args)
-        if args.command == "sweep-theta":
-            _check_sweep(doc, args.theta_min, args.theta_max, args.steps)
-        cfg = replace(parse_config(doc), timestamp=not args.no_timestamp)
-        if args.command == "reconstruct":
-            cmd_reconstruct(cfg)
-        elif args.command == "sweep-theta":
-            cmd_sweep_theta(cfg, args.theta_min, args.theta_max, args.steps)
-        elif args.command == "tomography":
-            cmd_tomography(cfg)
-        else:
-            cmd_compare(cfg)
+        grid = _check_sweep(doc, args) if args.command == "sweep-theta" else ()
+        cfg = parse_config(doc)
+        columns, meta, json_extra = _COMMANDS[args.command][0](cfg, *grid)
+        write_table(columns, meta=meta, output_path=cfg.output_path, fmt=cfg.format,
+                    timestamp=not args.no_timestamp, json_extra=json_extra)
     except ModvalError as exc:
         sys.stderr.write(f"error: {exc.code}: {exc}\n")
-        for err_type, code in _EXIT_BY_ERROR:
-            if isinstance(exc, err_type):
-                return code
-        return EXIT_CONFIG
-    return EXIT_OK
+        return exc.exit_code
+    return 0
 
 
 def entry() -> None:

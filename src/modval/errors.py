@@ -1,10 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the stable ``code`` that ``modval`` prints in its one
+``error: <code>: <message>`` line and the ``exit_code`` the command ends with.
+"""
 
 
 class ModvalError(Exception):
-    """Base class for protocol/reconstruction errors with a stable code."""
+    """Base class for protocol/reconstruction errors with a stable code and exit code."""
 
     code = "error"
+    exit_code = 2
 
 
 class OrthogonalPostselection(ModvalError):
@@ -15,6 +20,7 @@ class OrthogonalPostselection(ModvalError):
     """
 
     code = "orthogonal_postselection"
+    exit_code = 3
 
 
 class NegativeDiscriminant(ModvalError):
@@ -25,15 +31,18 @@ class NegativeDiscriminant(ModvalError):
     """
 
     code = "negative_discriminant"
+    exit_code = 4
 
 
 class AllTrialsRejected(ModvalError):
     """Every Monte Carlo trial failed inversion; no estimate available."""
 
     code = "all_trials_rejected"
+    exit_code = 5
 
 
 class ConfigError(ModvalError):
-    """Run configuration could not be parsed or validated."""
+    """Run configuration or command line could not be parsed or validated."""
 
     code = "config_error"
+    exit_code = 2

@@ -71,6 +71,10 @@ ERROR_CASES = (
     ("pairs-2.5", {"noise": {"pairs_per_setting": 2.5}}, []),
     ("trials-1e400", {"noise": {"pairs_per_setting": 1000, "trials": 10**400}}, []),
     ("flag-trials-huge", {}, ["--pairs", "1000", "--trials", "100000000000000000000000"]),
+    # flag strings outside the JSON number grammar, and a flag the parser does not know
+    ("flag-pairs-1_000", {}, ["--pairs", "1_000"]),
+    ("flag-epsilon-.5", {}, ["--epsilon", ".5"]),
+    ("flag-unknown", {}, ["--no-such-flag"]),
 )
 
 

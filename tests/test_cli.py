@@ -9,15 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from modval import cli
-from modval.cli import (
-    EXIT_ALL_REJECTED,
-    EXIT_CONFIG,
-    EXIT_INVERSION,
-    EXIT_OK,
-    EXIT_PROTOCOL,
-    _EXIT_BY_ERROR,
-    main,
-)
+from modval.cli import main
 from modval.errors import NegativeDiscriminant
 from tests import cli_digest
 
@@ -59,7 +51,7 @@ _ZERO_AMPLITUDE_POSTSELECTION = {"amps": [[math.sqrt(0.5), 0], [0, 0], [0, 0],
 class TestReconstructCommand:
     def test_fig4a_amplitudes(self, tmp_path, capsys):
         code = main(["reconstruct", "--config", write_config(tmp_path), "--no-timestamp"])
-        assert code == EXIT_OK
+        assert code == 0
         amps = amp_table(parse_csv(capsys.readouterr().out))
         root_half = 1 / math.sqrt(2)
         assert abs(amps[(0, 0)] - root_half) <= 1e-10
@@ -69,13 +61,13 @@ class TestReconstructCommand:
 
     def test_fig4b_amplitudes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, state={"preset": "fig4b"})
-        assert main(["reconstruct", "--config", cfg]) == EXIT_OK
+        assert main(["reconstruct", "--config", cfg]) == 0
         amps = amp_table(parse_csv(capsys.readouterr().out))
         assert abs(amps[(1, 1)] - 1j / math.sqrt(2)) <= 1e-10
 
     def test_fig4d_amplitudes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, state={"preset": "fig4d"})
-        assert main(["reconstruct", "--config", cfg]) == EXIT_OK
+        assert main(["reconstruct", "--config", cfg]) == 0
         amps = amp_table(parse_csv(capsys.readouterr().out))
         expected = {(0, 0): 0.8, (0, 1): -0.6j, (1, 0): -0.8, (1, 1): -0.6j}
         for key, value in expected.items():
@@ -84,7 +76,7 @@ class TestReconstructCommand:
     def test_explicit_amplitudes_renormalized_with_warning(self, tmp_path, capsys):
         cfg = write_config(tmp_path, state={"amps": [[1, 0], [0, 0], [0, 0], [1, 0]],
                                             "dims": [2, 2]})
-        assert main(["reconstruct", "--config", cfg]) == EXIT_OK
+        assert main(["reconstruct", "--config", cfg]) == 0
         captured = capsys.readouterr()
         assert "renormalized" in captured.err
         amps = amp_table(parse_csv(captured.out))
@@ -93,14 +85,14 @@ class TestReconstructCommand:
     def test_noise_adds_std_columns(self, tmp_path, capsys):
         cfg = write_config(tmp_path, noise={"pairs_per_setting": 20000, "trials": 25,
                                             "seed": 4})
-        assert main(["reconstruct", "--config", cfg]) == EXIT_OK
+        assert main(["reconstruct", "--config", cfg]) == 0
         rows = parse_csv(capsys.readouterr().out)
         assert "amp_re_std" in rows[0]
         assert float(rows[3]["amp_re_std"]) > 0
 
     def test_json_format(self, tmp_path, capsys):
         cfg = write_config(tmp_path, format="json")
-        assert main(["reconstruct", "--config", cfg]) == EXIT_OK
+        assert main(["reconstruct", "--config", cfg]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema_version"] == 1
         assert len(doc["rows"]) == 4
@@ -109,7 +101,7 @@ class TestReconstructCommand:
     def test_output_file(self, tmp_path):
         out = tmp_path / "table.csv"
         cfg = write_config(tmp_path, output_path=str(out))
-        assert main(["reconstruct", "--config", cfg]) == EXIT_OK
+        assert main(["reconstruct", "--config", cfg]) == 0
         assert out.exists() and "amp_re" in out.read_text()
 
 
@@ -117,7 +109,7 @@ class TestSweepCommand:
     def test_rows_and_reference_points(self, tmp_path, capsys):
         cfg = write_config(tmp_path, state={"preset": "fig3"})
         code = main(["sweep-theta", "--config", cfg, "--steps", "41", "--no-timestamp"])
-        assert code == EXIT_OK
+        assert code == 0
         rows = parse_csv(capsys.readouterr().out)
         assert len(rows) == 41 * 3
         by_key = {(round(float(r["theta"]), 9), r["method"]): r for r in rows}
@@ -140,11 +132,11 @@ class TestSweepCommand:
 
     def test_requires_phase_family_preset(self, tmp_path):
         cfg = write_config(tmp_path)  # fig4a
-        assert main(["sweep-theta", "--config", cfg]) == EXIT_CONFIG
+        assert main(["sweep-theta", "--config", cfg]) == 2
 
     def test_steps_validated(self, tmp_path):
         cfg = write_config(tmp_path, state={"preset": "fig3"})
-        assert main(["sweep-theta", "--config", cfg, "--steps", "1"]) == EXIT_CONFIG
+        assert main(["sweep-theta", "--config", cfg, "--steps", "1"]) == 2
 
     def test_steps_capped_before_the_grid_is_built(self, tmp_path, capsys, monkeypatch):
         def no_grid(*args, **kwargs):
@@ -153,7 +145,7 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, state={"preset": "fig3"})
         monkeypatch.setattr(np, "linspace", no_grid)
         for steps in ("1000001", "1000000000000"):
-            assert main(["sweep-theta", "--config", cfg, "--steps", steps]) == EXIT_CONFIG
+            assert main(["sweep-theta", "--config", cfg, "--steps", steps]) == 2
             assert capsys.readouterr() == (
                 "", "error: config_error: --steps must be at most 1000000\n")
         with pytest.raises(AssertionError, match="grid built"):  # the cap itself is allowed
@@ -162,9 +154,9 @@ class TestSweepCommand:
     def test_sweep_checks_precede_the_document_fields(self, tmp_path, capsys):
         # the --steps, bound and fig3 checks run on the document before it is parsed
         cfg = write_config(tmp_path, state={"preset": "fig3"}, epsilon="abc")
-        assert main(["sweep-theta", "--config", cfg, "--steps", "1"]) == EXIT_CONFIG
+        assert main(["sweep-theta", "--config", cfg, "--steps", "1"]) == 2
         assert capsys.readouterr() == ("", "error: config_error: --steps must be at least 2\n")
-        assert main(["sweep-theta", "--config", cfg, "--steps", "3"]) == EXIT_CONFIG
+        assert main(["sweep-theta", "--config", cfg, "--steps", "3"]) == 2
         assert capsys.readouterr() == (
             "", "error: config_error: field 'epsilon' must be a finite number, got 'abc'\n")
 
@@ -173,7 +165,7 @@ class TestSweepCommand:
     ])
     def test_explicit_amplitudes_are_not_swept(self, tmp_path, capsys, state):
         cfg = write_config(tmp_path, state=state)
-        assert main(["sweep-theta", "--config", cfg, "--steps", "3"]) == EXIT_CONFIG
+        assert main(["sweep-theta", "--config", cfg, "--steps", "3"]) == 2
         assert capsys.readouterr() == (
             "", "error: config_error: sweep-theta requires the fig3 state preset\n")
 
@@ -181,7 +173,7 @@ class TestSweepCommand:
 class TestTomographyCommand:
     def test_correlated_state_matrix(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        assert main(["tomography", "--config", cfg, "--no-timestamp"]) == EXIT_OK
+        assert main(["tomography", "--config", cfg, "--no-timestamp"]) == 0
         text = capsys.readouterr().out
         rows = parse_csv(text)
         assert len(rows) == 16
@@ -196,13 +188,13 @@ class TestTomographyCommand:
     def test_two_qubit_only(self, tmp_path):
         state = {"amps": [[1, 0]] + [[0, 0]] * 5, "dims": [3, 2]}
         cfg = write_config(tmp_path, state=state)
-        assert main(["tomography", "--config", cfg]) == EXIT_CONFIG
+        assert main(["tomography", "--config", cfg]) == 2
 
 
 class TestCompareCommand:
     def test_exact_data_all_fidelities_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        assert main(["compare", "--config", cfg]) == EXIT_OK
+        assert main(["compare", "--config", cfg]) == 0
         rows = parse_csv(capsys.readouterr().out)
         assert len(rows) == 1
         for col in ("fidelity_direct_vs_truth", "fidelity_tomography_vs_truth",
@@ -214,7 +206,7 @@ class TestCompareCommand:
         # assertion keeps the spec's 95%-of-seeds margin
         cfg = write_config(tmp_path, noise={"pairs_per_setting": 100_000, "trials": 40,
                                             "seed": 21})
-        assert main(["compare", "--config", cfg]) == EXIT_OK
+        assert main(["compare", "--config", cfg]) == 0
         rows = parse_csv(capsys.readouterr().out)
         assert len(rows) == 40
         good = sum(
@@ -230,17 +222,17 @@ class TestDeterminismAndErrors:
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         cfg = write_config(tmp_path, noise={"pairs_per_setting": 5000, "trials": 10,
                                             "seed": 99})
-        assert main(["reconstruct", "--config", cfg, "--no-timestamp", "--out", str(out1)]) == EXIT_OK
-        assert main(["reconstruct", "--config", cfg, "--no-timestamp", "--out", str(out2)]) == EXIT_OK
+        assert main(["reconstruct", "--config", cfg, "--no-timestamp", "--out", str(out1)]) == 0
+        assert main(["reconstruct", "--config", cfg, "--no-timestamp", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_timestamp_line_present_by_default(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        assert main(["reconstruct", "--config", cfg]) == EXIT_OK
+        assert main(["reconstruct", "--config", cfg]) == 0
         assert capsys.readouterr().out.startswith("# generated=")
 
     def test_missing_config_file(self, tmp_path, capsys):
-        assert main(["reconstruct", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
+        assert main(["reconstruct", "--config", str(tmp_path / "nope.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config_error:")
         assert err.count("\n") == 1
@@ -248,46 +240,45 @@ class TestDeterminismAndErrors:
     def test_invalid_json_reports_location(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"schema_version": 1,,}')
-        assert main(["reconstruct", "--config", str(path)]) == EXIT_CONFIG
+        assert main(["reconstruct", "--config", str(path)]) == 2
         assert "line" in capsys.readouterr().err
 
     def test_wrong_schema_version(self, tmp_path):
         assert main(["reconstruct", "--config",
-                     write_config(tmp_path, schema_version=2)]) == EXIT_CONFIG
+                     write_config(tmp_path, schema_version=2)]) == 2
 
     def test_unknown_method(self, tmp_path):
         assert main(["reconstruct", "--config",
-                     write_config(tmp_path, method="magic")]) == EXIT_CONFIG
+                     write_config(tmp_path, method="magic")]) == 2
 
     def test_orthogonal_postselection_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, state={"preset": "fig3"}, theta=math.pi)
-        assert main(["reconstruct", "--config", cfg]) == EXIT_PROTOCOL
+        assert main(["reconstruct", "--config", cfg]) == 3
         assert "orthogonal_postselection" in capsys.readouterr().err
 
     def test_all_trials_rejected_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, noise={"pairs_per_setting": 1, "trials": 3, "seed": 0})
-        assert main(["reconstruct", "--config", cfg]) == EXIT_ALL_REJECTED
+        assert main(["reconstruct", "--config", cfg]) == 5
         assert "all_trials_rejected" in capsys.readouterr().err
 
     def test_compare_all_trials_rejected_exit_code(self, capsys):
         config = str(Path(__file__).parent.parent / "configs" / "fig4a.json")
         assert main(["compare", "--config", config, "--pairs", "1", "--trials", "3",
-                     "--seed", "0"]) == EXIT_ALL_REJECTED
+                     "--seed", "0"]) == 5
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: all_trials_rejected: all 3 trials failed inversion")
         assert err.count("\n") == 1
 
     def test_inversion_failure_maps_to_exit_four(self):
-        codes = {err: code for err, code in _EXIT_BY_ERROR}
-        assert codes[NegativeDiscriminant] == EXIT_INVERSION == 4
+        assert NegativeDiscriminant.exit_code == 4
 
     def test_definitional_method_with_noise_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         for command in ("reconstruct", "compare"):
             code = main([command, "--config", cfg, "--method", "definitional",
                          "--pairs", "1000", "--trials", "3"])
-            assert code == EXIT_CONFIG
+            assert code == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: config_error:")
@@ -297,7 +288,7 @@ class TestDeterminismAndErrors:
         cfg = write_config(tmp_path, state={"preset": "fig3"})
         for epsilon in ("2", "0", "-0.5"):
             code = main(["sweep-theta", "--config", cfg, "--steps", "3", "--epsilon", epsilon])
-            assert code == EXIT_CONFIG
+            assert code == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: config_error:")
@@ -310,7 +301,7 @@ class TestDeterminismAndErrors:
         cfg = write_config(tmp_path, state={"preset": "fig3"})
         # "--flag=value": argparse would read a bare "-inf" as an option
         code = main(["sweep-theta", "--config", cfg, "--steps", "3", f"{flag}={value}"])
-        assert code == EXIT_CONFIG
+        assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: config_error:")
@@ -322,7 +313,7 @@ class TestDeterminismAndErrors:
     ])
     def test_invalid_noise_flags_are_config_error(self, tmp_path, capsys, flags):
         cfg = write_config(tmp_path)
-        assert main(["reconstruct", "--config", cfg, *flags]) == EXIT_CONFIG
+        assert main(["reconstruct", "--config", cfg, *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: config_error:")
@@ -335,7 +326,7 @@ class TestDeterminismAndErrors:
     ])
     def test_vanishing_coupling_is_config_error(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)
-        assert main(["reconstruct", "--config", cfg]) == EXIT_CONFIG
+        assert main(["reconstruct", "--config", cfg]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: config_error:")
@@ -352,7 +343,7 @@ class TestDeterminismAndErrors:
         doc[field] = "__VALUE__"
         # json.dumps refuses to write NaN with allow_nan=False; splice the literal in
         path.write_text(json.dumps(doc).replace('"__VALUE__"', text))
-        assert main(["reconstruct", "--config", str(path)]) == EXIT_CONFIG
+        assert main(["reconstruct", "--config", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: config_error:")
@@ -369,7 +360,7 @@ class TestDeterminismAndErrors:
                                                           command, flags):
         cfg = write_config(tmp_path, state={"preset": "fig3"}, theta=0.5,
                            postselection=_ZERO_AMPLITUDE_POSTSELECTION)
-        assert main([command, "--config", cfg, *flags]) == EXIT_CONFIG
+        assert main([command, "--config", cfg, *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: config_error: postselection")
@@ -383,7 +374,7 @@ class TestDeterminismAndErrors:
     ])
     def test_negative_seed_is_config_error(self, tmp_path, capsys, command, overrides, flags):
         cfg = write_config(tmp_path, **overrides)
-        assert main([command, "--config", cfg, *flags]) == EXIT_CONFIG
+        assert main([command, "--config", cfg, *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: config_error: noise: seed")
@@ -398,7 +389,7 @@ class TestDeterminismAndErrors:
     def test_malformed_dims_are_config_error(self, tmp_path, capsys, command, field, dims):
         amps = {"amps": [[0.5, 0]] * 4, "dims": dims}
         cfg = write_config(tmp_path, **{field: amps})
-        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        assert main([command, "--config", cfg]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: config_error: {field}.dims")
@@ -409,31 +400,31 @@ class TestDeterminismAndErrors:
         amps = [[math.sqrt(0.5), 0], [0, 0], [0, 0], [math.sqrt(0.5), 0]]
         reference = write_config(tmp_path, "reference.json",
                                  state={"amps": amps, "dims": [2, 2]})
-        assert main(["reconstruct", "--config", reference, "--no-timestamp"]) == EXIT_OK
+        assert main(["reconstruct", "--config", reference, "--no-timestamp"]) == 0
         want = capsys.readouterr().out
         cfg = write_config(tmp_path, state={"amps": amps, "dims": dims})
-        assert main(["reconstruct", "--config", cfg, "--no-timestamp"]) == EXIT_OK
+        assert main(["reconstruct", "--config", cfg, "--no-timestamp"]) == 0
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (want, "")
 
     def test_tomography_ignores_zero_amplitude_postselection(self, tmp_path, capsys):
         cfg = write_config(tmp_path, postselection=_ZERO_AMPLITUDE_POSTSELECTION)
-        assert main(["tomography", "--config", cfg]) == EXIT_OK
+        assert main(["tomography", "--config", cfg]) == 0
         assert capsys.readouterr().err == ""
 
     def test_noise_flags_require_pairs(self, tmp_path):
         cfg = write_config(tmp_path)
-        assert main(["reconstruct", "--config", cfg, "--trials", "5"]) == EXIT_CONFIG
+        assert main(["reconstruct", "--config", cfg, "--trials", "5"]) == 2
 
     def test_pairs_flag_completes_the_noise_block(self, tmp_path, capsys):
         noise = {"trials": 3, "seed": 5, "clamp": True}
         written = write_config(tmp_path, "written.json",
                                noise={**noise, "pairs_per_setting": 100})
-        assert main(["reconstruct", "--config", written, "--no-timestamp"]) == EXIT_OK
+        assert main(["reconstruct", "--config", written, "--no-timestamp"]) == 0
         want = capsys.readouterr()
         cfg = write_config(tmp_path, noise=noise)
         assert main(["reconstruct", "--config", cfg, "--pairs", "100",
-                     "--no-timestamp"]) == EXIT_OK
+                     "--no-timestamp"]) == 0
         assert capsys.readouterr() == want
 
     @pytest.mark.parametrize("overrides, flags", [
@@ -445,21 +436,21 @@ class TestDeterminismAndErrors:
     def test_flags_replace_config_values_before_validation(self, tmp_path, capsys,
                                                            overrides, flags):
         cfg = write_config(tmp_path, **overrides)
-        assert main(["reconstruct", "--config", cfg, *flags]) == EXIT_OK
+        assert main(["reconstruct", "--config", cfg, *flags]) == 0
         assert capsys.readouterr().err == ""
 
     def test_noise_from_flags_alone(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code = main(["reconstruct", "--config", cfg, "--pairs", "10000",
                      "--trials", "5", "--seed", "1"])
-        assert code == EXIT_OK
+        assert code == 0
         rows = parse_csv(capsys.readouterr().out)
         assert "amp_re_std" in rows[0]
 
     def test_alt_postselection_preset(self, tmp_path, capsys):
         cfg = write_config(tmp_path, state={"preset": "fig3"}, theta=math.pi,
                            postselection={"preset": "alt_postselection"})
-        assert main(["reconstruct", "--config", cfg]) == EXIT_OK
+        assert main(["reconstruct", "--config", cfg]) == 0
         amps = amp_table(parse_csv(capsys.readouterr().out))
         assert abs(amps[(1, 1)] + 1 / math.sqrt(2)) <= 1e-10
 
@@ -467,7 +458,7 @@ class TestDeterminismAndErrors:
         cfg = write_config(tmp_path, state={"preset": "fig3"}, theta=math.pi / 4,
                            method="exact_inversion")
         assert main(["reconstruct", "--config", cfg, "--method", "first_order",
-                     "--epsilon", "0.05"]) == EXIT_OK
+                     "--epsilon", "0.05"]) == 0
         amps = amp_table(parse_csv(capsys.readouterr().out))
         ideal = complex(math.cos(math.pi / 4), math.sin(math.pi / 4)) / math.sqrt(2)
         deviation = abs(amps[(1, 1)] - ideal)
@@ -482,7 +473,7 @@ class TestDeterminismAndErrors:
         proc = subprocess.run([sys.executable, "-m", "modval", "reconstruct",
                                "--config", cfg, "--no-timestamp"],
                               capture_output=True, text=True)
-        assert proc.returncode == EXIT_OK
+        assert proc.returncode == 0
         assert "amp_re" in proc.stdout
 
     def test_import_loads_no_scipy(self):
@@ -510,14 +501,46 @@ class TestDeterminismAndErrors:
         commands = (["reconstruct"], ["sweep-theta", "--steps", "5"],
                     ["tomography"], ["compare"])
         for command in commands:
-            assert main([*command, "--config", cfg, "--no-timestamp"]) == EXIT_OK
+            assert main([*command, "--config", cfg, "--no-timestamp"]) == 0
             doc = json.loads(capsys.readouterr().out)
             assert doc["schema_version"] == 1
             assert doc["rows"]
         # the tomography document also carries the full matrix arrays
-        assert main(["tomography", "--config", cfg, "--no-timestamp"]) == EXIT_OK
+        assert main(["tomography", "--config", cfg, "--no-timestamp"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["matrix_re"]) == 4 and len(doc["matrix_im"]) == 4
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["reconstruct", "--config", "CFG", "--no-such-flag"],
+         "unrecognized arguments: --no-such-flag"),
+        (["reconstruct"], "the following arguments are required: --config"),
+        (["tomography", "--method", "first_order"],
+         "the following arguments are required: --config"),
+        ([], "the following arguments are required: command"),
+        (["bogus", "--config", "CFG"], "argument command: invalid choice: 'bogus'"),
+        (["compare", "--config", "CFG", "--pairs"], "argument --pairs: expected one argument"),
+        (["sweep-theta", "--config", "CFG", "--steps"],
+         "argument --steps: expected one argument"),
+        (["reconstruct", "--config"], "argument --config: expected one argument"),
+    ])
+    def test_usage_error_is_one_config_error_line(self, tmp_path, capsys, argv, message):
+        cfg = write_config(tmp_path, state={"preset": "fig3"})
+        assert main([cfg if arg == "CFG" else arg for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config_error: {message}")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["sweep-theta", "-h"],
+                                      ["reconstruct", "--config", "x.json", "--help"]])
+    def test_help_prints_usage_and_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: modval") and captured.err == ""
 
 
 class TestParserReuse:
@@ -528,7 +551,7 @@ class TestParserReuse:
             ["sweep-theta", "--config", sweep, "--steps", "3", "--theta-min", "0",
              "--no-timestamp"],
             ["reconstruct", "--config", recon, "--no-timestamp"],
-            ["reconstruct", "--config", recon, "--no-such-flag"],  # argparse usage error
+            ["reconstruct", "--config", recon, "--no-such-flag"],  # a usage error, exit 2
             ["sweep-theta", "--config", sweep, "--no-timestamp"],  # every sweep default
         ]
 
@@ -544,7 +567,7 @@ class TestParserReuse:
         for argv in calls:
             cli._build_parser.cache_clear()
             fresh.append(run(argv))
-        assert [code for code, _, _ in fresh] == [EXIT_OK, EXIT_OK, EXIT_CONFIG, EXIT_OK]
+        assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
         cli._build_parser.cache_clear()
         assert [run(argv) for argv in calls] == fresh
         assert cli._build_parser() is cli._build_parser()
@@ -680,5 +703,5 @@ def run_golden_case(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_seeded_tables_match_golden(name, tmp_path):
     code, out = run_golden_case(name, tmp_path)
-    assert code == EXIT_OK
+    assert code == 0
     assert out.read_bytes() == golden_path(name).read_bytes()

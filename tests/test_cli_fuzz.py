@@ -3,9 +3,11 @@
 Hypothesis draws JSON config documents (nulls, huge integers, ``1e400``,
 wrong types, bad dims, small states) and command lines (small trial and
 step counts, output paths under a temporary directory, one of them a
-directory). Every run must return an exit code in {0, 2, 3, 4, 5}, raise
-nothing, and on failure write exactly one ``error: <code>: <message>`` line
-to stderr, after at most the documented warning lines.
+directory, now and then an unknown flag). Every run must return an exit code
+in {0, 2, 3, 4, 5}, raise nothing, and on failure write exactly one
+``error: <code>: <message>`` line to stderr, after at most the documented
+warning lines. A flag and the document field it replaces, given the same
+text, must end the same way.
 """
 
 import contextlib
@@ -17,10 +19,11 @@ import re
 from typing import NamedTuple
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modval.cli import main
+from modval.errors import ModvalError
 
 
 class Raw(NamedTuple):
@@ -161,6 +164,8 @@ def command_lines(draw):
         flags.append(f"--steps={draw(mostly(st.integers(2, 5), st.integers(-1, 1)))}")
     if draw(st.booleans()):
         flags.append("--no-timestamp")
+    if draw(st.integers(0, 15)) == 0:  # a usage error
+        flags.insert(draw(st.integers(0, len(flags))), "--no-such-flag")
     return command, flags
 
 
@@ -246,6 +251,23 @@ FORMER_SILENT_READS = [
 ]
 
 
+# (flag, text) that Python's int()/float() read (exit 0), or that argparse refused with a
+# usage block, before flags went through the document's typed reader, and the one error
+# line each now prints; each flag but --steps prints the line of its document field
+FORMER_FLAG_COERCIONS = [
+    ("--pairs", "1_000", "noise: field 'pairs_per_setting' must be an integer, got '1_000'"),
+    ("--pairs", "\u0665\u0660\u0660",
+     "noise: field 'pairs_per_setting' must be an integer, got '\u0665\u0660\u0660'"),
+    ("--trials", "\u0663", "noise: field 'trials' must be an integer, got '\u0663'"),
+    ("--seed", "0_7", "noise: field 'seed' must be an integer, got '0_7'"),
+    ("--epsilon", ".5", "field 'epsilon' must be a finite number, got '.5'"),
+    ("--epsilon", "1_0e-1", "field 'epsilon' must be a finite number, got '1_0e-1'"),
+    ("--steps", "1e3", "--steps must be an integer, got '1e3'"),
+    ("--method", "bogus", "method must be one of ('first_order', 'exact_inversion', "
+                          "'definitional'), got 'bogus'"),
+]
+
+
 def with_examples(cases):
     def decorate(test):
         for doc, command, flags in cases:
@@ -281,6 +303,67 @@ def test_former_tracebacks_are_config_errors(run_dir, doc, command, flags):
 @pytest.mark.parametrize("doc, command, flags, message", FORMER_SILENT_READS)
 def test_former_silent_reads_are_one_named_error(run_dir, doc, command, flags, message):
     assert run(run_dir, doc, command, flags) == (2, f"error: config_error: {message}\n")
+
+
+# a noisy fig4a run, cheap at any pairs_per_setting
+NOISY = fig4a(noise={"pairs_per_setting": 1000})
+# flag -> (the noise object or the document top level, the field it replaces)
+FLAG_FIELDS = {"--method": (False, "method"), "--epsilon": (False, "epsilon"),
+               "--format": (False, "format"), "--pairs": (True, "pairs_per_setting"),
+               "--trials": (True, "trials"), "--seed": (True, "seed")}
+# texts outside the grammar of flag_values
+odd_texts = st.one_of(
+    st.text(max_size=6), st.floats().map(repr), st.integers(-3, 200).map(str),
+    st.from_regex(r" ?[-+]?[0-9_\u0660-\u0669]{0,4}[.]?[0-9_]{0,3}([eE][-+]?[0-9_]{1,3})? ?",
+                  fullmatch=True),
+    st.sampled_from(["exact_inversion", "csv", "NaN", "Infinity", "true", "null", "", " 1",
+                     "2.0", "1e400", str(2**63), str(10**30)]),
+)
+# a flag of FLAG_FIELDS and its text, half the time from its flag_values, else odd_texts
+flag_texts = st.sampled_from(sorted(FLAG_FIELDS)).flatmap(lambda flag: st.tuples(
+    st.just(flag), st.booleans().flatmap(lambda odd: odd_texts if odd else flag_values[flag])))
+
+
+def reads_above(text: str, limit: int) -> bool:
+    """Whether Python's float() reads ``text`` as a number above ``limit``."""
+    try:
+        return float(text) > limit
+    except ValueError:
+        return False
+
+
+def with_flag_examples(test):
+    for flag, text, _ in FORMER_FLAG_COERCIONS:
+        if flag in FLAG_FIELDS:
+            test = example(flag_text=(flag, text), command="reconstruct")(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(flag_text=flag_texts, command=st.sampled_from(["reconstruct", "compare", "tomography"]))
+@with_flag_examples
+def test_a_flag_ends_as_its_field_would(run_dir, flag_text, command):
+    flag, text = flag_text
+    assume(not (flag == "--trials" and reads_above(text, 100)))  # keep every run cheap
+    in_noise, name = FLAG_FIELDS[flag]
+    doc = fig4a(noise=dict(NOISY["noise"]))
+    (doc["noise"] if in_noise else doc)[name] = text
+    assert run(run_dir, NOISY, command, [f"{flag}={text}"]) == run(run_dir, doc, command, [])
+
+
+@pytest.mark.parametrize("flag, text, message", FORMER_FLAG_COERCIONS)
+def test_former_flag_coercions_are_one_named_error(run_dir, flag, text, message):
+    doc, command = ((fig4a(state={"preset": "fig3"}), "sweep-theta") if flag == "--steps"
+                    else (NOISY, "reconstruct"))
+    assert run(run_dir, doc, command, [f"{flag}={text}"]) == (
+        2, f"error: config_error: {message}\n")
+
+
+def test_every_error_class_has_its_documented_exit_code():
+    def subclasses(cls):
+        return [sub for direct in cls.__subclasses__() for sub in (direct, *subclasses(direct))]
+
+    assert {cls.code: cls.exit_code for cls in subclasses(ModvalError)} == EXIT_BY_CODE
 
 
 INTEGER_FIELDS = ("pairs_per_setting", "trials", "seed")

@@ -172,19 +172,32 @@ class TestTrialRngs:
         assert rng.bit_generator.state == trial_rng(7, 1).bit_generator.state
 
     def test_runs_without_numpy_seeding(self, tmp_path, monkeypatch, capsys):
-        # the generators come from the batched hash alone, never from numpy's seeding
+        # a noisy run makes one numpy SeedSequence(seed), for the seed-word pool that the
+        # batched hash starts from; no trial is seeded by numpy (np.random.SeedSequence or
+        # default_rng)
+        import numpy.random.bit_generator as bit_generator
+
+        seed_sequence, calls = bit_generator.SeedSequence, []
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return seed_sequence(*args, **kwargs)
+
         def refuse(*args, **kwargs):
             raise AssertionError("numpy seeding called")
 
+        monkeypatch.setattr(bit_generator, "SeedSequence", counting)
         monkeypatch.setattr(np.random, "SeedSequence", refuse)
         monkeypatch.setattr(np.random, "default_rng", refuse)
         config = tmp_path / "run.json"
         config.write_text(json.dumps({
             "schema_version": 1, "state": {"preset": "fig4a"},
             "noise": {"pairs_per_setting": 10_000, "trials": 4, "seed": 3}}))
-        for command in ("reconstruct", "compare"):
+        for command in ("reconstruct", "compare", "tomography"):
+            calls.clear()
             assert main([command, "--config", str(config), "--no-timestamp"]) == 0
             assert capsys.readouterr().err == ""
+            assert calls == [((3,), {})], command
 
 
 class TestSamplePauliExpectations:
