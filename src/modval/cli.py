@@ -34,7 +34,8 @@ those of its noise object (created if absent), as the strings given and
 before anything is validated, so each is read by the one typed reader exactly
 as the field it replaces; --steps/--theta-min/--theta-max use the same
 reader. --no-timestamp removes the generated-at header so outputs are
-byte-identical for a fixed config and seed. A usage error (an unknown flag
+byte-identical for a fixed config and seed. Flags must be spelled in full:
+a prefix such as --pair is an unknown flag. A usage error (an unknown flag
 or subcommand, a missing --config or flag value) is a config error.
 
 Exit codes: 0 success, else the error class's ``exit_code``: 2 config
@@ -76,7 +77,8 @@ import numpy as np
 
 from .errors import ConfigError, ModvalError, NegativeDiscriminant
 from .hilbert import PureState
-from .noise import CountingConfig, monte_carlo, noisy_trials, sample_pauli_expectations, trial_rngs
+from .noise import (CountingConfig, monte_carlo, noisy_trials, pauli_from_counts,
+                    pauli_plus_probabilities, sample_pauli_expectations, trial_rngs)
 from .presets import (
     POSTSELECTION_PRESETS,
     STATE_PRESETS,
@@ -499,10 +501,11 @@ def cmd_tomography(cfg: RunConfig) -> tuple[dict, dict, dict]:
 def cmd_compare(cfg: RunConfig) -> tuple[dict, dict, None]:
     """Fidelities: direct reconstruction vs tomography vs the true state.
 
-    Every kept trial pairs its direct reconstruction with a tomography draw
-    from its own generator; both are evaluated for all trials at once. A
-    rejected trial gets a row with only its error code; with every trial
-    rejected the run ends in AllTrialsRejected (exit 5) instead.
+    Every kept trial pairs its direct reconstruction with a tomography draw,
+    its 15 Pauli counts drawn after its detector counts in its one binomial
+    call; both are evaluated for all trials at once. A rejected trial gets a
+    row with only its error code; with every trial rejected the run ends in
+    AllTrialsRejected (exit 5) instead.
     """
     pcfg = _full_support(cfg.protocol)
     _require_two_qubits(pcfg)
@@ -515,9 +518,9 @@ def cmd_compare(cfg: RunConfig) -> tuple[dict, dict, None]:
     else:
         meta.update(pairs_per_setting=cfg.noise.pairs_per_setting,
                     trials=cfg.noise.trials, seed=cfg.noise.seed)
-        rngs, kept, result = noisy_trials(pcfg, cfg.noise, cfg.method)
-        rngs = [rng for rng, keep in zip(rngs, kept.tolist()) if keep]
-        expectations = sample_pauli_expectations(exact_expect, cfg.noise.pairs_per_setting, rngs)
+        kept, result, counts = noisy_trials(pcfg, cfg.noise, cfg.method,
+                                            extra=pauli_plus_probabilities(exact_expect))
+        expectations = pauli_from_counts(counts[kept], cfg.noise.pairs_per_setting)
 
     names = ("fidelity_direct_vs_truth", "fidelity_tomography_vs_truth",
              "fidelity_direct_vs_tomography")
@@ -559,10 +562,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="modval",
         description="Direct measurement of bipartite pure states from modular values",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
+        cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
         cmd.add_argument("--config", required=True, help="path to the JSON run config")
         cmd.add_argument("--method", help=" | ".join(METHODS))
         cmd.add_argument("--epsilon")

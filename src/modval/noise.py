@@ -1,13 +1,13 @@
 """Photon-counting shot noise and Monte Carlo error propagation.
 
-There is one trial path, ``noisy_trials``. Each of the T trials draws
-every (setting, detector) count from ``pairs_per_setting`` photon pairs;
-the (T, S, 2) frequencies are inverted to (T, S) modular values and
+There is one trial path, ``noisy_trials``, which returns ``(kept, result,
+extra_counts)``. Each of the T trials makes one binomial call on its own
+generator: every (setting, detector) count from ``pairs_per_setting`` photon
+pairs, then the counts of any ``extra`` probabilities (the CLI's ``compare``
+passes its Pauli ones). The (T, S, 2) frequencies are inverted and
 reconstructed in one batched call, and trials outside the reachable set
 (NegativeDiscriminant) are masked out, never folded into the statistics.
-``monte_carlo`` aggregates the kept trials into means and standard
-deviations; the CLI's ``compare`` pairs each trial with a tomography draw
-from the trial's own generator.
+``monte_carlo`` aggregates the kept trials into means and standard deviations.
 
 Per-trial randomness derives from the run seed through spawn keys, so results do
 not depend on execution order; ``trial_rngs`` seeds every trial's generator at once.
@@ -146,92 +146,92 @@ def trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
             for row in state.astype("<u4").view("<u8").astype(np.uint64)]
 
 
-def _complex_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = samples.mean(axis=0)
-    if samples.shape[0] < 2:
+def _complex_stats(samples: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    mean = samples.mean(axis=axis)
+    if samples.shape[axis] < 2:
         std = np.zeros_like(mean)
     elif np.iscomplexobj(samples):
-        std = (samples.real.std(axis=0, ddof=1)
-               + 1j * samples.imag.std(axis=0, ddof=1))
+        std = samples.real.std(axis=axis, ddof=1) + 1j * samples.imag.std(axis=axis, ddof=1)
     else:
-        std = samples.std(axis=0, ddof=1)
+        std = samples.std(axis=axis, ddof=1)
     return mean, std
 
 
 def _estimate(samples, rejected: int) -> NoisyEstimate:
-    samples = np.array(samples)
     mean, std = _complex_stats(samples)
     if samples.ndim == 1:
-        mean = mean.item()
-        std = std.item()
+        mean, std = mean.item(), std.item()
     return NoisyEstimate(mean, std, samples.shape[0], rejected, samples)
 
 
-def noisy_trials(cfg: ProtocolConfig, counting: CountingConfig,
-                 method: Method = "exact_inversion",
-                 ) -> tuple[list[np.random.Generator], np.ndarray, ReconstructionResult]:
-    """Run every counting-noise trial; returns ``(rngs, kept, result)``.
+def noisy_trials(cfg: ProtocolConfig, counting: CountingConfig, method: Method = "exact_inversion",
+                 extra=()) -> tuple[np.ndarray, ReconstructionResult, np.ndarray]:
+    """Run every counting-noise trial; returns ``(kept, result, extra_counts)``.
 
     The exact probabilities are computed once, so OrthogonalPostselection
-    surfaces before any draw. Trial t draws all its counts with one binomial
-    call on its own generator ``rngs[t]``, left positioned after that draw
-    for callers that draw further noise per trial. ``result`` holds all T
-    trials; ``kept`` (T,) is False where the inversion hit
-    NegativeDiscriminant, and that trial's row of ``result`` is nan. With no
-    trial kept, AllTrialsRejected is raised instead.
+    surfaces before any draw. Trial t makes one binomial call on its own
+    generator (``trial_rngs``): its (S, 2) detector counts in plan order, then
+    a count for each success probability in ``extra``, kept as row t of the
+    (T, len(extra)) ``extra_counts``. ``result`` holds all T trials; ``kept``
+    (T,) is False where the inversion hit NegativeDiscriminant, and that
+    trial's row of ``result`` is nan. With no trial kept, AllTrialsRejected
+    is raised instead.
     """
     if method == "definitional":
         raise ConfigError("counting noise applies to measured probabilities; "
                           "definitional modulars have none (use first_order or exact_inversion)")
     exact = collect_probabilities(cfg)
     pairs = counting.pairs_per_setting
-    rngs = trial_rngs(counting.seed, counting.trials)
-    frequencies = np.stack([rng.binomial(pairs, exact) for rng in rngs]) / pairs
+    probabilities = np.append(exact, extra)
+    counts = np.stack([rng.binomial(pairs, probabilities)
+                       for rng in trial_rngs(counting.seed, counting.trials)])
+    frequencies = counts[:, :exact.size].reshape((-1, *exact.shape)) / pairs
     modulars = invert_probabilities(frequencies, cfg.epsilon, method, clamp=counting.clamp)
     kept = ~np.isnan(modulars).any(axis=-1)
     if not kept.any():
-        raise AllTrialsRejected(
-            f"all {counting.trials} trials failed inversion; "
-            "increase pairs_per_setting or enable clamping"
-        )
-    return rngs, kept, reconstruct(dims=cfg.dims, postselection=cfg.postselection,
-                                   s=s_parameter(cfg.g), modulars=modulars)
+        raise AllTrialsRejected(f"all {counting.trials} trials failed inversion; "
+                                "increase pairs_per_setting or enable clamping")
+    return kept, reconstruct(dims=cfg.dims, postselection=cfg.postselection,
+                             s=s_parameter(cfg.g), modulars=modulars), counts[:, exact.size:]
 
 
 def monte_carlo(cfg: ProtocolConfig, counting: CountingConfig,
                 *, method: Method = "exact_inversion") -> MonteCarloResult:
     """Means and spreads of every reconstructed quantity over the kept ``noisy_trials``."""
-    _, kept, result = noisy_trials(cfg, counting, method)
+    kept, result, _ = noisy_trials(cfg, counting, method)
     n_kept = int(kept.sum())
     rejected = counting.trials - n_kept
     modulars = result.modulars[kept]
     amplitudes = result.amplitudes[kept]
-    # reduced column by column: an axis-0 reduction of the (K, S) stack rounds differently
-    mod_stats = [_complex_stats(modulars[:, k]) for k in range(modulars.shape[1])]
+    # a contiguous (S, K) copy reduces as each 1-D column does; axis 0 of (K, S) would not
+    mod_mean, mod_std = _complex_stats(np.ascontiguousarray(modulars.T), axis=-1)
     return MonteCarloResult(
         amplitudes=_estimate(amplitudes, rejected),
         weak_values=_estimate(result.weak_values[kept], rejected),
-        modulars=NoisyEstimate(np.array([mean for mean, _ in mod_stats]),
-                               np.array([std for _, std in mod_stats]), n_kept, rejected,
-                               modulars),
+        modulars=NoisyEstimate(mod_mean, mod_std, n_kept, rejected, modulars),
         normalizer=_estimate(result.normalizer[kept], rejected),
         fidelity=_estimate(fidelity_states(cfg.system_state, amplitudes.reshape(n_kept, -1)),
                            rejected),
     )
 
 
+def pauli_plus_probabilities(expectations) -> np.ndarray:
+    """Probability of the +1 outcome of each of the 15 non-identity Pauli settings."""
+    return np.clip((1.0 + np.asarray(expectations, dtype=float)[1:]) / 2.0, 0.0, 1.0)
+
+
+def pauli_from_counts(counts: np.ndarray, pairs: int) -> np.ndarray:
+    """(K, 16) expectations from (K, 15) +1 counts among ``pairs``; the identity reads 1."""
+    return np.concatenate([np.ones((len(counts), 1)), 2.0 * counts / pairs - 1.0], axis=1)
+
+
 def sample_pauli_expectations(expectations: np.ndarray, pairs: int,
                               rngs: list[np.random.Generator]) -> np.ndarray:
-    """Shot-noise model for tomography: one binomial draw per Pauli setting.
-
-    Each two-outcome (+1/-1) Pauli measurement on ``pairs`` photon pairs is
-    summarized by a binomial count of +1 outcomes, drawn for all settings
-    in one call; the identity setting has no statistical error. Each of the
-    K generators makes that call in turn, giving a (K, 16) stack.
-    """
+    """Shot-noise model for tomography: each of the K generators in turn draws the +1
+    counts of the 15 non-identity Pauli settings on ``pairs`` photon pairs in one
+    binomial call, giving a (K, 16) stack; the identity setting has no error."""
     if pairs < 1:
         raise ValueError("pairs must be at least 1")
-    expectations = np.asarray(expectations, dtype=float)
-    p_plus = np.clip((1.0 + expectations[1:]) / 2.0, 0.0, 1.0)
-    counts = np.array([rng.binomial(pairs, p_plus) for rng in rngs])
-    return np.concatenate([np.ones((len(counts), 1)), 2.0 * counts / pairs - 1.0], axis=1)
+    p_plus = pauli_plus_probabilities(expectations)
+    counts = np.array([rng.binomial(pairs, p_plus) for rng in rngs]).reshape(-1, p_plus.size)
+    return pauli_from_counts(counts, pairs)

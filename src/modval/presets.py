@@ -59,6 +59,5 @@ def postselection_preset(name: str, dims: tuple[int, int]) -> PureState:
         return uniform_plus(*dims)
     if name == "alt_postselection":
         return alt_postselection()
-    raise ValueError(
-        f"unknown postselection preset {name!r}; choose from {POSTSELECTION_PRESETS}"
-    )
+    raise ValueError(f"unknown postselection preset {name!r}; "
+                     f"choose from {POSTSELECTION_PRESETS}")

@@ -82,8 +82,7 @@ class ProtocolConfig:
 
     @property
     def dims(self) -> tuple[int, int]:
-        m, n = self.system_state.dims
-        return (m, n)
+        return self.system_state.dims
 
 
 def _entangled_meter(epsilon: float) -> np.ndarray:
@@ -103,12 +102,10 @@ def _check_setting(kind: InteractionKind, j: int | None, l: int | None,
         raise ValueError(f"unknown interaction kind {kind!r}")
     use_a = kind in ("pair", "single_a")
     use_b = kind in ("pair", "single_b")
-    if use_a:
-        if j is None or not 0 <= j < m:
-            raise ValueError(f"system-A index {j} out of range for dimension {m}")
-    if use_b:
-        if l is None or not 0 <= l < n:
-            raise ValueError(f"system-B index {l} out of range for dimension {n}")
+    if use_a and (j is None or not 0 <= j < m):
+        raise ValueError(f"system-A index {j} out of range for dimension {m}")
+    if use_b and (l is None or not 0 <= l < n):
+        raise ValueError(f"system-B index {l} out of range for dimension {n}")
     return use_a, use_b
 
 

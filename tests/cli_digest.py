@@ -75,6 +75,8 @@ ERROR_CASES = (
     ("flag-pairs-1_000", {}, ["--pairs", "1_000"]),
     ("flag-epsilon-.5", {}, ["--epsilon", ".5"]),
     ("flag-unknown", {}, ["--no-such-flag"]),
+    # a prefix of a flag is not the flag
+    ("flag-prefix", {}, ["--pair", "1000", "--tri", "3"]),
 )
 
 

@@ -524,6 +524,12 @@ class TestUsageErrors:
         (["sweep-theta", "--config", "CFG", "--steps"],
          "argument --steps: expected one argument"),
         (["reconstruct", "--config"], "argument --config: expected one argument"),
+        # a prefix of a flag is not the flag
+        (["reconstruct", "--config", "CFG", "--pair", "1000", "--tri", "3"],
+         "unrecognized arguments: --pair 1000 --tri 3"),
+        (["compare", "--config", "CFG", "--pai", "5"], "unrecognized arguments: --pai 5"),
+        (["sweep-theta", "--config", "CFG", "--step", "9"], "unrecognized arguments: --step 9"),
+        (["tomography", "--conf", "CFG"], "the following arguments are required: --config"),
     ])
     def test_usage_error_is_one_config_error_line(self, tmp_path, capsys, argv, message):
         cfg = write_config(tmp_path, state={"preset": "fig3"})

@@ -2,23 +2,26 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from modval import cli, noise
 from modval.errors import AllTrialsRejected, ConfigError
 from modval.hilbert import PureState, inner
 from modval.cli import main
 from modval.noise import (
     CountingConfig,
+    _complex_stats,
     monte_carlo,
     noisy_trials,
     sample_pauli_expectations,
     trial_rngs,
 )
-from modval.presets import phase_bell, uniform_plus
+from modval.presets import phase_bell, state_preset, uniform_plus
 from modval.protocol import ProtocolConfig
 from modval.reconstruction import collect_probabilities, split_plan
 from tests.conftest import random_pair
@@ -96,6 +99,35 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError):
             monte_carlo(bell_config(), counting, method="definitional")
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(trials=st.integers(1, 300), settings_=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e5]))
+    @example(trials=1, settings_=34, seed=0, scale=1.0)  # one trial: every std is 0
+    @example(trials=8, settings_=3, seed=1, scale=1.0)  # numpy's 8-wide unrolled sum
+    @example(trials=129, settings_=8, seed=2, scale=1.0)  # past a 128-element pairwise block
+    @example(trials=300, settings_=40, seed=3, scale=1e5)
+    def test_modular_stats_equal_per_column_stats(self, trials, settings_, seed, scale):
+        # reference: each (K,) column of the kept modulars reduced on its own; a few
+        # trials are rejected so the kept rows are a copy, as in a real run
+        rng = np.random.default_rng(seed)
+        modulars = scale * (1.0 + rng.normal(size=(trials + 2, settings_))
+                            + 1j * rng.normal(size=(trials + 2, settings_)))
+        kept = np.ones(trials + 2, dtype=bool)
+        kept[[0, -1]] = False
+        amplitudes = np.tile(phase_bell(0.0).amps.reshape(2, 2), (trials + 2, 1, 1))
+        result = SimpleNamespace(modulars=modulars, amplitudes=amplitudes,
+                                 weak_values=amplitudes, normalizer=np.ones(trials + 2))
+        counting = CountingConfig(pairs_per_setting=100, trials=trials + 2, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(noise, "noisy_trials", lambda *args: (kept, result, None))
+            mc = monte_carlo(bell_config(), counting)
+        columns = [_complex_stats(modulars[kept][:, k]) for k in range(settings_)]
+        assert mc.modulars.mean.tobytes() == np.array([m for m, _ in columns]).tobytes()
+        assert mc.modulars.std.tobytes() == np.array([s for _, s in columns]).tobytes()
+        assert mc.modulars.samples_kept == trials and mc.modulars.samples_rejected == 2
+        if trials == 1:
+            assert not mc.modulars.std.any()
+
     def test_modular_estimates_reported(self):
         cfg = bell_config()
         mc = monte_carlo(cfg, CountingConfig(pairs_per_setting=100_000, trials=50, seed=9))
@@ -107,28 +139,48 @@ class TestMonteCarlo:
 
 class TestNoisyTrials:
     def test_counts_follow_scalar_draws_in_plan_order(self):
-        # reference: one scalar binomial per (setting, detector), in plan order
+        # reference: one scalar binomial per (setting, detector), in plan order, then one
+        # per extra probability, continuing the same stream
         cfg = ProtocolConfig(system_state=phase_bell(0.7), postselection=uniform_plus(),
                              epsilon=0.2)
         counting = CountingConfig(pairs_per_setting=1000, trials=4, seed=7)
         exact = collect_probabilities(cfg)
-        rngs, kept, result = noisy_trials(cfg, counting, "first_order")
-        assert len(rngs) == counting.trials and kept.all()
+        extra = [0.3, 0.0, 0.75, 1.0, 1e-3, 0.5]
+        kept, result, extra_counts = noisy_trials(cfg, counting, "first_order", extra=extra)
+        assert kept.all()
         assert result.modulars.shape == (counting.trials, len(exact))
-        for trial, rng in enumerate(rngs):
+        assert extra_counts.shape == (counting.trials, len(extra))
+        for trial in range(counting.trials):
             ref = trial_rng(counting.seed, trial)
             expected = [ref.binomial(1000, p) / 1000 for p1, p2 in exact for p in (p1, p2)]
             # first order reads M = (p1 - 1/2)/eps + i (p2 - 1/2)/eps exactly
             measured = [p for m in result.modulars[trial]
                         for p in (0.5 + 0.2 * m.real, 0.5 + 0.2 * m.imag)]
             np.testing.assert_allclose(measured, expected, rtol=0, atol=1e-12)
-            # the handed-on generator continues the same stream
-            assert rng.random() == ref.random()
+            state = ref.bit_generator.state
+            assert extra_counts[trial].tolist() == [ref.binomial(1000, p) for p in extra]
+            # p = 0 gives 0 and takes nothing from the stream, so the other entries are
+            # the draws with it left out; p = 1 gives every pair, but numpy's inversion
+            # of q = 1 - p = 0 still takes one uniform
+            assert extra_counts[trial, [1, 3]].tolist() == [0, 1000]
+            ref.bit_generator.state = state
+            assert extra_counts[trial, [0, 2, 3, 4, 5]].tolist() == [
+                ref.binomial(1000, p) for p in extra if p > 0]
+
+    def test_extra_draws_leave_the_trials_unchanged(self):
+        cfg = bell_config(theta=0.9 * math.pi)
+        counting = CountingConfig(pairs_per_setting=100, trials=30, seed=11)
+        kept, result, extra_counts = noisy_trials(cfg, counting)
+        assert extra_counts.shape == (counting.trials, 0)
+        kept_x, result_x, _ = noisy_trials(cfg, counting, extra=np.full(15, 0.5))
+        assert 0 < kept.sum() < counting.trials
+        assert np.array_equal(kept, kept_x)
+        assert result.amplitudes.tobytes() == result_x.amplitudes.tobytes()
 
     def test_rejected_trials_are_masked(self):
         cfg = bell_config(theta=0.9 * math.pi)
         counting = CountingConfig(pairs_per_setting=100, trials=50, seed=11)
-        _, kept, result = noisy_trials(cfg, counting)
+        kept, result, _ = noisy_trials(cfg, counting)
         assert 0 < kept.sum() < counting.trials
         assert np.all(np.isnan(result.amplitudes[~kept]))
         assert np.all(np.isfinite(result.amplitudes[kept]))
@@ -142,12 +194,71 @@ class TestNoisyTrials:
         psi, phi = random_pair(np.random.default_rng(seed), dims, min_overlap=0.3)
         cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=0.5)
         counting = CountingConfig(pairs_per_setting=300, trials=40, seed=seed)
-        _, kept, result = noisy_trials(cfg, counting)
+        kept, result, _ = noisy_trials(cfg, counting)
         want = [abs(inner(psi, PureState(dims, result.amplitudes[k].reshape(-1)))) ** 2
                 for k in np.flatnonzero(kept)]
         mc = monte_carlo(cfg, counting)
         assert mc.fidelity.samples.tobytes() == np.array(want).tobytes()
         assert mc.fidelity.samples_kept == kept.sum()
+
+
+def compare_config(tmp_path, **noise_fields):
+    """A noisy fig4a ``compare`` config at epsilon 0.9, and its protocol and counting."""
+    counting = CountingConfig(**{"pairs_per_setting": 500, "trials": 12, "seed": 11,
+                                 **noise_fields})
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"schema_version": 1, "state": {"preset": "fig4a"},
+                                "epsilon": 0.9, "noise": vars(counting)}))
+    pcfg = ProtocolConfig(system_state=state_preset("fig4a"), postselection=uniform_plus(),
+                          epsilon=0.9)
+    return str(path), pcfg, counting
+
+
+class TestCompareDraws:
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_expectations_equal_the_kept_generator_path(self, tmp_path, monkeypatch, capsys,
+                                                        clamp):
+        # reference: every trial's generator positioned after its detector draw, the
+        # kept ones then drawing the Pauli counts through sample_pauli_expectations
+        path, pcfg, counting = compare_config(tmp_path, clamp=clamp)
+        seen = []
+        inversion = cli.linear_inversion
+        monkeypatch.setattr(cli, "linear_inversion",
+                            lambda values: seen.append(values) or inversion(values))
+        assert main(["compare", "--config", path, "--no-timestamp"]) == 0
+        assert capsys.readouterr().err == ""
+
+        kept = noisy_trials(pcfg, counting)[0]
+        assert kept.all() if clamp else 0 < kept.sum() < counting.trials
+        exact = collect_probabilities(pcfg)
+        rngs = trial_rngs(counting.seed, counting.trials)
+        for rng in rngs:
+            rng.binomial(counting.pairs_per_setting, exact)
+        want = sample_pauli_expectations(pauli_expectations(pcfg.system_state),
+                                         counting.pairs_per_setting,
+                                         [rng for rng, keep in zip(rngs, kept) if keep])
+        assert len(seen) == 1 and seen[0].shape == (kept.sum(), 16)
+        assert seen[0].tobytes() == want.tobytes()
+
+    def test_one_binomial_call_per_trial(self, tmp_path, monkeypatch, capsys):
+        # a trial draws its detector and Pauli counts in one call, kept or not
+        path, _, counting = compare_config(tmp_path)
+        calls = []
+
+        class CountingGenerator:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def binomial(self, *args):
+                calls.append(args)
+                return self.rng.binomial(*args)
+
+        seed_trials = noise.trial_rngs
+        monkeypatch.setattr(noise, "trial_rngs", lambda seed, trials: [
+            CountingGenerator(rng) for rng in seed_trials(seed, trials)])
+        assert main(["compare", "--config", path, "--no-timestamp"]) == 0
+        assert "negative_discriminant" in capsys.readouterr().out  # some trials rejected
+        assert len(calls) == counting.trials
 
 
 class TestTrialRngs:
@@ -208,6 +319,11 @@ class TestSamplePauliExpectations:
                                  for rng in trial_rngs(9, 5)])
         assert stacked.shape == (5, 16)
         assert stacked.tobytes() == single.tobytes()
+
+    def test_no_generators_give_an_empty_stack(self):
+        values = pauli_expectations(phase_bell(0.3))
+        empty = sample_pauli_expectations(values, 100, [])
+        assert empty.shape == (0, 16) and empty.dtype == np.float64
 
     def test_identity_is_exact(self):
         values = pauli_expectations(phase_bell(0.0))
