@@ -56,16 +56,16 @@ factors each at least 2; a null in a field with a non-null default (only
 ``sweep-theta`` state other than the fig3 preset, ``--steps`` below 2 or
 above 10**6 (the trials cap) and a non-finite ``--theta-min``/``--theta-max``.
 
-Each subcommand returns its table's columns; ``main`` writes every table
-with the one ``write_table`` call.
+Each subcommand returns its table as columns, each its values held once and
+a row layout; ``main`` writes every table with the one ``write_table`` call,
+which formats each value once (``str``; "" when empty) and quotes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
+import itertools
 import json
 import math
 import re
@@ -326,88 +326,84 @@ def _full_support(pcfg: ProtocolConfig) -> ProtocolConfig:
 # ---------------------------------------------------------------------------
 # table output
 
-def write_table(columns: dict[str, list], *, meta: dict, output_path: str, fmt: str,
-                timestamp: bool, json_extra: dict | None = None) -> None:
+def write_table(columns: dict[str, tuple], *, meta: dict, output_path: str,
+                fmt: str, timestamp: bool, json_extra: dict | None = None) -> None:
     """Write a table given column by column, in the dict's order.
 
-    A column is a list of Python values, one per row (the ``.tolist()`` of
-    an array), with None for an empty cell. csv.writer formats every cell:
-    None as an empty cell, a float as its repr, anything else with str. A
-    JSON document carries the same values, one object per row. An output
+    A column is ``(values, layout)``: its values, each held once (a
+    ``.tolist()``, so never a numpy scalar), and per row the index of its
+    value, -1 for an empty cell. CSV formats each value once, as csv.writer
+    would: ``str``, which for a Python float is its ``repr``, and "" when
+    empty. Cells are joined by "," and a row ends in "\n", unquoted: no value or
+    name a table carries holds , " \r or \n. JSON gathers the raw values
+    (None when empty) by the same layouts, one object per row. An output
     file that cannot be opened or written raises ConfigError.
     """
     meta_out = {"schema_version": SCHEMA_VERSION, **meta}
-    fieldnames = list(columns)
-    rows = zip(*columns.values())
+    names = list(columns)
+    cells = [[*map(str, values), ""] if fmt == "csv" else [*values, None]
+             for values, _ in columns.values()]
+    rows = zip(*(map(column.__getitem__, layout)
+                 for column, (_, layout) in zip(cells, columns.values())))
     if fmt == "csv":
-        buffer = io.StringIO()
-        if timestamp:
-            buffer.write(f"# generated={datetime.now(timezone.utc).isoformat()}\n")
-        for key, value in meta_out.items():
-            buffer.write(f"# {key}={value}\n")
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(fieldnames)
-        writer.writerows(rows)
-        text = buffer.getvalue()
+        head = [f"# generated={datetime.now(timezone.utc).isoformat()}"] if timestamp else []
+        head += [f"# {key}={value}" for key, value in meta_out.items()]
+        # lines are written as they are made, so a long table's text is never held whole
+        lines = map("{}\n".format, itertools.chain(head, [",".join(names)], map(",".join, rows)))
     else:
         doc = dict(meta_out)
         if timestamp:
             doc["generated"] = datetime.now(timezone.utc).isoformat()
         if json_extra:
             doc.update(json_extra)
-        doc["columns"] = fieldnames
-        doc["rows"] = [dict(zip(fieldnames, row)) for row in rows]
-        text = json.dumps(doc, indent=2) + "\n"
+        doc["columns"] = names
+        doc["rows"] = [dict(zip(names, row)) for row in rows]
+        lines = [json.dumps(doc, indent=2) + "\n"]
     if output_path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         return
     try:
         with open(output_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(lines)
     except OSError as exc:
         raise ConfigError(f"cannot write output {output_path}: {exc}") from None
 
 
-def _cells(values, at, rows: int) -> list:
-    """A column of ``rows`` cells holding ``values`` at ``at`` (indices or a
-    mask); the other cells are empty."""
-    column = np.full(rows, None, dtype=object)
-    column[at] = values
-    return column.tolist()
+def _slots(mask) -> list[int]:
+    """A layout with the k-th value in the k-th row where ``mask`` holds, the rest empty."""
+    return np.where(mask, np.cumsum(mask) - 1, -1).tolist()
 
 
-def _complex_columns(prefix: str, values, suffix: str = "", at=None,
-                     rows: int = 0) -> dict[str, list]:
-    """The ``_re``/``_im`` columns of complex values, flattened row-major;
-    given ``at``, the values fill only those of ``rows`` cells."""
+def _complex_columns(prefix: str, values, layout, suffix: str = "") -> dict[str, tuple]:
+    """Columns ``{prefix}re{suffix}`` and ``im`` of flattened complex values, on ``layout``."""
     values = np.asarray(values).ravel()
-    return {f"{prefix}_{name}{suffix}": part.tolist() if at is None else _cells(part, at, rows)
+    return {f"{prefix}{name}{suffix}": (part.tolist(), layout)
             for name, part in (("re", values.real), ("im", values.imag))}
 
 
-def _grid_columns(names: tuple[str, str], dims: tuple[int, int]) -> dict[str, list]:
+def _grid_columns(names: tuple[str, str], dims: tuple[int, int]) -> dict[str, tuple]:
     """Row and column index of every cell of an m x n grid, row-major."""
-    row, col = np.indices(dims)
-    return {names[0]: row.ravel().tolist(), names[1]: col.ravel().tolist()}
+    return {name: (list(range(size)), index.ravel().tolist())
+            for name, size, index in zip(names, dims, np.indices(dims))}
 
 
 def _component_columns(dims: tuple[int, int], amplitudes, weak_values, modulars, normalizer,
-                       suffix: str = "") -> dict[str, list]:
+                       suffix: str = "") -> dict[str, tuple]:
     """The columns of a reconstruct table after comp_a/comp_b, rows (j, l) row-major.
 
-    Component (j, l) shows the single_a modular value of j, the single_b one
-    of l and the pair one of (j, l); index 0 has none, so those cells are empty.
+    Component (j, l) shows the single_a modular value of j, the single_b one of
+    l and the pair one of (j, l), each held once; index 0 has none (layout -1).
     """
     m, n = dims
-    mod_a, mod_b, mod_pair = split_plan(modulars, dims)
-    row, col = (index.ravel() for index in np.indices(dims))
-    columns = {**_complex_columns("amp", amplitudes, suffix),
-               **_complex_columns("weak", weak_values, suffix)}
-    for prefix, values, at in (("mod_a", np.repeat(mod_a, n), row > 0),
-                               ("mod_b", np.tile(mod_b, m), col > 0),
-                               ("mod_pair", mod_pair, (row > 0) & (col > 0))):
-        columns.update(_complex_columns(prefix, values, suffix, at=at, rows=m * n))
-    columns[f"normalizer{suffix}"] = [normalizer] * (m * n)
+    row, col = np.indices(dims).reshape(2, -1)
+    pair = np.where(row * col > 0, (row - 1) * (n - 1) + col - 1, -1)
+    layouts = [range(m * n)] * 2 + np.stack([row - 1, col - 1, pair]).tolist()
+    columns = {}
+    for prefix, values, layout in zip(("amp_", "weak_", "mod_a_", "mod_b_", "mod_pair_"),
+                                      (amplitudes, weak_values, *split_plan(modulars, dims)),
+                                      layouts):
+        columns.update(_complex_columns(prefix, values, layout, suffix))
+    columns[f"normalizer{suffix}"] = ([normalizer], [0] * (m * n))
     return columns
 
 
@@ -450,27 +446,27 @@ def cmd_sweep_theta(cfg: RunConfig, theta_min: float, theta_max: float,
     base = _full_support(cfg.protocol)
     thetas = np.linspace(theta_min, theta_max, steps)
     methods = ("definitional", "first_order", "exact_inversion")
-    errors = []  # per row: the error code, or None
-    done, values = [], []  # per row with a result: its index and values
-    for theta in thetas.tolist():
+    done = np.zeros(steps * len(methods), dtype=bool)  # rows (theta, method) with a result
+    values = np.zeros((done.size, 4), dtype=np.complex128)
+    errors = []  # the error code of every other row, in row order
+    for k, theta in enumerate(thetas.tolist()):
         pcfg = replace(base, system_state=phase_bell(theta))
-        for method in methods:
+        for row, method in enumerate(methods, k * len(methods)):
             try:
                 result = reconstruct_state(pcfg, method)
             except ModvalError as exc:
                 errors.append(exc.code)  # its numeric cells stay empty
                 continue
-            done.append(len(errors))
-            errors.append(None)
-            values.append((*result.modulars, result.amplitudes[1, 1]))
+            done[row] = True
+            values[row] = (*result.modulars, result.amplitudes[1, 1])
 
-    values = np.array(values, dtype=np.complex128).reshape(-1, 4)
-    mod_a, mod_b, mod_pair = split_plan(values[:, :3], base.dims)
-    columns = {"theta": np.repeat(thetas, len(methods)).tolist(), "method": list(methods) * steps}
-    for prefix, column in (("mod_a", mod_a), ("mod_b", mod_b), ("mod_pair", mod_pair),
-                           ("psi_vv", values[:, 3])):
-        columns.update(_complex_columns(prefix, column, at=done, rows=len(errors)))
-    columns["error"] = errors
+    at = _slots(done)
+    columns = {"theta": (thetas.tolist(), np.arange(steps).repeat(len(methods)).tolist()),
+               "method": (list(methods), list(range(len(methods))) * steps)}
+    for prefix, column in zip(("mod_a_", "mod_b_", "mod_pair_", "psi_vv_"),
+                              (*split_plan(values[done, :3], base.dims), values[done, 3])):
+        columns.update(_complex_columns(prefix, column, at))
+    columns["error"] = (errors, _slots(~done))
     meta = {"epsilon": base.epsilon, "g": base.g,
             "theta_min": theta_min, "theta_max": theta_max, "steps": steps}
     return columns, meta, None
@@ -494,7 +490,7 @@ def cmd_tomography(cfg: RunConfig) -> tuple[dict, dict, dict]:
     rho = linear_inversion(expectations)
     meta.update(min_eigenvalue=rho.min_eigenvalue, positive=rho.positive)
     columns = {**_grid_columns(("row", "col"), (4, 4)),
-               "re": rho.mat.real.ravel().tolist(), "im": rho.mat.imag.ravel().tolist()}
+               **_complex_columns("", rho.mat, range(16))}
     return columns, meta, {"matrix_re": rho.mat.real.tolist(), "matrix_im": rho.mat.imag.tolist()}
 
 
@@ -522,15 +518,14 @@ def cmd_compare(cfg: RunConfig) -> tuple[dict, dict, None]:
                                             extra=pauli_plus_probabilities(exact_expect))
         expectations = pauli_from_counts(counts[kept], cfg.noise.pairs_per_setting)
 
-    names = ("fidelity_direct_vs_truth", "fidelity_tomography_vs_truth",
-             "fidelity_direct_vs_tomography")
     direct = result.amplitudes.reshape(-1, 4)[kept]
     rho = linear_inversion(expectations)
-    fidelities = (fidelity_states(truth, direct), fidelity_pure(rho, truth),
-                  fidelity_pure(rho, direct))
-    columns = {"trial": list(range(kept.size)),
-               **{name: _cells(values, kept, kept.size) for name, values in zip(names, fidelities)},
-               "error": np.where(kept, None, NegativeDiscriminant.code).tolist()}
+    at = _slots(kept)
+    columns = {"trial": (list(range(kept.size)), range(kept.size)),
+               "fidelity_direct_vs_truth": (fidelity_states(truth, direct).tolist(), at),
+               "fidelity_tomography_vs_truth": (fidelity_pure(rho, truth).tolist(), at),
+               "fidelity_direct_vs_tomography": (fidelity_pure(rho, direct).tolist(), at),
+               "error": ([NegativeDiscriminant.code], np.where(kept, -1, 0).tolist())}
     return columns, meta, None
 
 

@@ -11,6 +11,7 @@ eigenvalues, which are flagged on the result rather than repaired.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,15 +39,13 @@ _IDENTITY_TOL = 1e-6
 class DensityMatrix:
     """Linear-inversion estimate; Hermitian and unit trace by construction.
 
-    ``positive`` records whether the spectrum is non-negative (within the
-    structural tolerance); linear inversion does not enforce it. A batch
-    carries leading trial axes: ``mat`` is (..., 4, 4), ``min_eigenvalue``
-    and ``positive`` are (...) arrays, and every trial is checked.
+    ``min_eigenvalue`` and ``positive`` (a spectrum non-negative within the
+    structural tolerance, which linear inversion does not enforce) are read
+    off ``mat`` on first use. A batch carries leading trial axes: ``mat`` is
+    (..., 4, 4), every trial checked, and the other two are (...) arrays.
     """
 
     mat: np.ndarray
-    min_eigenvalue: float | np.ndarray
-    positive: bool | np.ndarray
 
     def __post_init__(self):
         mat = np.array(self.mat, dtype=np.complex128)
@@ -58,6 +57,15 @@ class DensityMatrix:
             raise ValueError("density matrix must have unit trace")
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
+
+    @functools.cached_property
+    def min_eigenvalue(self) -> float | np.ndarray:
+        value = np.linalg.eigvalsh(self.mat)[..., 0]
+        return float(value) if value.ndim == 0 else value
+
+    @functools.cached_property
+    def positive(self) -> bool | np.ndarray:
+        return self.min_eigenvalue >= -DEFAULT_TOL.structural
 
 
 def pauli_expectations(psi: PureState) -> np.ndarray:
@@ -82,10 +90,7 @@ def linear_inversion(expectations) -> DensityMatrix:
     for value, obs in zip(np.moveaxis(values, -1, 0), _SETTINGS):
         mat += value[..., None, None] * obs
     mat /= 4.0
-    min_eig = np.linalg.eigvalsh(mat)[..., 0]
-    if min_eig.ndim == 0:
-        min_eig = float(min_eig)
-    return DensityMatrix(mat, min_eig, min_eig >= -DEFAULT_TOL.structural)
+    return DensityMatrix(mat)
 
 
 def _amplitudes(state) -> np.ndarray:

@@ -8,9 +8,15 @@ byte for byte::
     python tests/cli_digest.py --src src > after.txt
     diff before.txt after.txt
 
-``--every N`` runs every N-th entry of the grid only. The full grid's output
-is pinned in ``tests/data/cli_digest.txt``, which ``tests/test_cli.py``
-compares line by line; a deliberate output change regenerates it with
+``--every N`` runs every N-th entry of the grid only, and ``--show LABEL``
+prints the status, stdout and stderr of the one run with that label (the
+text after the hash), so a changed line can be read::
+
+    python tests/cli_digest.py --src src --show "reconstruct 7x5 exact_inversion csv"
+
+The full grid's output is pinned in ``tests/data/cli_digest.txt``, which
+``tests/test_cli.py`` compares line by line; a deliberate output change
+regenerates it with
 ``python tests/cli_digest.py --src src > tests/data/cli_digest.txt``.
 
 A run that raises records the exception type in place of an exit code, so a
@@ -161,26 +167,50 @@ def digest(captured: tuple[str, str, str]) -> str:
     return hashlib.sha256("\0".join(captured).encode("utf-8")).hexdigest()
 
 
-def lines(modval_main, every: int = 1) -> list[str]:
-    """``<sha256> <label>`` of every ``every``-th grid run, made in a temporary directory."""
+@contextlib.contextmanager
+def _scratch_directory():
+    """A temporary working directory, so relative outputs, such as "5" from
+    "output_path": 5, land there."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)  # relative outputs, such as "5" from "output_path": 5, land here
+        os.chdir(tmp)
         try:
-            return [f"{digest(capture(modval_main, Path(tmp), command, fields, flags))} {label}"
-                    for label, command, fields, flags in runs()[::every]]
+            yield Path(tmp)
         finally:
             os.chdir(cwd)
+
+
+def lines(modval_main, every: int = 1) -> list[str]:
+    """``<sha256> <label>`` of every ``every``-th grid run, made in a temporary directory."""
+    with _scratch_directory() as tmp:
+        return [f"{digest(capture(modval_main, tmp, command, fields, flags))} {label}"
+                for label, command, fields, flags in runs()[::every]]
+
+
+def show(modval_main, label: str) -> str:
+    """The status, stdout and stderr of the grid run named ``label``, or KeyError."""
+    command, fields, flags = {run[0]: run[1:] for run in runs()}[label]
+    with _scratch_directory() as tmp:
+        status, out, err = capture(modval_main, tmp, command, fields, flags)
+    return f"status: {status}\n--- stdout ---\n{out}--- stderr ---\n{err}"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="source tree holding the modval package")
     parser.add_argument("--every", type=int, default=1, help="run every N-th grid entry only")
+    parser.add_argument("--show", metavar="LABEL",
+                        help="print the captured status, stdout and stderr of one grid run")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
     from modval.cli import main as modval_main
 
+    if args.show is not None:
+        try:
+            sys.stdout.write(show(modval_main, args.show))
+        except KeyError:
+            parser.error(f"no grid run is labelled {args.show!r}")
+        return 0
     for line in lines(modval_main, args.every):
         print(line)
     return 0

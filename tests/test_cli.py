@@ -1,5 +1,6 @@
 """Command-line interface: configs, artifacts, determinism, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -8,9 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from modval import cli
 from modval.cli import main
-from modval.errors import NegativeDiscriminant
+from modval.errors import ModvalError, NegativeDiscriminant
+from modval.reconstruction import METHODS
 from tests import cli_digest
 
 
@@ -579,6 +583,82 @@ class TestParserReuse:
         assert cli._build_parser() is cli._build_parser()
 
 
+def _error_codes(cls=ModvalError):
+    """The ``code`` of ``cls`` and of every subclass."""
+    yield cls.code
+    for sub in cls.__subclasses__():
+        yield from _error_codes(sub)
+
+
+_CELL_VALUES = (
+    st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5]),
+    st.integers(-10**20, 10**20),
+    st.sampled_from(METHODS + tuple(_error_codes())),
+)
+
+
+@st.composite
+def _tables(draw):
+    """Columns (values, layout) over a shared row count; a layout repeats,
+    tiles or scatters its values, -1 marking an empty cell."""
+    rows = draw(st.integers(0, 6))
+    columns = {}
+    # two columns at least, as every table has: csv.writer quotes the empty
+    # cell of a one-column row ('""'), which the writer does not reproduce
+    for k in range(draw(st.integers(2, 5))):
+        values = draw(st.lists(draw(st.sampled_from(_CELL_VALUES)), max_size=4))
+        index = st.integers(-1, len(values) - 1)
+        shape = draw(st.sampled_from(("scatter", "repeat", "tile")))
+        if shape == "scatter" or not values:
+            layout = draw(st.lists(index, min_size=rows, max_size=rows))
+        elif shape == "repeat":
+            layout = [min(i // 2, len(values) - 1) for i in range(rows)]
+        else:
+            layout = [i % len(values) for i in range(rows)]
+        columns[f"c{k}"] = (values, layout)
+    return columns
+
+
+def _written(columns, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.write_table(columns, meta={}, output_path="-", fmt=fmt, timestamp=False)
+    return out.getvalue()
+
+
+class TestWriteTable:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(columns=_tables())
+    @example(columns={"a": ([1.5, -0.0], [1]), "b": ([], [-1])})  # one row
+    @example(columns={"a": ([], []), "b": ([0.5], [])})  # no rows
+    def test_text_matches_csv_writer_and_json_gathers_the_same_cells(self, columns):
+        rows = list(zip(*([values[i] if i >= 0 else None for i in layout]
+                          for values, layout in columns.values())))
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        assert _written(columns, "csv") == "# schema_version=1\n" + buffer.getvalue()
+        doc = {"schema_version": 1, "columns": list(columns),
+               "rows": [dict(zip(columns, row)) for row in rows]}
+        assert _written(columns, "json") == json.dumps(doc, indent=2) + "\n"
+
+    def test_table_strings_need_no_quoting(self, tmp_path, capsys):
+        noise = {"pairs_per_setting": 1000, "trials": 3, "seed": 1}
+        runs = ((["reconstruct"], {}), (["reconstruct"], {"noise": noise}),
+                (["sweep-theta", "--steps", "3"], {}), (["tomography"], {}),
+                (["compare"], {"noise": noise}))
+        strings = [*METHODS, *_error_codes()]
+        for command, overrides in runs:
+            cfg = write_config(tmp_path, state={"preset": "fig3"}, theta=0.3, format="json",
+                               **overrides)
+            assert main([*command, "--config", cfg, "--no-timestamp"]) == 0
+            strings += json.loads(capsys.readouterr().out)["columns"]
+        assert len(strings) > 40
+        for text in strings:
+            assert not set(text) & set(',"\r\n'), text
+
+
 class TestCliDigest:
     """The seeded sweep of tests/cli_digest.py, pinned in tests/data/cli_digest.txt."""
 
@@ -613,6 +693,22 @@ class TestCliDigest:
         lines = proc.stdout.splitlines()
         assert len(lines) == len(cli_digest.runs()[::50])
         assert all(len(line.split(" ", 1)[0]) == 64 for line in lines)
+
+        # --show prints the captured run behind one label
+        digest, label = lines[1].split(" ", 1)
+        proc = subprocess.run([sys.executable, str(root / "tests" / "cli_digest.py"),
+                               "--src", str(root / "src"), "--show", label],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        head, rest = proc.stdout.split("\n--- stdout ---\n", 1)
+        out, err = rest.split("--- stderr ---\n", 1)
+        status = head.removeprefix("status: ")
+        assert cli_digest.digest((status, out, err)) == digest
+        assert "schema_version" in out or err.startswith("error: ")
+        proc = subprocess.run([sys.executable, str(root / "tests" / "cli_digest.py"),
+                               "--src", str(root / "src"), "--show", "no such run"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2 and "no grid run is labelled" in proc.stderr
 
 
 # Seeded runs whose --no-timestamp tables are pinned byte for byte in

@@ -175,17 +175,26 @@ class TestDensityMatrixValidation:
         mat = np.diag([1.0, 0, 0, 0]).astype(complex)
         mat[0, 1] = 0.5
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(mat, 0.0, True)
+            DensityMatrix(mat)
 
     def test_trace_required(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.eye(4, dtype=complex), 0.25, True)
+            DensityMatrix(np.eye(4, dtype=complex))
 
     def test_every_trial_checked(self):
         good = np.diag([1.0, 0, 0, 0]).astype(complex)
         skewed = good.copy()
         skewed[0, 1] = 0.5
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(np.stack([good, skewed]), np.zeros(2), np.ones(2, dtype=bool))
+            DensityMatrix(np.stack([good, skewed]))
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.stack([good, 2 * good]), np.zeros(2), np.ones(2, dtype=bool))
+            DensityMatrix(np.stack([good, 2 * good]))
+
+    def test_spectrum_comes_from_the_matrix(self):
+        rho = DensityMatrix(np.eye(4) / 4)
+        assert rho.min_eigenvalue == 0.25 and rho.positive is True
+        skewed = DensityMatrix(np.stack([np.eye(4) / 4, np.diag([1.5, -0.5, 0, 0])]))
+        assert skewed.min_eigenvalue.tolist() == [0.25, -0.5]
+        assert skewed.positive.tolist() == [True, False]
+        with pytest.raises(TypeError):
+            DensityMatrix(np.eye(4) / 4, -1.0, False)  # a spectrum is not an input
