@@ -45,7 +45,6 @@ from .reconstruction import (
     definitional_modulars,
     invert_probabilities,
     measurement_plan,
-    modular_definitional,
     modular_exact_inversion,
     modular_first_order,
     reconstruct,

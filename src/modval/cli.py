@@ -49,12 +49,14 @@ JSON number grammar
 ``-?(0|[1-9][0-9]*)([.][0-9]+)?([eE][+-]?[0-9]+)?`` in ASCII digits with no
 space or underscore, never a bool; pairs_per_setting, trials, seed and each
 dims factor must be integral, theta, epsilon and g finite; clamp must be a
-bool, method, format and output_path strings); ``dims`` that are not two
-factors each at least 2; a null in a field with a non-null default (only
-"theta" may be null); pairs_per_setting above 2**63 - 1 or trials above
-10**6; a negative seed; an unknown key; and, checked first, a
-``sweep-theta`` state other than the fig3 preset, ``--steps`` below 2 or
-above 10**6 (the trials cap) and a non-finite ``--theta-min``/``--theta-max``.
+bool, method, format and output_path strings); epsilon outside [1e-8, 1]
+(the readout (p - 1/2)/epsilon loses log10(1/epsilon) digits); ``dims``
+that are not two factors each at least 2; a null in a field with a
+non-null default (only "theta" may be null); pairs_per_setting above
+2**63 - 1 or trials above 10**6; a negative seed; an unknown key; and,
+checked first, a ``sweep-theta`` state other than the fig3 preset,
+``--steps`` below 2 or above 10**6 (the trials cap) and a non-finite
+``--theta-min``/``--theta-max``.
 
 Each subcommand returns its table as columns, each its values held once and
 a row layout; ``main`` writes every table with the one ``write_table`` call,

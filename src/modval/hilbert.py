@@ -7,8 +7,9 @@ Conventions shared by every module in the package:
   i.e. index = ((i0*d1 + i1)*d2 + i2)*... for factor indices (i0, i1, ...).
 * States are immutable after construction; every operation is a pure
   function returning fresh values, so concurrent use is safe.
-* Observables are plain square arrays on that basis; the package builds no
-  operator type (the dense operators of the tests live in ``tests/oracle.py``).
+* The package builds no operator and takes none: every coupling is diagonal
+  in the product basis and is held as that diagonal (the dense operators of
+  the tests live in ``tests/oracle.py``).
 
 Dimensions are capped at a total of 4096 (desk-scale protocols only).
 """

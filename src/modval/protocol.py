@@ -45,6 +45,11 @@ _KINDS = ("pair", "single_a", "single_b")
 
 # smallest |s| = |e^{-ig} - 1| accepted: weak values are divided by s and s^2
 _MIN_S = 1e-6
+# smallest meter asymmetry accepted: the readout (p - 1/2)/epsilon loses
+# log10(1/epsilon) digits, and the exact inversion's worst infidelity on
+# fig4a-d and near-uniform 7x5 states grows from 1e-13 at 1e-8 to 2e-5 at
+# 1e-12 and 0.27 at 1e-14
+_MIN_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -53,7 +58,8 @@ class ProtocolConfig:
 
     ``g`` defaults to pi so the s-parameter e^{-ig}-1 equals -2; it must be
     finite with |s| >= 1e-6 (at g = 0 or 2*pi the meter carries no signal).
-    epsilon is the meter asymmetry (0.2 in the reference setting).
+    epsilon is the meter asymmetry (0.2 in the reference setting), in
+    [1e-8, 1]: a smaller one leaves too few digits in the readout.
     """
 
     system_state: PureState
@@ -70,8 +76,8 @@ class ProtocolConfig:
                             ("postselection", self.postselection)):
             if abs(state.norm() - 1.0) > DEFAULT_TOL.structural:
                 raise ValueError(f"{name} must be normalized")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in (0, 1]")
+        if not _MIN_EPSILON <= self.epsilon <= 1.0:
+            raise ValueError("epsilon must lie in [1e-8, 1]")
         if not math.isfinite(self.g):
             raise ValueError(f"coupling g must be finite, got {self.g!r}")
         if abs(cmath.exp(-1j * self.g) - 1.0) < _MIN_S:
@@ -83,6 +89,17 @@ class ProtocolConfig:
     @property
     def dims(self) -> tuple[int, int]:
         return self.system_state.dims
+
+
+def _postselection_overlap(cfg: ProtocolConfig) -> complex:
+    """<postselection|state>, or OrthogonalPostselection when its magnitude falls
+    below DEFAULT_TOL.orthogonal: every modular value diverges there."""
+    overlap = inner(cfg.postselection, cfg.system_state)
+    if abs(overlap) < DEFAULT_TOL.orthogonal:
+        raise OrthogonalPostselection(
+            f"|<postselection|state>| = {abs(overlap):.3e} < {DEFAULT_TOL.orthogonal:.3e}"
+        )
+    return overlap
 
 
 def _entangled_meter(epsilon: float) -> np.ndarray:
@@ -186,11 +203,7 @@ def run_protocol(cfg: ProtocolConfig, settings: Iterable[SettingSpec]) -> PlanOu
     falls below DEFAULT_TOL.orthogonal (the modular value diverges there and
     no meter readout is meaningful), and ValueError for an invalid setting.
     """
-    overlap = inner(cfg.postselection, cfg.system_state)
-    if abs(overlap) < DEFAULT_TOL.orthogonal:
-        raise OrthogonalPostselection(
-            f"|<postselection|state>| = {abs(overlap):.3e} < {DEFAULT_TOL.orthogonal:.3e}"
-        )
+    _postselection_overlap(cfg)
     m, n = cfg.dims
     if not isinstance(settings, tuple):
         settings = tuple(map(tuple, settings))

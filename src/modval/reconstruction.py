@@ -32,9 +32,10 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import NegativeDiscriminant, OrthogonalPostselection
-from .hilbert import DEFAULT_TOL, PureState, inner
-from .protocol import ProtocolConfig, SettingSpec, _index_settings, run_protocol
+from .errors import NegativeDiscriminant
+from .hilbert import PureState
+from .protocol import (ProtocolConfig, SettingSpec, _index_settings, _postselection_overlap,
+                       run_protocol)
 
 Method = Literal["first_order", "exact_inversion", "definitional"]
 METHODS = ("first_order", "exact_inversion", "definitional")
@@ -92,38 +93,6 @@ def split_plan(values, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, n
     values = np.asarray(values)
     return (values[..., :m - 1], values[..., m - 1:m + n - 2],
             values[..., m + n - 2:].reshape(values.shape[:-1] + (m - 1, n - 1)))
-
-
-def _postselection_denominator(psi: PureState, phi: PureState) -> complex:
-    den = inner(phi, psi)
-    if abs(den) < DEFAULT_TOL.orthogonal:
-        raise OrthogonalPostselection(
-            f"|<phi|psi>| = {abs(den):.3e} < {DEFAULT_TOL.orthogonal:.3e}"
-        )
-    return den
-
-
-def modular_definitional(observable, g: float, psi: PureState, phi: PureState) -> complex:
-    """<phi|exp(-i*g*O)|psi> / <phi|psi> via a dense matrix exponential.
-
-    ``observable`` is a square Hermitian array on the state's product basis.
-    exp(-i*g*O) is built from the eigendecomposition O = V diag(lam) V^dagger
-    as V diag(e^{-i*g*lam}) V^dagger, so O must be Hermitian; a
-    non-Hermitian observable is rejected instead of silently computing
-    something else.
-    """
-    mat = np.asarray(observable, dtype=np.complex128)
-    if mat.shape != (psi.dim, psi.dim):
-        raise ValueError(f"observable shape {mat.shape} does not match the state "
-                         f"(side {psi.dim})")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("observable entries must be finite")
-    if np.max(np.abs(mat - mat.conj().T)) > DEFAULT_TOL.structural:
-        raise ValueError("modular_definitional requires a Hermitian observable")
-    den = _postselection_denominator(psi, phi)
-    lam, vecs = np.linalg.eigh(mat)
-    evolved = (vecs * np.exp(-1j * float(g) * lam)) @ (vecs.conj().T @ psi.amps)
-    return complex(np.vdot(phi.amps, evolved) / den)
 
 
 def _complex(re, im):
@@ -221,22 +190,31 @@ def collect_probabilities(cfg: ProtocolConfig) -> np.ndarray:
     return np.stack([outcome.p1, outcome.p2], axis=-1)
 
 
-def definitional_modulars(cfg: ProtocolConfig) -> np.ndarray:
-    """Oracle modular values straight from the states (no meter involved), (S,) in plan order.
+def _plan_diagonals(dims: tuple[int, int]) -> np.ndarray:
+    """Diagonal of every plan observable, (S, m*n) in plan order.
 
     Every plan observable is diagonal in the product basis: 1 on the coupled
     row j of A plus 1 on the coupled column l of B, so a pair's is 2 at (j, l).
-    The diagonals come from the readout's setting index, and each is
-    exponentiated as its own dense (m*n, m*n) matrix, one at a time.
     """
-    m, n = cfg.dims
+    m, n = dims
     rows, cols = _index_settings(measurement_plan(m, n), (m, n))
     # an uncoupled side's index is -1, which matches no row or column
     diagonals = ((rows[:, None, None] == np.arange(m)[:, None]) * 1.0
                  + (cols[:, None, None] == np.arange(n)))
-    return np.array([modular_definitional(np.diag(diagonal), cfg.g, cfg.system_state,
-                                          cfg.postselection)
-                     for diagonal in diagonals.reshape(len(rows), m * n)], dtype=np.complex128)
+    return diagonals.reshape(len(rows), m * n)
+
+
+def definitional_modulars(cfg: ProtocolConfig) -> np.ndarray:
+    """Oracle modular values straight from the states (no meter involved), (S,) in plan order.
+
+    With d the diagonal of a setting's observable, its modular value is
+    <phi|e^{-igd} psi> / <phi|psi>: one elementwise exponential and one
+    conjugate dot product, taken for the whole plan at once. Raises
+    OrthogonalPostselection as the readout does.
+    """
+    overlap = _postselection_overlap(cfg)
+    phases = np.exp(-1j * cfg.g * _plan_diagonals(cfg.dims))
+    return np.vecdot(cfg.postselection.amps, phases * cfg.system_state.amps) / overlap
 
 
 def _weak_value_matrix(modulars: np.ndarray, dims: tuple[int, int], s: complex) -> np.ndarray:

@@ -83,6 +83,10 @@ ERROR_CASES = (
     ("flag-unknown", {}, ["--no-such-flag"]),
     # a prefix of a flag is not the flag
     ("flag-prefix", {}, ["--pair", "1000", "--tri", "3"]),
+    # below the epsilon floor: a wrong table with exit 0, and numpy warnings
+    # before an inversion failure
+    ("epsilon-1e-17", {}, ["--epsilon", "1e-17"]),
+    ("epsilon-1e-300", {}, ["--epsilon", "1e-300"]),
 )
 
 

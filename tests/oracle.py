@@ -9,12 +9,13 @@ then ``normalize`` and the two detector states of ``detector_states``.
 
 The dense operator type ``LinearOperator`` and its builders (``basis_state``,
 ``identity``, ``tensor``, ``projector``), the reference quantities
-``weak_definitional`` and ``shift_modular``, the Pauli products
+``modular_definitional`` (a dense ``eigh`` exponential of any Hermitian
+observable), ``weak_definitional`` and ``shift_modular``, the Pauli products
 ``tomography_settings`` and the per-trial generator ``trial_rng`` (numpy's
 own SeedSequence, the reference for ``modval.noise.trial_rngs``) live here
 too: only the tests need them.
 ``plan_observable`` builds a measurement-plan observable from projectors,
-the reference for the diagonals that ``modval.reconstruction`` exponentiates.
+the reference for the diagonals of ``modval.reconstruction``'s closed form.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Literal
 
 import numpy as np
 
+from modval.errors import OrthogonalPostselection
 from modval.hilbert import (
     DEFAULT_TOL,
     PureState,
@@ -32,6 +34,7 @@ from modval.hilbert import (
     _frozen_complex,
     _product,
     _require_same_dims,
+    inner,
 )
 from modval.protocol import (
     IDX_DOWN_UP,
@@ -40,7 +43,6 @@ from modval.protocol import (
     _check_setting,
     _entangled_meter,
 )
-from modval.reconstruction import _postselection_denominator
 
 # the meter: two path qubits (A, B), each with levels up and down
 UP, DOWN = 0, 1
@@ -148,6 +150,38 @@ def plan_observable(dims, kind: InteractionKind, j: int | None, l: int | None) -
     if kind == "single_b":
         return embedded("b", l, dims)
     return pair_sum(j, l, dims)
+
+
+def _postselection_denominator(psi: PureState, phi: PureState) -> complex:
+    den = inner(phi, psi)
+    if abs(den) < DEFAULT_TOL.orthogonal:
+        raise OrthogonalPostselection(
+            f"|<phi|psi>| = {abs(den):.3e} < {DEFAULT_TOL.orthogonal:.3e}"
+        )
+    return den
+
+
+def modular_definitional(observable, g: float, psi: PureState, phi: PureState) -> complex:
+    """<phi|exp(-i*g*O)|psi> / <phi|psi> via a dense matrix exponential.
+
+    ``observable`` is a square Hermitian array on the state's product basis.
+    exp(-i*g*O) is built from the eigendecomposition O = V diag(lam) V^dagger
+    as V diag(e^{-i*g*lam}) V^dagger, so O must be Hermitian; a
+    non-Hermitian observable is rejected instead of silently computing
+    something else.
+    """
+    mat = np.asarray(observable, dtype=np.complex128)
+    if mat.shape != (psi.dim, psi.dim):
+        raise ValueError(f"observable shape {mat.shape} does not match the state "
+                         f"(side {psi.dim})")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("observable entries must be finite")
+    if np.max(np.abs(mat - mat.conj().T)) > DEFAULT_TOL.structural:
+        raise ValueError("modular_definitional requires a Hermitian observable")
+    den = _postselection_denominator(psi, phi)
+    lam, vecs = np.linalg.eigh(mat)
+    evolved = (vecs * np.exp(-1j * float(g) * lam)) @ (vecs.conj().T @ psi.amps)
+    return complex(np.vdot(phi.amps, evolved) / den)
 
 
 def weak_definitional(observable: LinearOperator, psi: PureState, phi: PureState) -> complex:

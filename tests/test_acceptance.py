@@ -18,7 +18,6 @@ from modval.protocol import ProtocolConfig
 from modval.reconstruction import (
     collect_probabilities,
     measurement_plan,
-    modular_definitional,
     modular_first_order,
     reconstruct,
     reconstruct_state,
@@ -30,6 +29,7 @@ from tests.conftest import random_pair
 from tests.oracle import (
     build_interaction,
     embedded,
+    modular_definitional,
     pair_product,
     pair_sum,
     plan_observable,

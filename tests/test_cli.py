@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,16 @@ class TestDeterminismAndErrors:
             assert captured.out == ""
             assert captured.err.startswith("error: config_error:")
             assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("epsilon", ["1e-17", "1e-300"])
+    def test_epsilon_below_the_floor_is_config_error(self, capsys, epsilon):
+        config = str(Path(__file__).parent.parent / "configs" / "fig4a.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would be a second line
+            code = main(["reconstruct", "--config", config, "--epsilon", epsilon,
+                         "--no-timestamp"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: config_error: epsilon must lie in [1e-8, 1]\n")
 
     @pytest.mark.parametrize("flag, value", [
         ("--theta-min", "nan"), ("--theta-max", "inf"), ("--theta-min", "-inf"),

@@ -20,9 +20,9 @@ PUBLIC_NAMES = {
     "PlanOutcome", "ProtocolConfig", "run_protocol",
     # reconstruction
     "ReconstructionResult", "collect_probabilities", "definitional_modulars",
-    "invert_probabilities", "measurement_plan", "modular_definitional",
-    "modular_exact_inversion", "modular_first_order", "reconstruct", "reconstruct_state",
-    "s_parameter", "weak_from_modulars",
+    "invert_probabilities", "measurement_plan", "modular_exact_inversion",
+    "modular_first_order", "reconstruct", "reconstruct_state", "s_parameter",
+    "weak_from_modulars",
     # tomography
     "DensityMatrix", "fidelity_pure", "fidelity_states", "linear_inversion",
     "pauli_expectations",
@@ -30,7 +30,8 @@ PUBLIC_NAMES = {
 
 # names that only the tests use; they live in tests/oracle.py
 TEST_ONLY = ("LinearOperator", "basis_state", "identity", "projector", "tensor",
-             "tomography_settings", "shift_modular", "weak_definitional", "trial_rng")
+             "tomography_settings", "modular_definitional", "shift_modular",
+             "weak_definitional", "trial_rng")
 REMOVED = ("Setting", "PlanEntry", "MeasurementPlan", "MeterOutcome", "MeterMode",
            "ZeroReferenceWeakValue")
 

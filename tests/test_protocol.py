@@ -20,7 +20,7 @@ from modval.protocol import (
     ProtocolConfig,
     run_protocol,
 )
-from modval.reconstruction import collect_probabilities, modular_definitional
+from modval.reconstruction import collect_probabilities
 from tests.conftest import (
     dense_run_protocol,
     per_setting_probabilities,
@@ -28,7 +28,14 @@ from tests.conftest import (
     random_pair,
     random_state,
 )
-from tests.oracle import build_interaction, embedded, pair_sum, prepare_meter, tensor
+from tests.oracle import (
+    build_interaction,
+    embedded,
+    modular_definitional,
+    pair_sum,
+    prepare_meter,
+    tensor,
+)
 
 
 class TestPrepareMeter:
@@ -329,6 +336,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="epsilon"):
             ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus(),
                            epsilon=1.5)
+
+    @pytest.mark.parametrize("epsilon", [1e-17, 1e-300, math.nextafter(1e-8, 0.0)])
+    def test_epsilon_floor(self, epsilon):
+        # (p - 1/2)/epsilon loses log10(1/epsilon) digits: at 1e-17 the fig4a
+        # table came back wrong with exit 0, and 1e-300 overflowed in the
+        # readout; 1e-8 itself is accepted (test_vanishing_asymmetry_limit)
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \[1e-8, 1\]$"):
+            ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus(),
+                           epsilon=epsilon)
 
     def test_normalization_required(self):
         bad = PureState((2, 2), np.array([1.0, 0, 0, 1.0]))
