@@ -24,7 +24,6 @@ from .noise import (
     NoisyEstimate,
     monte_carlo,
     noisy_trials,
-    sample_pauli_expectations,
     trial_rngs,
 )
 from .presets import (

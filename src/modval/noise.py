@@ -8,6 +8,8 @@ passes its Pauli ones). The (T, S, 2) frequencies are inverted and
 reconstructed in one batched call, and trials outside the reachable set
 (NegativeDiscriminant) are masked out, never folded into the statistics.
 ``monte_carlo`` aggregates the kept trials into means and standard deviations.
+The CLI's noisy ``tomography`` draws its Pauli counts through the same
+per-trial binomial call.
 
 Per-trial randomness derives from the run seed through spawn keys, so results do
 not depend on execution order; ``trial_rngs`` seeds every trial's generator at once.
@@ -164,6 +166,12 @@ def _estimate(samples, rejected: int) -> NoisyEstimate:
     return NoisyEstimate(mean, std, samples.shape[0], rejected, samples)
 
 
+def _binomial_counts(probabilities, pairs: int, seed: int, trials: int) -> np.ndarray:
+    """(T, k) counts: one ``binomial(pairs, probabilities)`` call on each of the T
+    generators of ``trial_rngs(seed, T)``, the one draw path of every noisy run."""
+    return np.stack([rng.binomial(pairs, probabilities) for rng in trial_rngs(seed, trials)])
+
+
 def noisy_trials(cfg: ProtocolConfig, counting: CountingConfig, method: Method = "exact_inversion",
                  extra=()) -> tuple[np.ndarray, ReconstructionResult, np.ndarray]:
     """Run every counting-noise trial; returns ``(kept, result, extra_counts)``.
@@ -182,9 +190,7 @@ def noisy_trials(cfg: ProtocolConfig, counting: CountingConfig, method: Method =
                           "definitional modulars have none (use first_order or exact_inversion)")
     exact = collect_probabilities(cfg)
     pairs = counting.pairs_per_setting
-    probabilities = np.append(exact, extra)
-    counts = np.stack([rng.binomial(pairs, probabilities)
-                       for rng in trial_rngs(counting.seed, counting.trials)])
+    counts = _binomial_counts(np.append(exact, extra), pairs, counting.seed, counting.trials)
     frequencies = counts[:, :exact.size].reshape((-1, *exact.shape)) / pairs
     modulars = invert_probabilities(frequencies, cfg.epsilon, method, clamp=counting.clamp)
     kept = ~np.isnan(modulars).any(axis=-1)
@@ -223,15 +229,3 @@ def pauli_plus_probabilities(expectations) -> np.ndarray:
 def pauli_from_counts(counts: np.ndarray, pairs: int) -> np.ndarray:
     """(K, 16) expectations from (K, 15) +1 counts among ``pairs``; the identity reads 1."""
     return np.concatenate([np.ones((len(counts), 1)), 2.0 * counts / pairs - 1.0], axis=1)
-
-
-def sample_pauli_expectations(expectations: np.ndarray, pairs: int,
-                              rngs: list[np.random.Generator]) -> np.ndarray:
-    """Shot-noise model for tomography: each of the K generators in turn draws the +1
-    counts of the 15 non-identity Pauli settings on ``pairs`` photon pairs in one
-    binomial call, giving a (K, 16) stack; the identity setting has no error."""
-    if pairs < 1:
-        raise ValueError("pairs must be at least 1")
-    p_plus = pauli_plus_probabilities(expectations)
-    counts = np.array([rng.binomial(pairs, p_plus) for rng in rngs]).reshape(-1, p_plus.size)
-    return pauli_from_counts(counts, pairs)

@@ -13,11 +13,13 @@ is read out against two detector states, (|ud> + |du>)/sqrt2 and
 parts of the setting's modular value.
 
 Every coupling is diagonal in the product basis, so ``run_protocol`` reads
-out a whole list of ``(kind, j, l)`` settings at once: an (S, 4, m*n) block
-of phases times meter (x) system, contracted with the postselection in one
-stacked matmul, then normalized and projected onto the one (2, 4) detector
-block that serves every setting. No joint-space operator is built; the
-tests build the dense unitary and check the readout against it.
+out a whole list of ``(kind, j, l)`` settings at once. The entangled meter
+populates only |ud> and |du>, so each setting needs only those two rows of
+phases: an (S, 2, m*n) block times their rows of meter (x) system,
+contracted with the postselection in one stacked matmul, then normalized
+and projected onto the one (2, 4) detector block that serves every setting.
+No joint-space operator is built; the tests build the dense unitary and
+check the readout against it.
 """
 
 from __future__ import annotations
@@ -131,32 +133,27 @@ def _check_setting(kind: InteractionKind, j: int | None, l: int | None,
 _DETECTORS = np.array([[0, 1, 1, 0], [0, 1, 1j, 0]]) / math.sqrt(2.0)
 _DETECTORS.flags.writeable = False
 
-# settings contracted per block: each (block, 4, m*n) temporary stays within
+# settings contracted per block: each (block, 2, m*n) temporary stays within
 # 128 KiB, small enough to be reused from the allocator's heap and to stay in
 # cache (1 MiB blocks took up to twice as long at 12x12 and 16x16); a 7x5 plan
 # is one block
 _BLOCK_ELEMENTS = 2**13
 
 
-def _phase_block(rows: np.ndarray, cols: np.ndarray, g: float,
-                 dims: tuple[int, int]) -> np.ndarray:
-    """Diagonal of every setting's interaction unitary as a (K, 4, m*n) block.
+def _phase_block(on_a: np.ndarray, on_b: np.ndarray, g: float) -> np.ndarray:
+    """Diagonal of every setting's interaction on the populated meter states, (K, 2, m*n).
 
-    Row r of setting k is the system-space diagonal on meter basis state r
-    (uu, ud, du, dd). A couples on its |down> level and B on its |up> level,
-    so with a (b) the system diagonal of exp(-i*g*P_j) (exp(-i*g*P_l)) the
-    rows are [b, 1, a*b, a]. ``rows[k]`` (``cols[k]``) is the coupled A (B)
-    index, or -1 where that side is uncoupled and contributes ones.
+    A couples on its |down> level and B on its |up> level, so |ud> sees no
+    phase and |du> sees both: with a (b) the system diagonal of
+    exp(-i*g*P_j) (exp(-i*g*P_l)), 1 + s where ``on_a`` (``on_b``) is set
+    and 1 elsewhere, the rows are [1, a*b]. |uu> and |dd> carry exact-zero
+    meter amplitudes and are left out.
     """
-    m, n = dims
     phase = 1.0 + (np.exp(-1j * float(g)) - 1.0)  # 1 + s, rounded as the diagonal of I + s P
-    a = np.ones((len(rows), m, n), dtype=np.complex128)
-    b = np.ones((len(cols), m, n), dtype=np.complex128)
-    on_a, on_b = rows >= 0, cols >= 0
-    a[on_a, rows[on_a], :] = phase
-    b[on_b, :, cols[on_b]] = phase
-    a, b = a.reshape(len(rows), m * n), b.reshape(len(cols), m * n)
-    return np.stack([b, np.ones_like(a), a * b, a], axis=1)
+    k, m, n = len(on_a), on_a.shape[1], on_b.shape[2]
+    block = np.ones((k, 2, m, n), dtype=np.complex128)
+    np.multiply(np.where(on_a, phase, 1), np.where(on_b, phase, 1), out=block[:, 1])
+    return block.reshape(k, 2, m * n)
 
 
 @dataclass(frozen=True)
@@ -170,21 +167,28 @@ class PlanOutcome:
 
 
 class _SettingIndex(NamedTuple):
-    """The run-independent part of a readout, as read-only (S,) arrays."""
+    """The run-independent part of a readout: each setting's coupling map, read-only.
 
-    rows: np.ndarray  # coupled A index, -1 where A is uncoupled
-    cols: np.ndarray  # coupled B index, -1 where B is uncoupled
+    The one construction of the coupling pattern; the readout's phases and
+    the definitional diagonals both derive from it.
+    """
+
+    on_a: np.ndarray  # (S, m, 1) bool: the coupled row of A, none where A is uncoupled
+    on_b: np.ndarray  # (S, 1, n) bool: the coupled column of B, none where B is uncoupled
 
 
 @functools.lru_cache(maxsize=64)
 def _index_settings(settings: tuple[SettingSpec, ...], dims: tuple[int, int]) -> _SettingIndex:
     """Validate and index a list of settings; cached, so a plan is indexed once."""
+    m, n = dims
     rows, cols = [], []
     for kind, j, l in settings:
         use_a, use_b = _check_setting(kind, j, l, dims)
         rows.append(j if use_a else -1)
         cols.append(l if use_b else -1)
-    index = _SettingIndex(*(np.array(x, dtype=np.intp) for x in (rows, cols)))
+    # an uncoupled side's index is -1, which matches no row or column
+    index = _SettingIndex(np.array(rows)[:, None, None] == np.arange(m)[:, None],
+                          np.array(cols)[:, None, None] == np.arange(n))
     for array in index:
         array.flags.writeable = False
     return index
@@ -194,9 +198,10 @@ def run_protocol(cfg: ProtocolConfig, settings: Iterable[SettingSpec]) -> PlanOu
     """Run a list of ``(kind, j, l)`` settings end to end and read out the meter.
 
     Every coupling is diagonal in the product basis, so each setting's
-    interaction is a (4, m*n) phase block on meter (x) system, and all
-    settings are postselected in one stacked contraction with the
-    postselection: O(m*n) work per setting and no joint-space operator.
+    interaction is a (2, m*n) phase block on the two populated meter states
+    (x) system, and all settings are postselected in one stacked contraction
+    with the postselection: O(m*n) work per setting and no joint-space
+    operator.
     Each conditional meter state is normalized and projected onto the two
     detector states; row k of the ``PlanOutcome`` is ``settings[k]``.
     Raises OrthogonalPostselection when the overlap |<postselection|system>|
@@ -207,21 +212,22 @@ def run_protocol(cfg: ProtocolConfig, settings: Iterable[SettingSpec]) -> PlanOu
     m, n = cfg.dims
     if not isinstance(settings, tuple):
         settings = tuple(map(tuple, settings))
-    rows, cols = _index_settings(settings, (m, n))
+    on_a, on_b = _index_settings(settings, (m, n))
 
     # meter (x) system first, then the phases: the same products, in the same
     # order, as the dense unitary applied to the joint state (its off-diagonal
     # terms are exact zeros); the stacked matmul repeats the one-setting gemv,
-    # so the CLI tables stay byte-identical
-    joint = _entangled_meter(cfg.epsilon)[:, None] * cfg.system_state.amps
+    # so the CLI tables stay byte-identical. Only |ud> and |du> are populated.
+    populated = slice(IDX_UP_DOWN, IDX_DOWN_UP + 1)
+    joint = _entangled_meter(cfg.epsilon)[populated, None] * cfg.system_state.amps
     phi_conj = cfg.postselection.amps.conj()
-    meter_proj = np.empty((len(rows), 4), dtype=np.complex128)
-    block = max(1, _BLOCK_ELEMENTS // (4 * m * n))
-    for start in range(0, len(rows), block):
+    meter_proj = np.zeros((len(on_a), 4), dtype=np.complex128)
+    block = max(1, _BLOCK_ELEMENTS // (2 * m * n))
+    for start in range(0, len(meter_proj), block):
         part = slice(start, start + block)
-        phases = _phase_block(rows[part], cols[part], cfg.g, (m, n))
+        phases = _phase_block(on_a[part], on_b[part], cfg.g)
         phases *= joint
-        meter_proj[part] = phases @ phi_conj
+        meter_proj[part, populated] = phases @ phi_conj
 
     # norm as np.linalg.norm of one state computes it
     norms = np.sqrt(np.vecdot(meter_proj.real, meter_proj.real)

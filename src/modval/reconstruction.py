@@ -197,11 +197,8 @@ def _plan_diagonals(dims: tuple[int, int]) -> np.ndarray:
     row j of A plus 1 on the coupled column l of B, so a pair's is 2 at (j, l).
     """
     m, n = dims
-    rows, cols = _index_settings(measurement_plan(m, n), (m, n))
-    # an uncoupled side's index is -1, which matches no row or column
-    diagonals = ((rows[:, None, None] == np.arange(m)[:, None]) * 1.0
-                 + (cols[:, None, None] == np.arange(n)))
-    return diagonals.reshape(len(rows), m * n)
+    on_a, on_b = _index_settings(measurement_plan(m, n), (m, n))
+    return np.add(on_a, on_b, dtype=np.float64).reshape(len(on_a), m * n)
 
 
 def definitional_modulars(cfg: ProtocolConfig) -> np.ndarray:

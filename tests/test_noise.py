@@ -15,10 +15,12 @@ from modval.hilbert import PureState, inner
 from modval.cli import main
 from modval.noise import (
     CountingConfig,
+    _binomial_counts,
     _complex_stats,
     monte_carlo,
     noisy_trials,
-    sample_pauli_expectations,
+    pauli_from_counts,
+    pauli_plus_probabilities,
     trial_rngs,
 )
 from modval.presets import phase_bell, state_preset, uniform_plus
@@ -219,7 +221,7 @@ class TestCompareDraws:
     def test_expectations_equal_the_kept_generator_path(self, tmp_path, monkeypatch, capsys,
                                                         clamp):
         # reference: every trial's generator positioned after its detector draw, the
-        # kept ones then drawing the Pauli counts through sample_pauli_expectations
+        # kept ones then each drawing its 15 Pauli counts in a call of its own
         path, pcfg, counting = compare_config(tmp_path, clamp=clamp)
         seen = []
         inversion = cli.linear_inversion
@@ -234,9 +236,10 @@ class TestCompareDraws:
         rngs = trial_rngs(counting.seed, counting.trials)
         for rng in rngs:
             rng.binomial(counting.pairs_per_setting, exact)
-        want = sample_pauli_expectations(pauli_expectations(pcfg.system_state),
-                                         counting.pairs_per_setting,
-                                         [rng for rng, keep in zip(rngs, kept) if keep])
+        p_plus = pauli_plus_probabilities(pauli_expectations(pcfg.system_state))
+        want = pauli_from_counts(
+            np.array([rng.binomial(counting.pairs_per_setting, p_plus)
+                      for rng, keep in zip(rngs, kept) if keep]), counting.pairs_per_setting)
         assert len(seen) == 1 and seen[0].shape == (kept.sum(), 16)
         assert seen[0].tobytes() == want.tobytes()
 
@@ -312,28 +315,33 @@ class TestTrialRngs:
 
 
 class TestSamplePauliExpectations:
+    """Noisy Pauli expectations: ``_binomial_counts`` of the +1 probabilities, then
+    ``pauli_from_counts``, as a noisy ``tomography`` run draws them."""
+
+    @staticmethod
+    def sample(values, pairs, seed, trials):
+        counts = _binomial_counts(pauli_plus_probabilities(values), pairs, seed, trials)
+        return pauli_from_counts(counts, pairs)
+
     def test_stack_equals_per_generator_draws(self):
         values = pauli_expectations(phase_bell(0.3))
-        stacked = sample_pauli_expectations(values, 500, trial_rngs(9, 5))
-        single = np.concatenate([sample_pauli_expectations(values, 500, [rng])
-                                 for rng in trial_rngs(9, 5)])
+        stacked = self.sample(values, 500, 9, 5)
+        # trial t draws on numpy's own default_rng(SeedSequence(9, spawn_key=(t,)))
+        single = pauli_from_counts(
+            np.array([trial_rng(9, t).binomial(500, pauli_plus_probabilities(values))
+                      for t in range(5)]), 500)
         assert stacked.shape == (5, 16)
         assert stacked.tobytes() == single.tobytes()
 
-    def test_no_generators_give_an_empty_stack(self):
-        values = pauli_expectations(phase_bell(0.3))
-        empty = sample_pauli_expectations(values, 100, [])
-        assert empty.shape == (0, 16) and empty.dtype == np.float64
-
     def test_identity_is_exact(self):
         values = pauli_expectations(phase_bell(0.0))
-        noisy = sample_pauli_expectations(values, 100, [trial_rng(1, 0)])[0]
+        noisy = self.sample(values, 100, 1, 1)[0]
         assert noisy[0] == 1.0
 
     def test_range_and_determinism(self):
         values = pauli_expectations(phase_bell(0.5))
-        a = sample_pauli_expectations(values, 1000, [trial_rng(3, 0)])[0]
-        b = sample_pauli_expectations(values, 1000, [trial_rng(3, 0)])[0]
+        a = self.sample(values, 1000, 3, 1)[0]
+        b = self.sample(values, 1000, 3, 1)[0]
         assert np.array_equal(a, b)
         assert np.all(a >= -1) and np.all(a <= 1)
 

@@ -13,7 +13,7 @@ PUBLIC_NAMES = {
     "DEFAULT_TOL", "PureState", "inner",
     # noise
     "CountingConfig", "MonteCarloResult", "NoisyEstimate", "monte_carlo", "noisy_trials",
-    "sample_pauli_expectations", "trial_rngs",
+    "trial_rngs",
     # presets
     "alt_postselection", "phase_bell", "postselection_preset", "state_preset", "uniform_plus",
     # protocol
@@ -33,7 +33,7 @@ TEST_ONLY = ("LinearOperator", "basis_state", "identity", "projector", "tensor",
              "tomography_settings", "modular_definitional", "shift_modular",
              "weak_definitional", "trial_rng")
 REMOVED = ("Setting", "PlanEntry", "MeasurementPlan", "MeterOutcome", "MeterMode",
-           "ZeroReferenceWeakValue")
+           "ZeroReferenceWeakValue", "sample_pauli_expectations")
 
 
 def test_public_names_are_the_explicit_list():

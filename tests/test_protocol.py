@@ -20,7 +20,7 @@ from modval.protocol import (
     ProtocolConfig,
     run_protocol,
 )
-from modval.reconstruction import collect_probabilities
+from modval.reconstruction import collect_probabilities, measurement_plan
 from tests.conftest import (
     dense_run_protocol,
     per_setting_probabilities,
@@ -127,7 +127,7 @@ class TestRunProtocol:
             cfg = ProtocolConfig(system_state=psi, postselection=phi,
                                  epsilon=rng.uniform(0.05, 1.0))
             amps = run_one(cfg, kind, j, l).conditional_meter_amps[0]
-            assert abs(amps[0]) <= 1e-12 and abs(amps[3]) <= 1e-12
+            assert amps[0] == 0 and amps[3] == 0  # |uu> and |dd> are never populated
 
     def test_conditional_state_carries_the_modular_value(self, rng):
         # final meter = N [ eps * M |du> + |ud> ] with M from the
@@ -300,8 +300,17 @@ class TestBatchedReadoutMatchesPerSettingReference:
         cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=0.4, g=2.5)
         plan_settings = all_settings((4, 3))
         whole = run_protocol(cfg, plan_settings)
-        monkeypatch.setattr(protocol, "_BLOCK_ELEMENTS", 4 * 12 * 5)  # five settings a block
+        monkeypatch.setattr(protocol, "_BLOCK_ELEMENTS", 2 * 12 * 5)  # five settings a block
         assert_same_bits(run_protocol(cfg, plan_settings), whole)
+
+    def test_default_blocks_of_a_16x16_plan(self, rng):
+        # the default block budget splits the 255 settings into blocks of 16
+        psi, phi = random_pair(rng, (16, 16))
+        cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=0.3, g=2.0)
+        plan_settings = measurement_plan(16, 16)
+        assert protocol._BLOCK_ELEMENTS // (2 * 16 * 16) < len(plan_settings)
+        assert_same_bits(run_protocol(cfg, plan_settings),
+                         per_setting_run_protocol(cfg, plan_settings))
 
     def test_settings_keep_their_order_and_errors(self):
         cfg = ProtocolConfig(system_state=phase_bell(0.3), postselection=uniform_plus())

@@ -294,13 +294,17 @@ class TestMeasurementPlan:
         assert isinstance(plan, tuple) and all(isinstance(st, tuple) for st in plan)
         with pytest.raises(TypeError):
             plan[0] = ("pair", 1, 1)
-        # the readout's run-independent index: built once per plan, read-only
+        # the readout's run-independent coupling map: built once per plan, read-only;
+        # -1 marks an uncoupled side, whose mask is all False
         index = protocol._index_settings(plan, (4, 3))
         assert protocol._index_settings(plan, (4, 3)) is index
-        np.testing.assert_array_equal(index.rows, [1, 2, 3, -1, -1] + [1, 1, 2, 2, 3, 3])
-        np.testing.assert_array_equal(index.cols, [-1, -1, -1, 1, 2] + [1, 2] * 3)
-        for array in (index.rows, index.cols):
-            assert not array.flags.writeable
+        rows = [1, 2, 3, -1, -1] + [1, 1, 2, 2, 3, 3]
+        cols = [-1, -1, -1, 1, 2] + [1, 2] * 3
+        assert index.on_a.shape == (11, 4, 1) and index.on_b.shape == (11, 1, 3)
+        np.testing.assert_array_equal(index.on_a[:, :, 0], np.arange(4) == np.c_[rows])
+        np.testing.assert_array_equal(index.on_b[:, 0, :], np.arange(3) == np.c_[cols])
+        for array in index:
+            assert array.dtype == bool and not array.flags.writeable
 
     def test_collect_probabilities_reuses_the_plan(self, monkeypatch):
         cfg = ProtocolConfig(system_state=random_state(np.random.default_rng(2), (4, 3)),

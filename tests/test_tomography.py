@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modval.hilbert import PureState
-from modval.noise import sample_pauli_expectations
+from modval.noise import pauli_from_counts, pauli_plus_probabilities
 from modval.presets import phase_bell
 from modval.tomography import (
     DensityMatrix,
@@ -122,8 +122,9 @@ class TestBatchedTrials:
         rng = np.random.default_rng(seed)
         truth = random_state(rng)
         exact = pauli_expectations(truth)
-        expectations = np.concatenate([sample_pauli_expectations(exact, pairs, [rng])
-                                       for _ in range(trials)])
+        p_plus = pauli_plus_probabilities(exact)
+        expectations = pauli_from_counts(
+            np.array([rng.binomial(pairs, p_plus) for _ in range(trials)]), pairs)
         direct = np.array([random_state(rng).amps for _ in range(trials)])
         rho = linear_inversion(expectations)
         assert rho.mat.shape == (trials, 4, 4)
