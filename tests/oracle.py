@@ -13,7 +13,9 @@ The dense operator type ``LinearOperator`` and its builders (``basis_state``,
 observable), ``weak_definitional`` and ``shift_modular``, the Pauli products
 ``tomography_settings`` and the per-trial generator ``trial_rng`` (numpy's
 own SeedSequence, the reference for ``modval.noise.trial_rngs``) live here
-too: only the tests need them.
+too: only the tests need them. So does the shot-noise oracle: the closed-form
+readout ``forward_probabilities`` and the delta-method spread ``modular_std``
+of modular values inverted from counted frequencies.
 ``plan_observable`` builds a measurement-plan observable from projectors,
 the reference for the diagonals of ``modval.reconstruction``'s closed form.
 """
@@ -308,3 +310,31 @@ def build_interaction(kind: InteractionKind, j: int | None, l: int | None,
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Trial ``trial``'s generator, seeded through numpy's own SeedSequence."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+
+
+def forward_probabilities(modulars, epsilon: float):
+    """(p1, p2): the detector probabilities of modular values read at ``epsilon``, from
+    the conditional-meter closed form; elementwise over an array of modular values."""
+    denom = 2.0 * (1.0 + epsilon * epsilon * np.abs(modulars) ** 2)
+    return (np.abs(1.0 + epsilon * modulars) ** 2 / denom,
+            np.abs(1.0 - 1j * epsilon * modulars) ** 2 / denom)
+
+
+def modular_std(modulars, epsilon: float, pairs: int) -> np.ndarray:
+    """Delta-method std(Re M) + 1j*std(Im M) of modular values inverted from the
+    detector frequencies of ``pairs`` photon pairs per setting.
+
+    Each frequency has variance p(1 - p)/N, independent across settings and
+    detectors. The inversion's Jacobian is the inverse of the forward model's
+    d(p1, p2)/d(Re M, Im M), taken by central differences.
+    """
+    modulars = np.asarray(modulars, dtype=np.complex128)
+    step = 1e-6
+    columns = [(np.array(forward_probabilities(modulars + shift, epsilon))
+                - np.array(forward_probabilities(modulars - shift, epsilon))) / (2 * step)
+               for shift in (step, 1j * step)]
+    # (parts, probabilities, ...) -> (..., probabilities, parts)
+    inverse = np.linalg.inv(np.moveaxis(np.array(columns), (0, 1), (-1, -2)))
+    p = np.moveaxis(np.array(forward_probabilities(modulars, epsilon)), 0, -1)
+    variance = np.sum(inverse ** 2 * (p * (1.0 - p) / pairs)[..., None, :], axis=-1)
+    return np.sqrt(variance[..., 0]) + 1j * np.sqrt(variance[..., 1])

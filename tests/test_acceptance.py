@@ -29,6 +29,7 @@ from tests.conftest import random_pair
 from tests.oracle import (
     build_interaction,
     embedded,
+    forward_probabilities,
     modular_definitional,
     pair_product,
     pair_sum,
@@ -40,12 +41,6 @@ from tests.oracle import (
 
 EPSILON = 0.2
 THETA_GRID = np.linspace(-math.pi, math.pi, 41)
-
-
-def forward_probabilities(m_val, eps):
-    denom = 2.0 * (1.0 + eps * eps * abs(m_val) ** 2)
-    return (abs(1.0 + eps * m_val) ** 2 / denom,
-            abs(1.0 - 1j * eps * m_val) ** 2 / denom)
 
 
 def phase_config(theta, eps=EPSILON):

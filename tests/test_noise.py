@@ -1,5 +1,6 @@
 """Counting statistics and Monte Carlo propagation."""
 
+import functools
 import json
 import math
 from types import SimpleNamespace
@@ -25,9 +26,9 @@ from modval.noise import (
 )
 from modval.presets import phase_bell, state_preset, uniform_plus
 from modval.protocol import ProtocolConfig
-from modval.reconstruction import collect_probabilities, split_plan
+from modval.reconstruction import collect_probabilities, definitional_modulars, split_plan
 from tests.conftest import random_pair
-from tests.oracle import trial_rng
+from tests.oracle import forward_probabilities, modular_std, trial_rng
 from modval.tomography import pauli_expectations
 
 
@@ -137,6 +138,45 @@ class TestMonteCarlo:
         _, _, pair_std = split_plan(mc.modulars.std, (2, 2))
         assert abs(pair_mean[0, 0] - 1.0) < 0.05
         assert pair_std[0, 0].real > 0
+
+
+# the delta-method oracle's run and bands, fixed before any run: fig4a-d at the paper's
+# eps = 0.2, in domain (eps*|M| < 1), at one seed; every std within k of its relative
+# errors 1/sqrt(2(T - 1)) of the prediction (the chi-square band of a sample std), and
+# every mean within k standard errors of the definitional value
+ORACLE_EPSILON, ORACLE_PAIRS, ORACLE_TRIALS, ORACLE_SEED, ORACLE_K = 0.2, 100_000, 2000, 2026, 4.0
+
+
+@functools.cache
+def oracle_run(name):
+    """(monte_carlo result, definitional modulars, delta-method std) of one fig4 state."""
+    cfg = ProtocolConfig(system_state=state_preset(name), postselection=uniform_plus(),
+                         epsilon=ORACLE_EPSILON)
+    truth = definitional_modulars(cfg)
+    # the oracle's closed-form readout is the one the pipeline computes
+    np.testing.assert_allclose(np.stack(forward_probabilities(truth, ORACLE_EPSILON), axis=-1),
+                               collect_probabilities(cfg), rtol=0, atol=1e-14)
+    counting = CountingConfig(pairs_per_setting=ORACLE_PAIRS, trials=ORACLE_TRIALS,
+                              seed=ORACLE_SEED)
+    return monte_carlo(cfg, counting), truth, modular_std(truth, ORACLE_EPSILON, ORACLE_PAIRS)
+
+
+@pytest.mark.parametrize("name", ["fig4a", "fig4b", "fig4c", "fig4d"])
+class TestDeltaMethodOracle:
+    def test_std_lies_in_the_chi_square_band(self, name):
+        mc, _, predicted = oracle_run(name)
+        assert mc.modulars.samples_rejected == 0
+        band = ORACLE_K / math.sqrt(2 * (ORACLE_TRIALS - 1))
+        for part in ("real", "imag"):
+            ratio = getattr(mc.modulars.std, part) / getattr(predicted, part)
+            assert np.all(np.abs(ratio - 1.0) <= band), (part, ratio)
+
+    def test_mean_lies_within_k_standard_errors(self, name):
+        mc, truth, predicted = oracle_run(name)
+        for part in ("real", "imag"):
+            error = getattr(predicted, part) / math.sqrt(mc.modulars.samples_kept)
+            z = (getattr(mc.modulars.mean, part) - getattr(truth, part)) / error
+            assert np.all(np.abs(z) <= ORACLE_K), (part, z)
 
 
 class TestNoisyTrials:

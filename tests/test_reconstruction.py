@@ -32,6 +32,7 @@ from modval.reconstruction import (
 from tests.conftest import random_pair, random_state
 from tests.oracle import (
     embedded,
+    forward_probabilities,
     modular_definitional,
     pair_product,
     pair_sum,
@@ -40,14 +41,6 @@ from tests.oracle import (
     weak_definitional,
 )
 from tests.test_hilbert import taylor_expm
-
-
-def forward_probabilities(m_val: complex, eps: float) -> tuple[float, float]:
-    """Oracle: detector probabilities from the conditional-meter closed form."""
-    denom = 2.0 * (1.0 + eps * eps * abs(m_val) ** 2)
-    p1 = abs(1.0 + eps * m_val) ** 2 / denom
-    p2 = abs(1.0 - 1j * eps * m_val) ** 2 / denom
-    return p1, p2
 
 
 class TestModularDefinitional:
