@@ -24,7 +24,6 @@ from .noise import (
     NoisyEstimate,
     monte_carlo,
     noisy_trials,
-    trial_rngs,
 )
 from .presets import (
     alt_postselection,

@@ -502,11 +502,11 @@ def cmd_tomography(cfg: RunConfig) -> tuple[dict, dict, dict]:
 def cmd_compare(cfg: RunConfig) -> tuple[dict, dict, None]:
     """Fidelities: direct reconstruction vs tomography vs the true state.
 
-    Every kept trial pairs its direct reconstruction with a tomography draw,
-    its 15 Pauli counts drawn after its detector counts in its one binomial
-    call; both are evaluated for all trials at once. A rejected trial gets a
-    row with only its error code; with every trial rejected the run ends in
-    AllTrialsRejected (exit 5) instead.
+    Every kept trial pairs its direct reconstruction with a tomography draw:
+    the run's one binomial call draws each trial's 15 Pauli counts in its
+    row, right after its detector counts. Both are evaluated for all trials
+    at once. A rejected trial gets a row with only its error code; with
+    every trial rejected the run ends in AllTrialsRejected (exit 5) instead.
     """
     pcfg = _full_support(cfg.protocol)
     _require_two_qubits(pcfg)

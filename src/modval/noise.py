@@ -1,23 +1,23 @@
 """Photon-counting shot noise and Monte Carlo error propagation.
 
 There is one trial path, ``noisy_trials``, which returns ``(kept, result,
-extra_counts)``. Each of the T trials makes one binomial call on its own
-generator: every (setting, detector) count from ``pairs_per_setting`` photon
-pairs, then the counts of any ``extra`` probabilities (the CLI's ``compare``
-passes its Pauli ones). The (T, S, 2) frequencies are inverted and
-reconstructed in one batched call, and trials outside the reachable set
-(NegativeDiscriminant) are masked out, never folded into the statistics.
-``monte_carlo`` aggregates the kept trials into means and standard deviations.
-The CLI's noisy ``tomography`` draws its Pauli counts through the same
-per-trial binomial call.
+extra_counts)``. A noisy run makes one generator, ``default_rng(seed)``, and
+one binomial call on it, which draws the (T, k) counts in C order: row t is
+trial t's (setting, detector) counts from ``pairs_per_setting`` photon pairs,
+then the counts of any ``extra`` probabilities (the CLI's ``compare`` passes
+its Pauli ones). The (T, S, 2) frequencies are inverted and reconstructed in
+one batched call, and trials outside the reachable set (NegativeDiscriminant)
+are masked out, never folded into the statistics. ``monte_carlo`` aggregates
+the kept trials into means and standard deviations. The CLI's noisy
+``tomography`` draws its Pauli counts through the same call.
 
-Per-trial randomness derives from the run seed through spawn keys, so results do
-not depend on execution order; ``trial_rngs`` seeds every trial's generator at once.
+Rows are drawn in trial order from the one stream, so the first T trials of
+a longer run are the T trials of a shorter run with the same seed; a trial
+cannot be redrawn without the trials before it.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 
@@ -52,6 +52,15 @@ class CountingConfig:
     clamp: bool = False  # clamp inversion to the boundary instead of rejecting
 
     def __post_init__(self):
+        for name in ("pairs_per_setting", "trials", "seed"):
+            value = getattr(self, name)
+            try:
+                number = None if isinstance(value, bool) else operator.index(value)
+            except TypeError:
+                number = None
+            if number is None:
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, number)
         if self.pairs_per_setting < 1:
             raise ValueError("pairs_per_setting must be at least 1")
         if self.pairs_per_setting > _MAX_PAIRS:
@@ -88,66 +97,6 @@ class MonteCarloResult:
     fidelity: NoisyEstimate  # |<truth|estimate>|^2 against the configured state
 
 
-# numpy's SeedSequence hash (O'Neill's seed_seq_fe) on 32-bit words with a 4-word pool. No
-# constant depends on the data, so the trial words are hashed as uint32 arrays, whose
-# products wrap mod 2**32 as the hash's do (numpy scalars would warn on the wrap).
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-@functools.cache
-def _constants(init: int, mult: int, first: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(constants, successors) of a hash's steps ``first`` to ``first + steps - 1``."""
-    consts = np.array([init * pow(mult, k, 1 << 32) % (1 << 32)
-                       for k in range(first, first + steps + 1)], dtype=np.uint32)
-    return consts[:-1], consts[1:]
-
-
-def _hash(value, const, successor):
-    """One hash step on uint32 arrays."""
-    value = (value ^ const) * successor
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    result = _MIX_L * x - _MIX_R * y
-    return result ^ result >> 16
-
-
-@functools.cache
-def _state_seed_sequence():
-    """ISeedSequence handing PCG64 a fixed state, built on first use (numpy.random is lazy)."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class StateSeedSequence(ISeedSequence):
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state  # PCG64 asks for 4 uint64 words
-
-    return StateSeedSequence
-
-
-def trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
-    """Trial t's generator, bit for bit ``default_rng(SeedSequence(seed, spawn_key=(t,)))``;
-    every trial's hash starts from the pool of ``SeedSequence(seed)``."""
-    from numpy.random.bit_generator import SeedSequence
-
-    if (seed := operator.index(seed)) < 0:  # a numpy integer too, as SeedSequence takes
-        raise ValueError("seed must be non-negative")
-    # the pool took 4 hash steps per seed word, padded to 4 words; the spawn word takes 4 more
-    first = 4 * max(4, -(-seed.bit_length() // 32))
-    spawn = _hash(np.arange(trials, dtype=np.uint32)[:, None],
-                  *_constants(_INIT_A, _MULT_A, first, 4))
-    pools = _mix(SeedSequence(seed).pool, spawn)  # (T, 4)
-    # output word k (of 8) hashes pool word k % 4
-    state = _hash(np.tile(pools, 2), *_constants(_INIT_B, _MULT_B, 0, 8))
-    seed_sequence = _state_seed_sequence()
-    return [np.random.Generator(np.random.PCG64(seed_sequence(row)))
-            for row in state.astype("<u4").view("<u8").astype(np.uint64)]
-
-
 def _complex_stats(samples: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
     mean = samples.mean(axis=axis)
     if samples.shape[axis] < 2:
@@ -167,9 +116,12 @@ def _estimate(samples, rejected: int) -> NoisyEstimate:
 
 
 def _binomial_counts(probabilities, pairs: int, seed: int, trials: int) -> np.ndarray:
-    """(T, k) counts: one ``binomial(pairs, probabilities)`` call on each of the T
-    generators of ``trial_rngs(seed, T)``, the one draw path of every noisy run."""
-    return np.stack([rng.binomial(pairs, probabilities) for rng in trial_rngs(seed, trials)])
+    """(T, k) counts of ``pairs`` pairs at the k ``probabilities``, the one draw path of
+    every noisy run: one binomial call on one ``default_rng(seed)``, drawn in C order, so
+    row t is trial t's and the first T rows do not depend on the trials after them.
+    ``np.random`` is looked up here, so importing modval leaves numpy.random unloaded."""
+    return np.random.default_rng(seed).binomial(
+        pairs, np.broadcast_to(probabilities, (trials, len(probabilities))))
 
 
 def noisy_trials(cfg: ProtocolConfig, counting: CountingConfig, method: Method = "exact_inversion",
@@ -177,13 +129,13 @@ def noisy_trials(cfg: ProtocolConfig, counting: CountingConfig, method: Method =
     """Run every counting-noise trial; returns ``(kept, result, extra_counts)``.
 
     The exact probabilities are computed once, so OrthogonalPostselection
-    surfaces before any draw. Trial t makes one binomial call on its own
-    generator (``trial_rngs``): its (S, 2) detector counts in plan order, then
-    a count for each success probability in ``extra``, kept as row t of the
-    (T, len(extra)) ``extra_counts``. ``result`` holds all T trials; ``kept``
-    (T,) is False where the inversion hit NegativeDiscriminant, and that
-    trial's row of ``result`` is nan. With no trial kept, AllTrialsRejected
-    is raised instead.
+    surfaces before any draw. All T trials come from one binomial call
+    (``_binomial_counts``): row t holds trial t's (S, 2) detector counts in
+    plan order, then a count for each success probability in ``extra``, kept
+    as row t of the (T, len(extra)) ``extra_counts``. ``result`` holds all T
+    trials; ``kept`` (T,) is False where the inversion hit NegativeDiscriminant,
+    and that trial's row of ``result`` is nan. With no trial kept,
+    AllTrialsRejected is raised instead.
     """
     if method == "definitional":
         raise ConfigError("counting noise applies to measured probabilities; "

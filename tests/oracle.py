@@ -11,9 +11,9 @@ The dense operator type ``LinearOperator`` and its builders (``basis_state``,
 ``identity``, ``tensor``, ``projector``), the reference quantities
 ``modular_definitional`` (a dense ``eigh`` exponential of any Hermitian
 observable), ``weak_definitional`` and ``shift_modular``, the Pauli products
-``tomography_settings`` and the per-trial generator ``trial_rng`` (numpy's
-own SeedSequence, the reference for ``modval.noise.trial_rngs``) live here
-too: only the tests need them. So does the shot-noise oracle: the closed-form
+``tomography_settings`` and the row-by-row draw ``row_by_row_counts`` (the
+reference for ``modval.noise._binomial_counts``) live here too: only the
+tests need them. So does the shot-noise oracle: the closed-form
 readout ``forward_probabilities`` and the delta-method spread ``modular_std``
 of modular values inverted from counted frequencies.
 ``plan_observable`` builds a measurement-plan observable from projectors,
@@ -307,9 +307,11 @@ def build_interaction(kind: InteractionKind, j: int | None, l: int | None,
     return LinearOperator((2, 2, m, n), mat)
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Trial ``trial``'s generator, seeded through numpy's own SeedSequence."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+def row_by_row_counts(probabilities, pairs: int, seed: int, trials: int) -> np.ndarray:
+    """(T, k) counts drawn on one ``default_rng(seed)`` with one binomial call per row, in
+    trial order: the reference for ``modval.noise._binomial_counts``."""
+    rng = np.random.default_rng(seed)
+    return np.array([rng.binomial(pairs, probabilities) for _ in range(trials)])
 
 
 def forward_probabilities(modulars, epsilon: float):

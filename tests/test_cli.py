@@ -763,7 +763,7 @@ GOLDEN_CASES = {
         "reconstruct", {"state": _STATE_3X2,
                         "noise": {"pairs_per_setting": 50_000, "trials": 10, "seed": 3}},
         []),
-    # 27 of the 30 trials fall outside the reachable set and are clamped
+    # 25 of the 30 trials fall outside the reachable set and are clamped
     "reconstruct_3x2_g1_low_count_clamp": (
         "reconstruct", {"state": _STATE_3X2, "g": 1.0,
                         "noise": {**_LOW_COUNT_NOISE, "clamp": True}},

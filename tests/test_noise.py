@@ -22,13 +22,12 @@ from modval.noise import (
     noisy_trials,
     pauli_from_counts,
     pauli_plus_probabilities,
-    trial_rngs,
 )
 from modval.presets import phase_bell, state_preset, uniform_plus
 from modval.protocol import ProtocolConfig
 from modval.reconstruction import collect_probabilities, definitional_modulars, split_plan
 from tests.conftest import random_pair
-from tests.oracle import forward_probabilities, modular_std, trial_rng
+from tests.oracle import forward_probabilities, modular_std, row_by_row_counts
 from modval.tomography import pauli_expectations
 
 
@@ -181,8 +180,8 @@ class TestDeltaMethodOracle:
 
 class TestNoisyTrials:
     def test_counts_follow_scalar_draws_in_plan_order(self):
-        # reference: one scalar binomial per (setting, detector), in plan order, then one
-        # per extra probability, continuing the same stream
+        # reference: one generator; per trial, in trial order, one scalar binomial per
+        # (setting, detector) in plan order, then one per extra probability
         cfg = ProtocolConfig(system_state=phase_bell(0.7), postselection=uniform_plus(),
                              epsilon=0.2)
         counting = CountingConfig(pairs_per_setting=1000, trials=4, seed=7)
@@ -192,8 +191,8 @@ class TestNoisyTrials:
         assert kept.all()
         assert result.modulars.shape == (counting.trials, len(exact))
         assert extra_counts.shape == (counting.trials, len(extra))
+        ref = np.random.default_rng(counting.seed)
         for trial in range(counting.trials):
-            ref = trial_rng(counting.seed, trial)
             expected = [ref.binomial(1000, p) / 1000 for p1, p2 in exact for p in (p1, p2)]
             # first order reads M = (p1 - 1/2)/eps + i (p2 - 1/2)/eps exactly
             measured = [p for m in result.modulars[trial]
@@ -209,15 +208,40 @@ class TestNoisyTrials:
             assert extra_counts[trial, [0, 2, 3, 4, 5]].tolist() == [
                 ref.binomial(1000, p) for p in extra if p > 0]
 
-    def test_extra_draws_leave_the_trials_unchanged(self):
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**200), trials=st.integers(1, 64),
+           probabilities=st.lists(st.floats(0.0, 1.0), max_size=8),
+           pairs=st.sampled_from([1, 30, 500, 100_000]))
+    @example(seed=2**32, trials=3, probabilities=[0.25, 0.5], pairs=500)
+    @example(seed=2**128, trials=3, probabilities=[0.25, 0.5], pairs=500)
+    @example(seed=2**200, trials=3, probabilities=[0.25, 0.5], pairs=500)
+    def test_one_call_equals_row_by_row_draws(self, seed, trials, probabilities, pairs):
+        counts = _binomial_counts(np.array(probabilities), pairs, seed, trials)
+        want = row_by_row_counts(np.array(probabilities), pairs, seed, trials)
+        assert counts.shape == (trials, len(probabilities))
+        assert counts.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [2**32, 2**128, 2**200])
+    def test_large_seeds_are_accepted(self, seed):
+        counting = CountingConfig(pairs_per_setting=100_000, trials=3, seed=seed)
+        kept, _, _ = noisy_trials(bell_config(), counting)
+        assert kept.all()
+
+    def test_first_trials_do_not_depend_on_later_ones(self):
+        # trials are rows of one stream in trial order, so a longer run extends a shorter one
         cfg = bell_config(theta=0.9 * math.pi)
-        counting = CountingConfig(pairs_per_setting=100, trials=30, seed=11)
-        kept, result, extra_counts = noisy_trials(cfg, counting)
-        assert extra_counts.shape == (counting.trials, 0)
-        kept_x, result_x, _ = noisy_trials(cfg, counting, extra=np.full(15, 0.5))
-        assert 0 < kept.sum() < counting.trials
-        assert np.array_equal(kept, kept_x)
-        assert result.amplitudes.tobytes() == result_x.amplitudes.tobytes()
+        extra = np.full(15, 0.5)
+        short = CountingConfig(pairs_per_setting=100, trials=30, seed=11)
+        long = CountingConfig(pairs_per_setting=100, trials=37, seed=11)
+        kept, result, extra_counts = noisy_trials(cfg, short, extra=extra)
+        kept_l, result_l, extra_counts_l = noisy_trials(cfg, long, extra=extra)
+        assert 0 < kept.sum() < short.trials
+        exact = collect_probabilities(cfg)
+        assert _binomial_counts(exact.ravel(), 100, 11, 37)[:30].tobytes() == \
+            _binomial_counts(exact.ravel(), 100, 11, 30).tobytes()
+        assert np.array_equal(kept_l[:30], kept)
+        assert extra_counts_l[:30].tobytes() == extra_counts.tobytes()
+        assert result_l.amplitudes[:30].tobytes() == result.amplitudes.tobytes()
 
     def test_rejected_trials_are_masked(self):
         cfg = bell_config(theta=0.9 * math.pi)
@@ -260,8 +284,8 @@ class TestCompareDraws:
     @pytest.mark.parametrize("clamp", [False, True])
     def test_expectations_equal_the_kept_generator_path(self, tmp_path, monkeypatch, capsys,
                                                         clamp):
-        # reference: every trial's generator positioned after its detector draw, the
-        # kept ones then each drawing its 15 Pauli counts in a call of its own
+        # reference: every trial's detector and then Pauli counts drawn row by row on one
+        # generator, the Pauli counts of the kept rows turned into expectations
         path, pcfg, counting = compare_config(tmp_path, clamp=clamp)
         seen = []
         inversion = cli.linear_inversion
@@ -270,23 +294,23 @@ class TestCompareDraws:
         assert main(["compare", "--config", path, "--no-timestamp"]) == 0
         assert capsys.readouterr().err == ""
 
-        kept = noisy_trials(pcfg, counting)[0]
+        p_plus = pauli_plus_probabilities(pauli_expectations(pcfg.system_state))
+        kept = noisy_trials(pcfg, counting, extra=p_plus)[0]
         assert kept.all() if clamp else 0 < kept.sum() < counting.trials
         exact = collect_probabilities(pcfg)
-        rngs = trial_rngs(counting.seed, counting.trials)
-        for rng in rngs:
-            rng.binomial(counting.pairs_per_setting, exact)
-        p_plus = pauli_plus_probabilities(pauli_expectations(pcfg.system_state))
-        want = pauli_from_counts(
-            np.array([rng.binomial(counting.pairs_per_setting, p_plus)
-                      for rng, keep in zip(rngs, kept) if keep]), counting.pairs_per_setting)
+        counts = row_by_row_counts(np.append(exact, p_plus), counting.pairs_per_setting,
+                                   counting.seed, counting.trials)
+        want = pauli_from_counts(counts[kept, exact.size:], counting.pairs_per_setting)
         assert len(seen) == 1 and seen[0].shape == (kept.sum(), 16)
         assert seen[0].tobytes() == want.tobytes()
 
-    def test_one_binomial_call_per_trial(self, tmp_path, monkeypatch, capsys):
-        # a trial draws its detector and Pauli counts in one call, kept or not
+
+class TestOneDraw:
+    def test_one_generator_and_one_binomial_call_per_command(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # a noisy run seeds one generator and draws every trial in one call, kept or not
         path, _, counting = compare_config(tmp_path)
-        calls = []
+        seeds, calls = [], []
 
         class CountingGenerator:
             def __init__(self, rng):
@@ -296,62 +320,20 @@ class TestCompareDraws:
                 calls.append(args)
                 return self.rng.binomial(*args)
 
-        seed_trials = noise.trial_rngs
-        monkeypatch.setattr(noise, "trial_rngs", lambda seed, trials: [
-            CountingGenerator(rng) for rng in seed_trials(seed, trials)])
-        assert main(["compare", "--config", path, "--no-timestamp"]) == 0
-        assert "negative_discriminant" in capsys.readouterr().out  # some trials rejected
-        assert len(calls) == counting.trials
-
-
-class TestTrialRngs:
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**200), trials=st.integers(1, 64))
-    @example(seed=2**32 - 1, trials=3)
-    @example(seed=2**32, trials=3)
-    @example(seed=2**128 - 1, trials=3)
-    @example(seed=2**128, trials=3)
-    def test_streams_equal_numpy_seed_sequence(self, seed, trials):
-        rngs = trial_rngs(seed, trials)
-        assert len(rngs) == trials
-        for trial, rng in enumerate(rngs):
-            assert rng.bit_generator.state == trial_rng(seed, trial).bit_generator.state
-
-    def test_seed_must_be_a_non_negative_integer(self):
-        with pytest.raises(ValueError, match="seed"):
-            trial_rngs(-1, 2)
-        with pytest.raises(TypeError):
-            trial_rngs(7.0, 2)
-        rng = trial_rngs(np.int64(7), 2)[1]
-        assert rng.bit_generator.state == trial_rng(7, 1).bit_generator.state
-
-    def test_runs_without_numpy_seeding(self, tmp_path, monkeypatch, capsys):
-        # a noisy run makes one numpy SeedSequence(seed), for the seed-word pool that the
-        # batched hash starts from; no trial is seeded by numpy (np.random.SeedSequence or
-        # default_rng)
-        import numpy.random.bit_generator as bit_generator
-
-        seed_sequence, calls = bit_generator.SeedSequence, []
-
-        def counting(*args, **kwargs):
-            calls.append((args, kwargs))
-            return seed_sequence(*args, **kwargs)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("numpy seeding called")
-
-        monkeypatch.setattr(bit_generator, "SeedSequence", counting)
-        monkeypatch.setattr(np.random, "SeedSequence", refuse)
-        monkeypatch.setattr(np.random, "default_rng", refuse)
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({
-            "schema_version": 1, "state": {"preset": "fig4a"},
-            "noise": {"pairs_per_setting": 10_000, "trials": 4, "seed": 3}}))
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed)
+                            or CountingGenerator(default_rng(seed)))
         for command in ("reconstruct", "compare", "tomography"):
+            seeds.clear()
             calls.clear()
-            assert main([command, "--config", str(config), "--no-timestamp"]) == 0
-            assert capsys.readouterr().err == ""
-            assert calls == [((3,), {})], command
+            assert main([command, "--config", path, "--no-timestamp"]) == 0
+            out, err = capsys.readouterr()
+            assert err == "", command
+            if command == "compare":
+                assert "negative_discriminant" in out  # some trials rejected
+            assert seeds == [counting.seed], command
+            assert len(calls) == 1, command
+            assert calls[0][1].shape[0] == (1 if command == "tomography" else counting.trials)
 
 
 class TestSamplePauliExpectations:
@@ -363,13 +345,11 @@ class TestSamplePauliExpectations:
         counts = _binomial_counts(pauli_plus_probabilities(values), pairs, seed, trials)
         return pauli_from_counts(counts, pairs)
 
-    def test_stack_equals_per_generator_draws(self):
+    def test_stack_equals_row_by_row_draws(self):
         values = pauli_expectations(phase_bell(0.3))
         stacked = self.sample(values, 500, 9, 5)
-        # trial t draws on numpy's own default_rng(SeedSequence(9, spawn_key=(t,)))
         single = pauli_from_counts(
-            np.array([trial_rng(9, t).binomial(500, pauli_plus_probabilities(values))
-                      for t in range(5)]), 500)
+            row_by_row_counts(pauli_plus_probabilities(values), 500, 9, 5), 500)
         assert stacked.shape == (5, 16)
         assert stacked.tobytes() == single.tobytes()
 
@@ -401,3 +381,25 @@ class TestCountingConfig:
         for trials in (10**6 + 1, 10**400):
             with pytest.raises(ValueError, match="trials must be at most 1000000"):
                 CountingConfig(pairs_per_setting=10, trials=trials, seed=0)
+
+    # a float or bool count used to run: binomial truncated 100.5 pairs to 100 while the
+    # frequencies divided by 100.5, 2.5 trials ran 3, and seed True ran as seed 1
+    def test_pairs_per_setting_must_be_an_integer(self):
+        for pairs in (100.5, 100.0, True, "100"):
+            with pytest.raises(ValueError, match="pairs_per_setting must be an integer"):
+                CountingConfig(pairs_per_setting=pairs, trials=3, seed=0)
+        counting = CountingConfig(pairs_per_setting=np.int64(100), trials=3, seed=0)
+        assert type(counting.pairs_per_setting) is int
+
+    def test_trials_must_be_an_integer(self):
+        for trials in (2.5, 2.0, True, np.bool_(True)):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                CountingConfig(pairs_per_setting=100, trials=trials, seed=0)
+        assert type(CountingConfig(pairs_per_setting=100, trials=np.int32(3), seed=0).trials) is int
+
+    def test_seed_must_be_an_integer(self):
+        for seed in (True, False, 7.0, None):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                CountingConfig(pairs_per_setting=100, trials=3, seed=seed)
+        counting = CountingConfig(pairs_per_setting=100, trials=3, seed=np.uint64(7))
+        assert type(counting.seed) is int and counting.seed == 7
