@@ -306,11 +306,13 @@ class TestCompareDraws:
 
 
 class TestOneDraw:
-    def test_one_generator_and_one_binomial_call_per_command(self, tmp_path, monkeypatch,
-                                                             capsys):
-        # a noisy run seeds one generator and draws every trial in one call, kept or not
+    """A noisy run seeds one generator and draws every trial in one call, kept or not."""
+
+    @staticmethod
+    def run_commands(tmp_path, monkeypatch, capsys):
+        # the seeds given to ``default_rng`` and the ``binomial`` calls, per command
         path, _, counting = compare_config(tmp_path)
-        seeds, calls = [], []
+        seeds, calls, seen = [], [], {}
 
         class CountingGenerator:
             def __init__(self, rng):
@@ -331,7 +333,17 @@ class TestOneDraw:
             assert err == "", command
             if command == "compare":
                 assert "negative_discriminant" in out  # some trials rejected
+            seen[command] = list(seeds), list(calls)
+        return counting, seen
+
+    def test_one_generator_per_command(self, tmp_path, monkeypatch, capsys):
+        counting, seen = self.run_commands(tmp_path, monkeypatch, capsys)
+        for command, (seeds, _) in seen.items():
             assert seeds == [counting.seed], command
+
+    def test_one_binomial_call_per_command(self, tmp_path, monkeypatch, capsys):
+        counting, seen = self.run_commands(tmp_path, monkeypatch, capsys)
+        for command, (_, calls) in seen.items():
             assert len(calls) == 1, command
             assert calls[0][1].shape[0] == (1 if command == "tomography" else counting.trials)
 
