@@ -390,6 +390,19 @@ def _grid_columns(names: tuple[str, str], dims: tuple[int, int]) -> dict[str, tu
             for name, size, index in zip(names, dims, np.indices(dims))}
 
 
+@functools.lru_cache(maxsize=32)
+def _component_layouts(dims: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
+    """The row layouts of ``_component_columns`` for an m x n table, built once per
+    size (the last 32 sizes are kept) on first use: amplitude and weak value by
+    component, mod_a by ``row - 1``, mod_b by ``col - 1``, mod_pair by
+    ``(row-1)(n-1) + col-1`` (-1 where an index is 0) and the normalizer's one value."""
+    m, n = dims
+    row, col = np.indices(dims).reshape(2, -1)
+    pair = np.where(row * col > 0, (row - 1) * (n - 1) + col - 1, -1)
+    indices = tuple(map(tuple, np.stack([row - 1, col - 1, pair]).tolist()))
+    return (range(m * n),) * 2 + indices + ((0,) * (m * n),)
+
+
 def _component_columns(dims: tuple[int, int], amplitudes, weak_values, modulars, normalizer,
                        suffix: str = "") -> dict[str, tuple]:
     """The columns of a reconstruct table after comp_a/comp_b, rows (j, l) row-major.
@@ -397,16 +410,13 @@ def _component_columns(dims: tuple[int, int], amplitudes, weak_values, modulars,
     Component (j, l) shows the single_a modular value of j, the single_b one of
     l and the pair one of (j, l), each held once; index 0 has none (layout -1).
     """
-    m, n = dims
-    row, col = np.indices(dims).reshape(2, -1)
-    pair = np.where(row * col > 0, (row - 1) * (n - 1) + col - 1, -1)
-    layouts = [range(m * n)] * 2 + np.stack([row - 1, col - 1, pair]).tolist()
+    *layouts, normalizer_layout = _component_layouts(dims)
     columns = {}
     for prefix, values, layout in zip(("amp_", "weak_", "mod_a_", "mod_b_", "mod_pair_"),
                                       (amplitudes, weak_values, *split_plan(modulars, dims)),
                                       layouts):
         columns.update(_complex_columns(prefix, values, layout, suffix))
-    columns[f"normalizer{suffix}"] = ([normalizer], [0] * (m * n))
+    columns[f"normalizer{suffix}"] = ([normalizer], normalizer_layout)
     return columns
 
 

@@ -71,6 +71,8 @@ class CountingConfig:
             raise ValueError(f"trials must be at most {_MAX_TRIALS}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if not isinstance(self.clamp, bool):
+            raise ValueError(f"clamp must be a bool, not {self.clamp!r}")
 
 
 @dataclass(frozen=True)
@@ -106,13 +108,6 @@ def _complex_stats(samples: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.n
     else:
         std = samples.std(axis=axis, ddof=1)
     return mean, std
-
-
-def _estimate(samples, rejected: int) -> NoisyEstimate:
-    mean, std = _complex_stats(samples)
-    if samples.ndim == 1:
-        mean, std = mean.item(), std.item()
-    return NoisyEstimate(mean, std, samples.shape[0], rejected, samples)
 
 
 def _binomial_counts(probabilities, pairs: int, seed: int, trials: int) -> np.ndarray:
@@ -155,21 +150,49 @@ def noisy_trials(cfg: ProtocolConfig, counting: CountingConfig, method: Method =
 
 def monte_carlo(cfg: ProtocolConfig, counting: CountingConfig,
                 *, method: Method = "exact_inversion") -> MonteCarloResult:
-    """Means and spreads of every reconstructed quantity over the kept ``noisy_trials``."""
+    """Means and spreads of every reconstructed quantity over the kept ``noisy_trials``.
+
+    Five reductions give every estimate, each rounding as ``_complex_stats`` of
+    that quantity alone would. Amplitudes and weak values reduce over axis 0 of
+    one (K, 2, m, n) stack, which sums trial by trial: a complex mean, and the
+    std of its float view, whose last axis interleaves the real and imaginary
+    parts. The modulars' complex mean runs over a contiguous (S, K) copy, since
+    a complex pairwise sum rounds unlike a real one. The modulars' real and
+    imaginary parts, the normalizer and the fidelity are the rows of one
+    contiguous float (2S+2, K) array, whose rows reduce as 1-D arrays do.
+    """
     kept, result, _ = noisy_trials(cfg, counting, method)
     n_kept = int(kept.sum())
     rejected = counting.trials - n_kept
     modulars = result.modulars[kept]
     amplitudes = result.amplitudes[kept]
-    # a contiguous (S, K) copy reduces as each 1-D column does; axis 0 of (K, S) would not
-    mod_mean, mod_std = _complex_stats(np.ascontiguousarray(modulars.T), axis=-1)
+    weak_values = result.weak_values[kept]
+    normalizer = result.normalizer[kept]
+    fidelity = fidelity_states(cfg.system_state, amplitudes.reshape(n_kept, -1))
+
+    stack = np.stack((amplitudes, weak_values), axis=1)
+    means = stack.mean(axis=0)
+    if n_kept < 2:
+        stds = np.zeros_like(means)
+    else:
+        parts = stack.view(np.float64).std(axis=0, ddof=1)
+        stds = parts[..., ::2] + 1j * parts[..., 1::2]
+    mod_mean = np.ascontiguousarray(modulars.T).mean(axis=-1)
+    # concatenate would lay the rows out as the transposed modulars are, in F order
+    rows = np.empty((2 * modulars.shape[1] + 2, n_kept))
+    np.concatenate((modulars.view(np.float64).T, normalizer[None], fidelity[None]), out=rows)
+    row_means, row_stds = _complex_stats(rows, axis=-1)
+    mod_std = row_stds[:-2:2] + 1j * row_stds[1:-2:2]
+
+    def estimate(mean, std, samples):
+        return NoisyEstimate(mean, std, n_kept, rejected, samples)
+
     return MonteCarloResult(
-        amplitudes=_estimate(amplitudes, rejected),
-        weak_values=_estimate(result.weak_values[kept], rejected),
-        modulars=NoisyEstimate(mod_mean, mod_std, n_kept, rejected, modulars),
-        normalizer=_estimate(result.normalizer[kept], rejected),
-        fidelity=_estimate(fidelity_states(cfg.system_state, amplitudes.reshape(n_kept, -1)),
-                           rejected),
+        amplitudes=estimate(means[0], stds[0], amplitudes),
+        weak_values=estimate(means[1], stds[1], weak_values),
+        modulars=estimate(mod_mean, mod_std, modulars),
+        normalizer=estimate(row_means[-2].item(), row_stds[-2].item(), normalizer),
+        fidelity=estimate(row_means[-1].item(), row_stds[-1].item(), fidelity),
     )
 
 

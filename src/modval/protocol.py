@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
@@ -61,7 +62,8 @@ class ProtocolConfig:
     ``g`` defaults to pi so the s-parameter e^{-ig}-1 equals -2; it must be
     finite with |s| >= 1e-6 (at g = 0 or 2*pi the meter carries no signal).
     epsilon is the meter asymmetry (0.2 in the reference setting), in
-    [1e-8, 1]: a smaller one leaves too few digits in the readout.
+    [1e-8, 1]: a smaller one leaves too few digits in the readout. Both are
+    real numbers, never bools.
     """
 
     system_state: PureState
@@ -70,6 +72,10 @@ class ProtocolConfig:
     g: float = math.pi
 
     def __post_init__(self):
+        for name in ("epsilon", "g"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, not {value!r}")
         if len(self.system_state.dims) != 2:
             raise ValueError("system state must have exactly two factors")
         if self.postselection.dims != self.system_state.dims:

@@ -190,27 +190,29 @@ def collect_probabilities(cfg: ProtocolConfig) -> np.ndarray:
     return np.stack([outcome.p1, outcome.p2], axis=-1)
 
 
-def _plan_diagonals(dims: tuple[int, int]) -> np.ndarray:
-    """Diagonal of every plan observable, (S, m*n) in plan order.
+def _plan_diagonals(dims: tuple[int, int], dtype=np.float64) -> np.ndarray:
+    """Diagonal of every plan observable, (S, m*n) in plan order, as ``dtype``.
 
     Every plan observable is diagonal in the product basis: 1 on the coupled
     row j of A plus 1 on the coupled column l of B, so a pair's is 2 at (j, l).
     """
     m, n = dims
     on_a, on_b = _index_settings(measurement_plan(m, n), (m, n))
-    return np.add(on_a, on_b, dtype=np.float64).reshape(len(on_a), m * n)
+    return np.add(on_a, on_b, dtype=dtype).reshape(len(on_a), m * n)
 
 
 def definitional_modulars(cfg: ProtocolConfig) -> np.ndarray:
     """Oracle modular values straight from the states (no meter involved), (S,) in plan order.
 
     With d the diagonal of a setting's observable, its modular value is
-    <phi|e^{-igd} psi> / <phi|psi>: one elementwise exponential and one
-    conjugate dot product, taken for the whole plan at once. Raises
-    OrthogonalPostselection as the readout does.
+    <phi|e^{-igd} psi> / <phi|psi>: one conjugate dot product, taken for the
+    whole plan at once. Every d is 0, 1 or 2, so the phases are gathered from
+    the three exponentials e^{-igd}, each the same expression an elementwise
+    exponential of the diagonals evaluates. Raises OrthogonalPostselection as
+    the readout does.
     """
     overlap = _postselection_overlap(cfg)
-    phases = np.exp(-1j * cfg.g * _plan_diagonals(cfg.dims))
+    phases = np.exp(-1j * cfg.g * np.arange(3.0))[_plan_diagonals(cfg.dims, np.intp)]
     return np.vecdot(cfg.postselection.amps, phases * cfg.system_state.amps) / overlap
 
 
@@ -227,8 +229,9 @@ def _weak_value_matrix(modulars: np.ndarray, dims: tuple[int, int], s: complex) 
     weak = np.zeros(modulars.shape[:-1] + (m, n), dtype=np.complex128)
     pairs = weak[..., 1:, 1:]
     pairs[...] = weak_from_modulars(m_pair, m_a[..., :, None], m_b[..., None, :], s)
-    wa = _divide(m_a - 1.0, s)
-    wb = _divide(m_b - 1.0, s)
+    # the single_a and single_b blocks are contiguous in plan order
+    singles = _divide(modulars[..., :m + n - 2] - 1.0, s)
+    wa, wb = singles[..., :m - 1], singles[..., m - 1:]
     # column sums run over a contiguous transposed copy: numpy adds along a
     # strided inner axis in another order than a 1-D sum of the column
     weak[..., 1:, 0] = wa - pairs.sum(axis=-1)

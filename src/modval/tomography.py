@@ -69,28 +69,50 @@ class DensityMatrix:
 
 
 def pauli_expectations(psi: PureState) -> np.ndarray:
-    """Exact <psi|sigma_i (x) sigma_j|psi> for all 16 settings."""
+    """Exact <psi|sigma_i (x) sigma_j|psi> for all 16 settings, one stacked product."""
     if psi.dims != (2, 2):
         raise ValueError("tomography expects a two-qubit state")
-    return np.array([np.vdot(psi.amps, obs @ psi.amps).real for obs in _SETTINGS])
+    return np.vecdot(psi.amps, np.matvec(_SETTINGS, psi.amps)).real
+
+
+@functools.cache
+def _inversion_terms() -> tuple[np.ndarray, np.ndarray]:
+    """The 4 nonzero Pauli terms of each of the 16 matrix entries (row-major):
+    their setting indices (16, 4), ascending as II, ..., ZZ, and their
+    coefficients (16, 4), each +-1 or +-1j. Built on first use."""
+    coefficients = _SETTINGS.reshape(16, 16).T  # (entry, setting)
+    index = np.nonzero(coefficients)[1].reshape(16, 4)
+    terms = index, np.take_along_axis(coefficients, index, axis=1)
+    for table in terms:
+        table.flags.writeable = False
+    return terms
 
 
 def linear_inversion(expectations) -> DensityMatrix:
     """Density matrix from the 16 Pauli expectations (II, IX, ..., ZZ order).
 
-    Leading axes of the (..., 16) input are trials, each inverted bit for bit
-    as a one-trial call (the terms are summed in the same order).
+    Each entry gathers its 4 nonzero terms, value times coefficient, and sums
+    them one after another in II, ..., ZZ order from +0.0 before dividing by
+    4: the terms and their order of the sum over all 16 settings, whose other
+    terms are zeros that leave a sum that is never -0.0 unchanged. The values
+    must be finite (an infinite one would make those zero terms nan). Leading
+    axes of the (..., 16) input are trials, each inverted bit for bit as a
+    one-trial call.
     """
     values = np.asarray(expectations, dtype=float)
     if values.shape[-1:] != (16,):
         raise ValueError(f"expected 16 expectation values, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("expectation values must be finite")
     if np.any(np.abs(values[..., 0] - 1.0) > _IDENTITY_TOL):
         raise ValueError("the identity-identity expectation must equal 1")
-    mat = np.zeros(values.shape[:-1] + (4, 4), dtype=np.complex128)
-    for value, obs in zip(np.moveaxis(values, -1, 0), _SETTINGS):
-        mat += value[..., None, None] * obs
+    index, coefficients = _inversion_terms()
+    # np.take keeps the trial axes outermost; values[..., index] would make them innermost,
+    # and the matrix, laid out that way, rounds differently in fidelity_pure's matvec
+    terms = np.take(values, index, axis=-1) * coefficients
+    mat = 0.0 + terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
     mat /= 4.0
-    return DensityMatrix(mat)
+    return DensityMatrix(mat.reshape(values.shape[:-1] + (4, 4)))
 
 
 def _amplitudes(state) -> np.ndarray:

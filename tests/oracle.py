@@ -18,6 +18,12 @@ readout ``forward_probabilities`` and the delta-method spread ``modular_std``
 of modular values inverted from counted frequencies.
 ``plan_observable`` builds a measurement-plan observable from projectors,
 the reference for the diagonals of ``modval.reconstruction``'s closed form.
+
+The loop forms that the library replaced with whole-array calls stay here as
+bit-for-bit references: ``loop_linear_inversion`` (the 16-term sum),
+``loop_pauli_expectations`` (one ``np.vdot`` per setting),
+``elementwise_definitional_modulars`` (one exponential per diagonal entry)
+and ``per_quantity_estimates`` (each Monte Carlo estimate reduced on its own).
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ from modval.protocol import (
     _check_setting,
     _entangled_meter,
 )
+from modval.reconstruction import _plan_diagonals
+from modval.tomography import fidelity_states
 
 # the meter: two path qubits (A, B), each with levels up and down
 UP, DOWN = 0, 1
@@ -340,3 +348,52 @@ def modular_std(modulars, epsilon: float, pairs: int) -> np.ndarray:
     p = np.moveaxis(np.array(forward_probabilities(modulars, epsilon)), 0, -1)
     variance = np.sum(inverse ** 2 * (p * (1.0 - p) / pairs)[..., None, :], axis=-1)
     return np.sqrt(variance[..., 0]) + 1j * np.sqrt(variance[..., 1])
+
+
+def loop_linear_inversion(expectations) -> np.ndarray:
+    """(..., 4, 4) density matrices from (..., 16) Pauli expectations, each of the 16
+    settings' terms added in II, ..., ZZ order into a zeroed matrix, then divided by 4."""
+    values = np.asarray(expectations, dtype=float)
+    mat = np.zeros(values.shape[:-1] + (4, 4), dtype=np.complex128)
+    for value, obs in zip(np.moveaxis(values, -1, 0), tomography_settings()):
+        mat += value[..., None, None] * obs.mat
+    mat /= 4.0
+    return mat
+
+
+def loop_pauli_expectations(psi: PureState) -> np.ndarray:
+    """<psi|sigma_i (x) sigma_j|psi>, one ``np.vdot`` per setting."""
+    return np.array([np.vdot(psi.amps, obs.mat @ psi.amps).real
+                     for obs in tomography_settings()])
+
+
+def elementwise_definitional_modulars(cfg) -> np.ndarray:
+    """Definitional modular values with e^{-igd} taken over every diagonal entry d."""
+    overlap = inner(cfg.postselection, cfg.system_state)
+    phases = np.exp(-1j * cfg.g * _plan_diagonals(cfg.dims))
+    return np.vecdot(cfg.postselection.amps, phases * cfg.system_state.amps) / overlap
+
+
+def _stats(samples: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and ddof-1 std (std(Re) + 1j*std(Im) when complex; 0 for one sample)."""
+    mean = samples.mean(axis=axis)
+    if samples.shape[axis] < 2:
+        std = np.zeros_like(mean)
+    elif np.iscomplexobj(samples):
+        std = samples.real.std(axis=axis, ddof=1) + 1j * samples.imag.std(axis=axis, ddof=1)
+    else:
+        std = samples.std(axis=axis, ddof=1)
+    return mean, std
+
+
+def per_quantity_estimates(kept: np.ndarray, result, system_state: PureState) -> dict:
+    """(mean, std) of each ``MonteCarloResult`` field over the kept trials of a
+    ``noisy_trials`` result, every quantity reduced on its own; the modulars
+    over a contiguous (S, K) copy, which rounds as each setting's column."""
+    amplitudes = result.amplitudes[kept]
+    fidelity = fidelity_states(system_state, amplitudes.reshape(len(amplitudes), -1))
+    return {"amplitudes": _stats(amplitudes),
+            "weak_values": _stats(result.weak_values[kept]),
+            "modulars": _stats(np.ascontiguousarray(result.modulars[kept].T), axis=-1),
+            "normalizer": _stats(result.normalizer[kept]),
+            "fidelity": _stats(fidelity)}

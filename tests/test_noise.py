@@ -27,7 +27,12 @@ from modval.presets import phase_bell, state_preset, uniform_plus
 from modval.protocol import ProtocolConfig
 from modval.reconstruction import collect_probabilities, definitional_modulars, split_plan
 from tests.conftest import random_pair
-from tests.oracle import forward_probabilities, modular_std, row_by_row_counts
+from tests.oracle import (
+    forward_probabilities,
+    modular_std,
+    per_quantity_estimates,
+    row_by_row_counts,
+)
 from modval.tomography import pauli_expectations
 
 
@@ -129,6 +134,47 @@ class TestMonteCarlo:
         assert mc.modulars.samples_kept == trials and mc.modulars.samples_rejected == 2
         if trials == 1:
             assert not mc.modulars.std.any()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dims=st.tuples(st.integers(2, 4), st.integers(2, 3)), trials=st.integers(1, 60),
+           pairs=st.sampled_from([60, 500, 100_000]), epsilon=st.sampled_from([0.2, 0.6]),
+           clamp=st.booleans(), method=st.sampled_from(["exact_inversion", "first_order"]),
+           seed=st.integers(0, 2**32 - 1))
+    # one trial: every std is 0
+    @example(dims=(2, 2), trials=1, pairs=100_000, epsilon=0.2, clamp=False,
+             method="exact_inversion", seed=0)
+    # every trial kept
+    @example(dims=(3, 2), trials=60, pairs=100_000, epsilon=0.2, clamp=False,
+             method="exact_inversion", seed=1)
+    # low counts: 34 of 60 trials rejected, or clamped and kept
+    @example(dims=(2, 2), trials=60, pairs=60, epsilon=0.6, clamp=False,
+             method="exact_inversion", seed=0)
+    @example(dims=(2, 2), trials=60, pairs=60, epsilon=0.6, clamp=True,
+             method="exact_inversion", seed=0)
+    def test_estimates_equal_per_quantity_stats(self, dims, trials, pairs, epsilon, clamp,
+                                                method, seed):
+        psi, phi = random_pair(np.random.default_rng(seed), dims)
+        cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=epsilon)
+        counting = CountingConfig(pairs_per_setting=pairs, trials=trials, seed=seed,
+                                  clamp=clamp)
+        try:
+            kept, result, _ = noisy_trials(cfg, counting, method)
+        except AllTrialsRejected:
+            with pytest.raises(AllTrialsRejected):
+                monte_carlo(cfg, counting, method=method)
+            return
+        mc = monte_carlo(cfg, counting, method=method)
+        n_kept = int(kept.sum())
+        for name, (mean, std) in per_quantity_estimates(kept, result, psi).items():
+            estimate = getattr(mc, name)
+            assert np.asarray(estimate.mean).tobytes() == mean.tobytes(), name
+            assert np.asarray(estimate.std).tobytes() == std.tobytes(), name
+            assert estimate.samples_kept == n_kept == len(estimate.samples), name
+            assert estimate.samples_rejected == trials - n_kept, name
+        assert type(mc.normalizer.mean) is type(mc.fidelity.std) is float
+        assert mc.amplitudes.mean.shape == mc.weak_values.std.shape == dims
+        if clamp:
+            assert n_kept == trials
 
     def test_modular_estimates_reported(self):
         cfg = bell_config()
@@ -408,6 +454,13 @@ class TestCountingConfig:
             with pytest.raises(ValueError, match="trials must be an integer"):
                 CountingConfig(pairs_per_setting=100, trials=trials, seed=0)
         assert type(CountingConfig(pairs_per_setting=100, trials=np.int32(3), seed=0).trials) is int
+
+    # clamp="false" used to clamp: a non-empty string is true
+    def test_clamp_must_be_a_bool(self):
+        for clamp in ("false", "true", 0, 1, None):
+            with pytest.raises(ValueError, match="clamp must be a bool"):
+                CountingConfig(pairs_per_setting=100, trials=3, seed=0, clamp=clamp)
+        assert CountingConfig(pairs_per_setting=100, trials=3, seed=0, clamp=True).clamp is True
 
     def test_seed_must_be_an_integer(self):
         for seed in (True, False, 7.0, None):

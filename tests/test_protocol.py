@@ -355,6 +355,24 @@ class TestConfigValidation:
             ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus(),
                            epsilon=epsilon)
 
+    # epsilon=True used to run as epsilon = 1, and "0.2" raised a bare TypeError
+    def test_epsilon_must_be_a_real_number(self):
+        for epsilon in (True, np.bool_(True), "0.2", None, 0.2 + 0j):
+            with pytest.raises(ValueError, match="epsilon must be a real number"):
+                ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus(),
+                               epsilon=epsilon)
+        for epsilon in (1, np.float64(0.2), np.float32(0.5)):
+            ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus(),
+                           epsilon=epsilon)
+
+    # g=True used to run as g = 1
+    def test_g_must_be_a_real_number(self):
+        for g in (True, False, "3.14", None, 3j):
+            with pytest.raises(ValueError, match="g must be a real number"):
+                ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus(), g=g)
+        for g in (3, np.float64(1.3)):
+            ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus(), g=g)
+
     def test_normalization_required(self):
         bad = PureState((2, 2), np.array([1.0, 0, 0, 1.0]))
         with pytest.raises(ValueError, match="normalized"):

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modval.errors import NegativeDiscriminant, OrthogonalPostselection
@@ -31,6 +31,7 @@ from modval.reconstruction import (
 )
 from tests.conftest import random_pair, random_state
 from tests.oracle import (
+    elementwise_definitional_modulars,
     embedded,
     forward_probabilities,
     modular_definitional,
@@ -597,3 +598,20 @@ def test_definitional_matches_the_exact_inversion_at_32x32():
     inverted = invert_probabilities(collect_probabilities(cfg), cfg.epsilon, "exact_inversion")
     # measured at most 3.7e-15 over six seeds
     assert np.max(np.abs(inverted - definitional)) <= 1e-13 * max(1.0, np.max(np.abs(definitional)))
+
+
+class TestDefinitionalPhaseTable:
+    # every diagonal entry is 0, 1 or 2, so the phases come from a three-entry table
+    # whose entries are the expressions the elementwise exponential evaluates
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(m=st.integers(2, 8), n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+           g=st.one_of(st.sampled_from([math.pi, 1.3, 0.7, -math.pi / 3]),
+                       st.floats(-20.0, 20.0)))
+    @example(m=16, n=16, seed=0, g=math.pi)
+    @example(m=7, n=5, seed=1, g=1.0)
+    def test_table_equals_the_elementwise_exponential(self, m, n, seed, g):
+        assume(abs(cmath.exp(-1j * g) - 1.0) >= 1e-6)
+        psi, phi = random_pair(np.random.default_rng(seed), (m, n))
+        cfg = ProtocolConfig(system_state=psi, postselection=phi, g=g)
+        assert (definitional_modulars(cfg).tobytes()
+                == elementwise_definitional_modulars(cfg).tobytes())

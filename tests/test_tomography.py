@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modval.hilbert import PureState
 from modval.noise import pauli_from_counts, pauli_plus_probabilities
-from modval.presets import phase_bell
+from modval.presets import phase_bell, state_preset
 from modval.tomography import (
     DensityMatrix,
     fidelity_pure,
@@ -18,7 +18,7 @@ from modval.tomography import (
     pauli_expectations,
 )
 from tests.conftest import random_state
-from tests.oracle import tomography_settings
+from tests.oracle import loop_linear_inversion, loop_pauli_expectations, tomography_settings
 
 
 def one_trial_inversion(values):
@@ -199,3 +199,57 @@ class TestDensityMatrixValidation:
         assert skewed.positive.tolist() == [True, False]
         with pytest.raises(TypeError):
             DensityMatrix(np.eye(4) / 4, -1.0, False)  # a spectrum is not an input
+
+
+class TestLoopReferences:
+    """The whole-array forms equal the loops they replaced, bit for bit."""
+
+    # signed zeros, +-1 and thirds: the loop also adds the other 12 settings' zero
+    # terms, which the gather skips
+    SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 1 / 3, -1 / 3, 2 / 3, -2 / 3])
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(trials=st.one_of(st.none(), st.integers(1, 60)), seed=st.integers(0, 2**32 - 1),
+           special=st.sampled_from([0.0, 0.5, 1.0]),
+           identity=st.sampled_from([1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)]))
+    @example(trials=None, seed=0, special=1.0, identity=1.0)
+    @example(trials=60, seed=1, special=1.0, identity=1.0)
+    @example(trials=1, seed=2, special=0.0, identity=math.nextafter(1.0, 0.0))
+    def test_inversion_equals_the_sixteen_term_loop(self, trials, seed, special, identity):
+        rng = np.random.default_rng(seed)
+        shape = (16,) if trials is None else (trials, 16)
+        values = np.where(rng.random(shape) < special, rng.choice(self.SPECIAL, shape),
+                          rng.uniform(-1.0, 1.0, shape))
+        values[..., 0] = identity
+        rho = linear_inversion(values)
+        reference = loop_linear_inversion(values)
+        assert rho.mat.shape == reference.shape
+        assert rho.mat.flags.c_contiguous
+        assert rho.mat.tobytes() == reference.tobytes()
+
+    # a nan or infinite expectation used to give a nan matrix that passed validation
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_expectations_must_be_finite(self, bad):
+        values = np.array([pauli_expectations(phase_bell(0.0))] * 2)
+        values[1, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            linear_inversion(values)
+
+    def test_inversion_of_signed_zeros(self):
+        # every term -0.0 but the identity: the loop's sums start from +0.0
+        values = np.full(16, -0.0)
+        values[0] = 1.0
+        assert linear_inversion(values).mat.tobytes() == loop_linear_inversion(values).tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_expectations_equal_the_per_setting_loop(self, seed):
+        psi = random_state(np.random.default_rng(seed))
+        assert pauli_expectations(psi).tobytes() == loop_pauli_expectations(psi).tobytes()
+
+    @pytest.mark.parametrize("psi", [PureState((2, 2), [1, 0, 0, 0]), phase_bell(0.0),
+                                     phase_bell(1.0)] +
+                             [state_preset(name) for name in ("fig4a", "fig4b", "fig4c",
+                                                              "fig4d")])
+    def test_expectations_of_sparse_states_equal_the_loop(self, psi):
+        assert pauli_expectations(psi).tobytes() == loop_pauli_expectations(psi).tobytes()
