@@ -35,14 +35,13 @@ from .presets import (
 from .protocol import (
     PlanOutcome,
     ProtocolConfig,
+    measurement_plan,
     run_protocol,
 )
 from .reconstruction import (
     ReconstructionResult,
-    collect_probabilities,
     definitional_modulars,
     invert_probabilities,
-    measurement_plan,
     modular_exact_inversion,
     modular_first_order,
     reconstruct,

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllTrialsRejected, ConfigError
-from .protocol import ProtocolConfig
+from .protocol import ProtocolConfig, run_protocol
 from .reconstruction import (
     Method,
     ReconstructionResult,
-    collect_probabilities,
     invert_probabilities,
     reconstruct,
     s_parameter,
@@ -135,7 +134,7 @@ def noisy_trials(cfg: ProtocolConfig, counting: CountingConfig, method: Method =
     if method == "definitional":
         raise ConfigError("counting noise applies to measured probabilities; "
                           "definitional modulars have none (use first_order or exact_inversion)")
-    exact = collect_probabilities(cfg)
+    exact = run_protocol(cfg).probabilities
     pairs = counting.pairs_per_setting
     counts = _binomial_counts(np.append(exact, extra), pairs, counting.seed, counting.trials)
     frequencies = counts[:, :exact.size].reshape((-1, *exact.shape)) / pairs

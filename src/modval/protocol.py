@@ -12,8 +12,10 @@ is read out against two detector states, (|ud> + |du>)/sqrt2 and
 (|ud> + i|du>)/sqrt2, whose probabilities carry the real and imaginary
 parts of the setting's modular value.
 
-Every coupling is diagonal in the product basis, so ``run_protocol`` reads
-out a whole list of ``(kind, j, l)`` settings at once. The entangled meter
+``measurement_plan`` fixes the settings and their order, the one index of
+every per-setting quantity, and ``split_plan`` cuts plan-ordered values into
+its blocks. Every coupling is diagonal in the product basis, so
+``run_protocol`` reads out the whole plan at once. The entangled meter
 populates only |ud> and |du>, so each setting needs only those two rows of
 phases: an (S, 2, m*n) block times their rows of meter (x) system,
 contracted with the postselection in one stacked matmul, then normalized
@@ -28,9 +30,8 @@ import cmath
 import functools
 import math
 import numbers
-from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,11 +41,6 @@ from .hilbert import DEFAULT_TOL, PureState, inner
 # joint meter basis indices: |ud> is the reference component, |du> the signal
 IDX_UP_DOWN = 1
 IDX_DOWN_UP = 2
-
-InteractionKind = Literal["pair", "single_a", "single_b"]
-SettingSpec = tuple[InteractionKind, int | None, int | None]
-
-_KINDS = ("pair", "single_a", "single_b")
 
 # smallest |s| = |e^{-ig} - 1| accepted: weak values are divided by s and s^2
 _MIN_S = 1e-6
@@ -86,7 +82,12 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must be normalized")
         if not _MIN_EPSILON <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [1e-8, 1]")
-        if not math.isfinite(self.g):
+        try:
+            finite = math.isfinite(self.g)
+        except OverflowError:  # an int beyond the float range
+            raise ValueError("coupling g must be finite, got an integer beyond the float "
+                             "range") from None
+        if not finite:
             raise ValueError(f"coupling g must be finite, got {self.g!r}")
         if abs(cmath.exp(-1j * self.g) - 1.0) < _MIN_S:
             raise ValueError(
@@ -119,19 +120,31 @@ def _entangled_meter(epsilon: float) -> np.ndarray:
     return amps
 
 
-def _check_setting(kind: InteractionKind, j: int | None, l: int | None,
-                   dims) -> tuple[bool, bool]:
-    """Validate one setting; returns which sides (A, B) it couples."""
+@functools.lru_cache(maxsize=32)
+def measurement_plan(m: int, n: int) -> tuple[tuple[str, int | None, int | None], ...]:
+    """Settings ``(kind, j, l)`` for an m x n system: singles on each side, then all pairs.
+
+    ``kind`` is "single_a", "single_b" or "pair"; an unused index is None.
+    Plan size is (m-1)+(n-1)+(m-1)(n-1) = m*n - 1 settings; with a real and
+    an imaginary part each that is 2*m*n - 2 numbers, exactly the parameter
+    count of a normalized state with one global phase removed. The plan
+    depends only on (m, n), so it is built once per size (the last 32 sizes
+    are kept), shared, and immutable.
+    """
+    if m < 2 or n < 2:
+        raise ValueError("both subsystem dimensions must be at least 2")
+    return (tuple(("single_a", j, None) for j in range(1, m))
+            + tuple(("single_b", None, l) for l in range(1, n))
+            + tuple(("pair", j, l) for j in range(1, m) for l in range(1, n)))
+
+
+def split_plan(values, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut plan-ordered values (..., S) into the single_a (..., m-1), single_b
+    (..., n-1) and pair (..., m-1, n-1) blocks; index j >= 1 sits at j-1."""
     m, n = dims
-    if kind not in _KINDS:
-        raise ValueError(f"unknown interaction kind {kind!r}")
-    use_a = kind in ("pair", "single_a")
-    use_b = kind in ("pair", "single_b")
-    if use_a and (j is None or not 0 <= j < m):
-        raise ValueError(f"system-A index {j} out of range for dimension {m}")
-    if use_b and (l is None or not 0 <= l < n):
-        raise ValueError(f"system-B index {l} out of range for dimension {n}")
-    return use_a, use_b
+    values = np.asarray(values)
+    return (values[..., :m - 1], values[..., m - 1:m + n - 2],
+            values[..., m + n - 2:].reshape(values.shape[:-1] + (m - 1, n - 1)))
 
 
 # detector amplitudes d1 = (|ud> + |du>)/sqrt2 and d2 = (|ud> + i|du>)/sqrt2 on the
@@ -164,16 +177,16 @@ def _phase_block(on_a: np.ndarray, on_b: np.ndarray, g: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PlanOutcome:
-    """Meter readout of S settings; every field has the leading (S,) plan axis."""
+    """Meter readout of the S plan settings; every field has the leading (S,) plan axis."""
 
     conditional_meter_amps: np.ndarray  # (S, 4) complex, unit norm
     postselection_probability: np.ndarray  # (S,)
-    p1: np.ndarray  # (S,) rate of detector d1, which carries Re of the modular value
-    p2: np.ndarray  # (S,) rate of detector d2, which carries Im
+    # (S, 2) rates of detectors d1 and d2, which carry Re and Im of the modular value
+    probabilities: np.ndarray
 
 
-class _SettingIndex(NamedTuple):
-    """The run-independent part of a readout: each setting's coupling map, read-only.
+class _PlanIndex(NamedTuple):
+    """The run-independent part of a readout: each plan setting's coupling map, read-only.
 
     The one construction of the coupling pattern; the readout's phases and
     the definitional diagonals both derive from it.
@@ -183,25 +196,23 @@ class _SettingIndex(NamedTuple):
     on_b: np.ndarray  # (S, 1, n) bool: the coupled column of B, none where B is uncoupled
 
 
-@functools.lru_cache(maxsize=64)
-def _index_settings(settings: tuple[SettingSpec, ...], dims: tuple[int, int]) -> _SettingIndex:
-    """Validate and index a list of settings; cached, so a plan is indexed once."""
+@functools.lru_cache(maxsize=32)
+def _plan_index(dims: tuple[int, int]) -> _PlanIndex:
+    """Index the measurement plan of an m x n system; built on first use, once per size."""
     m, n = dims
-    rows, cols = [], []
-    for kind, j, l in settings:
-        use_a, use_b = _check_setting(kind, j, l, dims)
-        rows.append(j if use_a else -1)
-        cols.append(l if use_b else -1)
+    plan = measurement_plan(m, n)
     # an uncoupled side's index is -1, which matches no row or column
-    index = _SettingIndex(np.array(rows)[:, None, None] == np.arange(m)[:, None],
-                          np.array(cols)[:, None, None] == np.arange(n))
+    rows = np.array([-1 if j is None else j for _, j, _ in plan])
+    cols = np.array([-1 if l is None else l for _, _, l in plan])
+    index = _PlanIndex(rows[:, None, None] == np.arange(m)[:, None],
+                       cols[:, None, None] == np.arange(n))
     for array in index:
         array.flags.writeable = False
     return index
 
 
-def run_protocol(cfg: ProtocolConfig, settings: Iterable[SettingSpec]) -> PlanOutcome:
-    """Run a list of ``(kind, j, l)`` settings end to end and read out the meter.
+def run_protocol(cfg: ProtocolConfig) -> PlanOutcome:
+    """Run the measurement plan end to end and read out the meter.
 
     Every coupling is diagonal in the product basis, so each setting's
     interaction is a (2, m*n) phase block on the two populated meter states
@@ -209,16 +220,15 @@ def run_protocol(cfg: ProtocolConfig, settings: Iterable[SettingSpec]) -> PlanOu
     with the postselection: O(m*n) work per setting and no joint-space
     operator.
     Each conditional meter state is normalized and projected onto the two
-    detector states; row k of the ``PlanOutcome`` is ``settings[k]``.
+    detector states; row k of the ``PlanOutcome`` is setting k of
+    ``measurement_plan(*cfg.dims)``.
     Raises OrthogonalPostselection when the overlap |<postselection|system>|
     falls below DEFAULT_TOL.orthogonal (the modular value diverges there and
-    no meter readout is meaningful), and ValueError for an invalid setting.
+    no meter readout is meaningful).
     """
     _postselection_overlap(cfg)
     m, n = cfg.dims
-    if not isinstance(settings, tuple):
-        settings = tuple(map(tuple, settings))
-    on_a, on_b = _index_settings(settings, (m, n))
+    on_a, on_b = _plan_index(cfg.dims)
 
     # meter (x) system first, then the phases: the same products, in the same
     # order, as the dense unitary applied to the joint state (its off-diagonal
@@ -244,9 +254,8 @@ def run_protocol(cfg: ProtocolConfig, settings: Iterable[SettingSpec]) -> PlanOu
     # vecdot conjugates the detector as np.vdot does; Python's abs(z) ** 2
     # rounds as a one-setting readout does (np.abs differs in the last bit)
     overlaps = np.vecdot(_DETECTORS, conditional[:, None, :]).ravel().tolist()
-    probs = np.array([abs(z) ** 2 for z in overlaps]).reshape(-1, 2)
     return PlanOutcome(
         conditional_meter_amps=conditional,
         postselection_probability=np.array([x ** 2 for x in norms.tolist()]),
-        p1=probs[:, 0], p2=probs[:, 1],
+        probabilities=np.array([abs(z) ** 2 for z in overlaps]).reshape(-1, 2),
     )

@@ -14,9 +14,9 @@ components involving index 0 are completed through projector completeness
 (P_0 = I - sum of the others) at the weak-value level, and the amplitude
 matrix is fixed by normalization with a real-positive reference component.
 
-Plan order (``measurement_plan``: the m-1 single_a settings, the n-1
-single_b settings, then the pairs row-major in (j, l)) is the one index of
-every per-setting quantity: detector probabilities are an (S, 2) array and
+Plan order (``protocol.measurement_plan``: the m-1 single_a settings, the
+n-1 single_b settings, then the pairs row-major in (j, l)) is the one index
+of every per-setting quantity: detector probabilities are an (S, 2) array and
 modular values an (..., S) complex array; ``split_plan`` cuts them into the
 single_a, single_b and pair blocks. The inversions act elementwise, and
 ``reconstruct`` takes optional leading trial axes, so the exact pipeline
@@ -26,7 +26,6 @@ and a stack of noisy trials run through the same code.
 from __future__ import annotations
 
 import cmath
-import functools
 from dataclasses import dataclass
 from typing import Literal
 
@@ -34,8 +33,7 @@ import numpy as np
 
 from .errors import NegativeDiscriminant
 from .hilbert import PureState
-from .protocol import (ProtocolConfig, SettingSpec, _index_settings, _postselection_overlap,
-                       run_protocol)
+from .protocol import ProtocolConfig, _plan_index, _postselection_overlap, run_protocol, split_plan
 
 Method = Literal["first_order", "exact_inversion", "definitional"]
 METHODS = ("first_order", "exact_inversion", "definitional")
@@ -66,33 +64,6 @@ class ReconstructionResult:
 
     def state(self) -> PureState:
         return PureState(self.dims, self.amplitudes.reshape(-1))
-
-
-@functools.lru_cache(maxsize=32)
-def measurement_plan(m: int, n: int) -> tuple[SettingSpec, ...]:
-    """Settings ``(kind, j, l)`` for an m x n system: singles on each side, then all pairs.
-
-    ``kind`` is "single_a", "single_b" or "pair"; an unused index is None.
-    Plan size is (m-1)+(n-1)+(m-1)(n-1) = m*n - 1 settings; with a real and
-    an imaginary part each that is 2*m*n - 2 numbers, exactly the parameter
-    count of a normalized state with one global phase removed. The plan
-    depends only on (m, n), so it is built once per size (the last 32 sizes
-    are kept), shared, and immutable.
-    """
-    if m < 2 or n < 2:
-        raise ValueError("both subsystem dimensions must be at least 2")
-    return (tuple(("single_a", j, None) for j in range(1, m))
-            + tuple(("single_b", None, l) for l in range(1, n))
-            + tuple(("pair", j, l) for j in range(1, m) for l in range(1, n)))
-
-
-def split_plan(values, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cut plan-ordered values (..., S) into the single_a (..., m-1), single_b
-    (..., n-1) and pair (..., m-1, n-1) blocks; index j >= 1 sits at j-1."""
-    m, n = dims
-    values = np.asarray(values)
-    return (values[..., :m - 1], values[..., m - 1:m + n - 2],
-            values[..., m + n - 2:].reshape(values.shape[:-1] + (m - 1, n - 1)))
 
 
 def _complex(re, im):
@@ -184,21 +155,15 @@ def s_parameter(g: float) -> complex:
     return cmath.exp(-1j * float(g)) - 1.0
 
 
-def collect_probabilities(cfg: ProtocolConfig) -> np.ndarray:
-    """Exact detector probabilities (p1, p2) for every setting, (S, 2) in plan order."""
-    outcome = run_protocol(cfg, measurement_plan(*cfg.dims))
-    return np.stack([outcome.p1, outcome.p2], axis=-1)
-
-
-def _plan_diagonals(dims: tuple[int, int], dtype=np.float64) -> np.ndarray:
-    """Diagonal of every plan observable, (S, m*n) in plan order, as ``dtype``.
+def _plan_diagonals(dims: tuple[int, int]) -> np.ndarray:
+    """Diagonal of every plan observable, (S, m*n) intp in plan order.
 
     Every plan observable is diagonal in the product basis: 1 on the coupled
     row j of A plus 1 on the coupled column l of B, so a pair's is 2 at (j, l).
     """
     m, n = dims
-    on_a, on_b = _index_settings(measurement_plan(m, n), (m, n))
-    return np.add(on_a, on_b, dtype=dtype).reshape(len(on_a), m * n)
+    on_a, on_b = _plan_index(dims)
+    return np.add(on_a, on_b, dtype=np.intp).reshape(len(on_a), m * n)
 
 
 def definitional_modulars(cfg: ProtocolConfig) -> np.ndarray:
@@ -212,7 +177,7 @@ def definitional_modulars(cfg: ProtocolConfig) -> np.ndarray:
     the readout does.
     """
     overlap = _postselection_overlap(cfg)
-    phases = np.exp(-1j * cfg.g * np.arange(3.0))[_plan_diagonals(cfg.dims, np.intp)]
+    phases = np.exp(-1j * cfg.g * np.arange(3.0))[_plan_diagonals(cfg.dims)]
     return np.vecdot(cfg.postselection.amps, phases * cfg.system_state.amps) / overlap
 
 
@@ -311,7 +276,7 @@ def reconstruct_state(cfg: ProtocolConfig, method: Method = "exact_inversion") -
     if method == "definitional":
         modulars = definitional_modulars(cfg)
     else:
-        probabilities = collect_probabilities(cfg)
+        probabilities = run_protocol(cfg).probabilities
         modulars = invert_probabilities(probabilities, cfg.epsilon, method)
         unreachable = np.flatnonzero(np.isnan(modulars))
         if unreachable.size:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DEFAULT_TOL, PureState
+from .hilbert import DEFAULT_TOL, PureState, _frozen_complex
 
 
 def _pauli_products() -> np.ndarray:
@@ -48,14 +48,13 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.mat, dtype=np.complex128)
+        mat = _frozen_complex(self.mat, np.shape(self.mat))  # nan or inf fails here
         if mat.shape[-2:] != (4, 4):
             raise ValueError("density matrix must be 4x4")
         if np.max(np.abs(mat - np.swapaxes(mat, -1, -2).conj())) > DEFAULT_TOL.structural:
             raise ValueError("density matrix must be Hermitian")
         if np.max(np.abs(np.trace(mat, axis1=-2, axis2=-1).real - 1.0)) > DEFAULT_TOL.structural:
             raise ValueError("density matrix must have unit trace")
-        mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
 
     @functools.cached_property

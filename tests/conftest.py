@@ -3,12 +3,12 @@ import pytest
 
 from modval.errors import OrthogonalPostselection
 from modval.hilbert import DEFAULT_TOL, PureState, inner
-from modval.protocol import PlanOutcome, _check_setting, _entangled_meter
-from modval.reconstruction import measurement_plan
+from modval.protocol import PlanOutcome, _entangled_meter
 from tests.oracle import (
     METER_DIMS,
     apply,
     build_interaction,
+    check_setting,
     detector_states,
     normalize,
     partial_inner,
@@ -48,8 +48,8 @@ def _outcome(rows) -> PlanOutcome:
     return PlanOutcome(
         conditional_meter_amps=np.array([conditional.amps for _, conditional in rows]),
         postselection_probability=np.array([meter_proj.norm() ** 2 for meter_proj, _ in rows]),
-        p1=np.array([abs(inner(d1, conditional)) ** 2 for _, conditional in rows]),
-        p2=np.array([abs(inner(d2, conditional)) ** 2 for _, conditional in rows]),
+        probabilities=np.array([[abs(inner(d1, conditional)) ** 2,
+                                 abs(inner(d2, conditional)) ** 2] for _, conditional in rows]),
     )
 
 
@@ -58,8 +58,9 @@ def dense_run_protocol(cfg, settings) -> PlanOutcome:
 
     For each setting in turn, builds the dense controlled-phase unitary with
     ``build_interaction``, applies it to meter (x) system, postselects the
-    system with ``partial_inner`` and projects onto the detector states. The
-    library's ``run_protocol`` must agree with it field by field.
+    system with ``partial_inner`` and projects onto the detector states.
+    Over ``measurement_plan(*cfg.dims)``, the library's ``run_protocol``
+    must agree with it field by field.
     """
     _check_overlap(cfg)
     joint = tensor(prepare_meter(cfg.epsilon), cfg.system_state)
@@ -75,8 +76,8 @@ def per_setting_run_protocol(cfg, settings) -> PlanOutcome:
     """The one-setting diagonal readout that ``run_protocol`` batches.
 
     One (4, m*n) phase block per setting, a gemv with conj(phi), then
-    ``normalize`` and ``inner`` on ``PureState`` objects: the batched
-    readout must reproduce it bit for bit.
+    ``normalize`` and ``inner`` on ``PureState`` objects: over the plan,
+    the batched readout must reproduce it bit for bit.
     """
     _check_overlap(cfg)
     m, n = cfg.dims
@@ -85,7 +86,7 @@ def per_setting_run_protocol(cfg, settings) -> PlanOutcome:
     joint = _entangled_meter(cfg.epsilon)[:, None] * psi[None, :]
     rows = []
     for kind, j, l in settings:
-        use_a, use_b = _check_setting(kind, j, l, cfg.dims)
+        use_a, use_b = check_setting(kind, j, l, cfg.dims)
         a = np.ones((m, n), dtype=np.complex128)
         b = np.ones((m, n), dtype=np.complex128)
         if use_a:
@@ -97,9 +98,3 @@ def per_setting_run_protocol(cfg, settings) -> PlanOutcome:
         meter_proj = PureState(METER_DIMS, (phases * joint) @ phi.conj())
         rows.append((meter_proj, normalize(meter_proj)))
     return _outcome(rows)
-
-
-def per_setting_probabilities(cfg):
-    """(S, 2) detector probabilities from ``per_setting_run_protocol`` over the plan."""
-    outcome = per_setting_run_protocol(cfg, measurement_plan(*cfg.dims))
-    return np.stack([outcome.p1, outcome.p2], axis=-1)

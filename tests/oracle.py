@@ -18,6 +18,9 @@ readout ``forward_probabilities`` and the delta-method spread ``modular_std``
 of modular values inverted from counted frequencies.
 ``plan_observable`` builds a measurement-plan observable from projectors,
 the reference for the diagonals of ``modval.reconstruction``'s closed form.
+``modval.protocol`` reads out only its own measurement plan, so the
+validation of a caller's ``(kind, j, l)`` setting, ``check_setting``, lives
+here with the dense builders that take any setting.
 
 The loop forms that the library replaced with whole-array calls stay here as
 bit-for-bit references: ``loop_linear_inversion`` (the 16-term sum),
@@ -44,19 +47,15 @@ from modval.hilbert import (
     _require_same_dims,
     inner,
 )
-from modval.protocol import (
-    IDX_DOWN_UP,
-    IDX_UP_DOWN,
-    InteractionKind,
-    _check_setting,
-    _entangled_meter,
-)
+from modval.protocol import IDX_DOWN_UP, IDX_UP_DOWN, _entangled_meter
 from modval.reconstruction import _plan_diagonals
 from modval.tomography import fidelity_states
 
 # the meter: two path qubits (A, B), each with levels up and down
 UP, DOWN = 0, 1
 METER_DIMS = (2, 2)
+
+InteractionKind = Literal["pair", "single_a", "single_b"]
 
 PAULIS = (
     np.eye(2, dtype=np.complex128),
@@ -153,11 +152,27 @@ def pair_product(j: int, l: int, dims=(2, 2)) -> LinearOperator:
     return LinearOperator(dims, embedded("a", j, dims).mat @ embedded("b", l, dims).mat)
 
 
+def check_setting(kind: InteractionKind, j: int | None, l: int | None,
+                  dims) -> tuple[bool, bool]:
+    """Validate one setting; returns which sides (A, B) it couples."""
+    m, n = dims
+    if kind not in ("pair", "single_a", "single_b"):
+        raise ValueError(f"unknown interaction kind {kind!r}")
+    use_a = kind in ("pair", "single_a")
+    use_b = kind in ("pair", "single_b")
+    if use_a and (j is None or not 0 <= j < m):
+        raise ValueError(f"system-A index {j} out of range for dimension {m}")
+    if use_b and (l is None or not 0 <= l < n):
+        raise ValueError(f"system-B index {l} out of range for dimension {n}")
+    return use_a, use_b
+
+
 def plan_observable(dims, kind: InteractionKind, j: int | None, l: int | None) -> LinearOperator:
-    """A plan setting's observable: an embedded projector, or the pair's sum of two."""
-    if kind == "single_a":
+    """A setting's observable: an embedded projector, or the pair's sum of two."""
+    use_a, use_b = check_setting(kind, j, l, dims)
+    if not use_b:
         return embedded("a", j, dims)
-    if kind == "single_b":
+    if not use_a:
         return embedded("b", l, dims)
     return pair_sum(j, l, dims)
 
@@ -301,7 +316,7 @@ def build_interaction(kind: InteractionKind, j: int | None, l: int | None,
     the diagonal readout is checked against.
     """
     m, n = (int(d) for d in dims)
-    use_a, use_b = _check_setting(kind, j, l, (m, n))
+    use_a, use_b = check_setting(kind, j, l, (m, n))
     mat = None
     if use_a:
         q_a = tensor(tensor(_meter_side_projector("a"), identity((2,))),

@@ -14,10 +14,8 @@ import pytest
 from modval.errors import OrthogonalPostselection
 from modval.noise import CountingConfig, monte_carlo
 from modval.presets import alt_postselection, phase_bell, state_preset, uniform_plus
-from modval.protocol import ProtocolConfig
+from modval.protocol import ProtocolConfig, measurement_plan, run_protocol
 from modval.reconstruction import (
-    collect_probabilities,
-    measurement_plan,
     modular_first_order,
     reconstruct,
     reconstruct_state,
@@ -78,7 +76,7 @@ def test_criterion_2_first_order_curve():
         if abs(abs(theta) - math.pi) < 1e-9:
             continue
         cfg = phase_config(theta)
-        probs = collect_probabilities(cfg)
+        probs = run_protocol(cfg).probabilities
         for k, setting in enumerate(plan):
             m_val = modular_definitional(plan_observable((2, 2), *setting).mat, cfg.g,
                                          cfg.system_state, cfg.postselection)

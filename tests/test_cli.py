@@ -512,18 +512,19 @@ class TestDeterminismAndErrors:
         assert proc.stdout.strip() == ""
 
     def test_import_builds_no_table(self):
-        # the cached layouts and the inversion's gather table are built on first use,
-        # so importing modval.cli pays for neither; numpy.random stays unloaded too
+        # the cached layouts, the inversion's gather table and the plan index are built
+        # on first use, so importing modval.cli pays for none; numpy.random stays unloaded
         import subprocess
         import sys
 
-        code = ("import sys, modval.cli; from modval import cli, tomography; "
+        code = ("import sys, modval.cli; from modval import cli, protocol, tomography; "
                 "print(cli._component_layouts.cache_info().currsize, "
                 "tomography._inversion_terms.cache_info().currsize, "
+                "protocol._plan_index.cache_info().currsize, "
                 "any(m.startswith('numpy.random') for m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "0", "False"]
+        assert proc.stdout.split() == ["0", "0", "0", "False"]
 
     def test_json_output_all_commands(self, tmp_path, capsys):
         cfg = write_config(tmp_path, state={"preset": "fig3"}, format="json")

@@ -24,8 +24,8 @@ from modval.noise import (
     pauli_plus_probabilities,
 )
 from modval.presets import phase_bell, state_preset, uniform_plus
-from modval.protocol import ProtocolConfig
-from modval.reconstruction import collect_probabilities, definitional_modulars, split_plan
+from modval.protocol import ProtocolConfig, run_protocol, split_plan
+from modval.reconstruction import definitional_modulars
 from tests.conftest import random_pair
 from tests.oracle import (
     forward_probabilities,
@@ -200,7 +200,7 @@ def oracle_run(name):
     truth = definitional_modulars(cfg)
     # the oracle's closed-form readout is the one the pipeline computes
     np.testing.assert_allclose(np.stack(forward_probabilities(truth, ORACLE_EPSILON), axis=-1),
-                               collect_probabilities(cfg), rtol=0, atol=1e-14)
+                               run_protocol(cfg).probabilities, rtol=0, atol=1e-14)
     counting = CountingConfig(pairs_per_setting=ORACLE_PAIRS, trials=ORACLE_TRIALS,
                               seed=ORACLE_SEED)
     return monte_carlo(cfg, counting), truth, modular_std(truth, ORACLE_EPSILON, ORACLE_PAIRS)
@@ -231,7 +231,7 @@ class TestNoisyTrials:
         cfg = ProtocolConfig(system_state=phase_bell(0.7), postselection=uniform_plus(),
                              epsilon=0.2)
         counting = CountingConfig(pairs_per_setting=1000, trials=4, seed=7)
-        exact = collect_probabilities(cfg)
+        exact = run_protocol(cfg).probabilities
         extra = [0.3, 0.0, 0.75, 1.0, 1e-3, 0.5]
         kept, result, extra_counts = noisy_trials(cfg, counting, "first_order", extra=extra)
         assert kept.all()
@@ -282,7 +282,7 @@ class TestNoisyTrials:
         kept, result, extra_counts = noisy_trials(cfg, short, extra=extra)
         kept_l, result_l, extra_counts_l = noisy_trials(cfg, long, extra=extra)
         assert 0 < kept.sum() < short.trials
-        exact = collect_probabilities(cfg)
+        exact = run_protocol(cfg).probabilities
         assert _binomial_counts(exact.ravel(), 100, 11, 37)[:30].tobytes() == \
             _binomial_counts(exact.ravel(), 100, 11, 30).tobytes()
         assert np.array_equal(kept_l[:30], kept)
@@ -343,7 +343,7 @@ class TestCompareDraws:
         p_plus = pauli_plus_probabilities(pauli_expectations(pcfg.system_state))
         kept = noisy_trials(pcfg, counting, extra=p_plus)[0]
         assert kept.all() if clamp else 0 < kept.sum() < counting.trials
-        exact = collect_probabilities(pcfg)
+        exact = run_protocol(pcfg).probabilities
         counts = row_by_row_counts(np.append(exact, p_plus), counting.pairs_per_setting,
                                    counting.seed, counting.trials)
         want = pauli_from_counts(counts[kept, exact.size:], counting.pairs_per_setting)

@@ -18,7 +18,7 @@ PUBLIC_NAMES = {
     # protocol
     "PlanOutcome", "ProtocolConfig", "run_protocol",
     # reconstruction
-    "ReconstructionResult", "collect_probabilities", "definitional_modulars",
+    "ReconstructionResult", "definitional_modulars",
     "invert_probabilities", "measurement_plan", "modular_exact_inversion",
     "modular_first_order", "reconstruct", "reconstruct_state", "s_parameter",
     "weak_from_modulars",
@@ -32,7 +32,8 @@ TEST_ONLY = ("LinearOperator", "basis_state", "identity", "projector", "tensor",
              "tomography_settings", "modular_definitional", "shift_modular",
              "weak_definitional", "row_by_row_counts")
 REMOVED = ("Setting", "PlanEntry", "MeasurementPlan", "MeterOutcome", "MeterMode",
-           "ZeroReferenceWeakValue", "sample_pauli_expectations", "trial_rngs")
+           "ZeroReferenceWeakValue", "sample_pauli_expectations", "trial_rngs",
+           "collect_probabilities", "InteractionKind")
 
 
 def test_public_names_are_the_explicit_list():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modval import protocol, reconstruction
+from modval.reconstruction import reconstruct_state
 from modval.errors import OrthogonalPostselection
 from modval.hilbert import PureState
 from modval.presets import alt_postselection, phase_bell, postselection_preset, uniform_plus
@@ -18,12 +19,11 @@ from modval.protocol import (
     IDX_UP_DOWN,
     PlanOutcome,
     ProtocolConfig,
+    measurement_plan,
     run_protocol,
 )
-from modval.reconstruction import collect_probabilities, measurement_plan
 from tests.conftest import (
     dense_run_protocol,
-    per_setting_probabilities,
     per_setting_run_protocol,
     random_pair,
     random_state,
@@ -84,14 +84,24 @@ class TestBuildInteraction:
         with pytest.raises(ValueError, match="out of range"):
             build_interaction("single_b", None, 3, math.pi, (2, 3))
 
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind"):
+            build_interaction("both", 1, 1, math.pi, (2, 2))
+
     def test_unitary(self, rng):
         for kind, j, l in (("pair", 1, 1), ("single_a", 0, None), ("single_b", None, 1)):
             u = build_interaction(kind, j, l, rng.uniform(0, 2 * math.pi), (2, 2)).mat
             np.testing.assert_allclose(u @ u.conj().T, np.eye(16), atol=1e-12)
 
 
+def row(outcome: PlanOutcome, k: int) -> PlanOutcome:
+    """Setting k of a readout, as a one-setting ``PlanOutcome``."""
+    return PlanOutcome(*(getattr(outcome, field.name)[k:k + 1] for field in fields(PlanOutcome)))
+
+
 def run_one(cfg, kind, j=None, l=None) -> PlanOutcome:
-    return run_protocol(cfg, [(kind, j, l)])
+    """The readout of one plan setting: its row of ``run_protocol(cfg)``."""
+    return row(run_protocol(cfg), measurement_plan(*cfg.dims).index((kind, j, l)))
 
 
 class TestRunProtocol:
@@ -99,8 +109,8 @@ class TestRunProtocol:
         cfg = ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus(),
                              epsilon=0.2)
         out = run_one(cfg, "pair", 1, 1)
-        assert abs(out.p1[0] - 9 / 13) <= 1e-12
-        assert abs(out.p2[0] - 0.5) <= 1e-12
+        assert abs(out.probabilities[0, 0] - 9 / 13) <= 1e-12
+        assert abs(out.probabilities[0, 1] - 0.5) <= 1e-12
         # conditional state (|ud> + 0.2|du>)/sqrt(1.04), modular value 1
         expected = np.zeros(4, dtype=complex)
         expected[IDX_UP_DOWN] = 1 / math.sqrt(1.04)
@@ -111,16 +121,15 @@ class TestRunProtocol:
         cfg = ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus(),
                              epsilon=1e-8)
         out = run_one(cfg, "pair", 1, 1)
-        assert abs(out.p1[0] - 0.5) <= 1e-7
-        assert abs(out.p2[0] - 0.5) <= 1e-7
+        np.testing.assert_allclose(out.probabilities[0], [0.5, 0.5], rtol=0, atol=1e-7)
 
     def test_orthogonal_postselection_raises(self):
         cfg = ProtocolConfig(system_state=phase_bell(math.pi), postselection=uniform_plus())
         with pytest.raises(OrthogonalPostselection):
             run_one(cfg, "pair", 1, 1)
 
-    @pytest.mark.parametrize("kind,j,l", [("pair", 1, 1), ("pair", 0, 1),
-                                          ("single_a", 1, None), ("single_b", None, 0)])
+    @pytest.mark.parametrize("kind,j,l", [("pair", 1, 1), ("single_a", 1, None),
+                                          ("single_b", None, 1)])
     def test_entangled_meter_stays_in_signal_subspace(self, rng, kind, j, l):
         for _ in range(10):
             psi, phi = random_pair(rng)
@@ -132,17 +141,14 @@ class TestRunProtocol:
     def test_conditional_state_carries_the_modular_value(self, rng):
         # final meter = N [ eps * M |du> + |ud> ] with M from the
         # definitional oracle; the amplitude ratio is phase-free
-        cases = {
-            ("pair", 1, 1): pair_sum(1, 1),
-            ("single_a", 1, None): embedded("a", 1),
-            ("single_b", None, 1): embedded("b", 1),
-        }
+        # the 2x2 plan's observables, in plan order
+        observables = (embedded("a", 1), embedded("b", 1), pair_sum(1, 1))
         for _ in range(10):
             psi, phi = random_pair(rng)
             eps = rng.uniform(0.05, 0.5)
             cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=eps)
-            out = run_protocol(cfg, list(cases))
-            for k, obs in enumerate(cases.values()):
+            out = run_protocol(cfg)
+            for k, obs in enumerate(observables):
                 m_val = modular_definitional(obs.mat, cfg.g, psi, phi)
                 amps = out.conditional_meter_amps[k]
                 ratio = amps[IDX_DOWN_UP] / amps[IDX_UP_DOWN]
@@ -171,26 +177,19 @@ class TestRunProtocol:
             eps = 0.3
             cfg = ProtocolConfig(system_state=PureState((2, 2), psi.amps),
                                  postselection=PureState((2, 2), phi.amps), epsilon=eps)
-            amps = run_protocol(cfg, [("pair", 1, 1), ("single_a", 1, None),
-                                      ("single_b", None, 1)]).conditional_meter_amps
-            pair, single_a, single_b = amps[:, IDX_DOWN_UP] / amps[:, IDX_UP_DOWN] / eps
+            amps = run_protocol(cfg).conditional_meter_amps  # single_a, single_b, pair
+            single_a, single_b, pair = amps[:, IDX_DOWN_UP] / amps[:, IDX_UP_DOWN] / eps
             assert abs(pair - single_a * single_b) <= 1e-10
 
 
-def all_settings(dims):
-    m, n = dims
-    settings = [("single_a", j, None) for j in range(m)]
-    settings += [("single_b", None, l) for l in range(n)]
-    settings += [("pair", j, l) for j in range(m) for l in range(n)]
-    return settings
-
-
-def assert_matches_oracle(cfg, settings, atol=1e-12):
-    got = run_protocol(cfg, settings)
-    want = dense_run_protocol(cfg, settings)
+def assert_matches_oracle(cfg, atol=1e-12):
+    """Every field of the readout within ``atol`` of the dense oracle's over the plan."""
+    got = run_protocol(cfg)
+    want = dense_run_protocol(cfg, measurement_plan(*cfg.dims))
     for field in fields(PlanOutcome):
         got_value, want_value = getattr(got, field.name), getattr(want, field.name)
-        assert got_value.shape == want_value.shape == (len(settings), *got_value.shape[1:])
+        assert got_value.shape == want_value.shape == (cfg.dims[0] * cfg.dims[1] - 1,
+                                                       *got_value.shape[1:])
         np.testing.assert_allclose(got_value, want_value, rtol=0, atol=atol,
                                    err_msg=field.name)
 
@@ -205,33 +204,24 @@ class TestDiagonalReadoutMatchesDenseOracle:
             cfg = ProtocolConfig(system_state=psi, postselection=phi,
                                  epsilon=rng.uniform(0.05, 1.0),
                                  g=rng.uniform(0.3, 2 * math.pi - 0.3))
-            assert_matches_oracle(cfg, all_settings(dims))
+            assert_matches_oracle(cfg)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(m=st.integers(2, 4), n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
            epsilon=st.floats(0.05, 1.0, exclude_min=True),
-           g=st.floats(0.3, 2 * math.pi - 0.3), data=st.data())
-    def test_random_dims_property(self, m, n, seed, epsilon, g, data):
+           g=st.floats(0.3, 2 * math.pi - 0.3))
+    def test_random_dims_property(self, m, n, seed, epsilon, g):
         psi, phi = random_pair(np.random.default_rng(seed), (m, n))
-        cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=epsilon, g=g)
-        plan_settings = data.draw(st.lists(st.sampled_from(all_settings((m, n))),
-                                           min_size=1, max_size=8))
-        assert_matches_oracle(cfg, plan_settings)
+        assert_matches_oracle(ProtocolConfig(system_state=psi, postselection=phi,
+                                             epsilon=epsilon, g=g))
 
     def test_error_paths_match(self):
-        cfg = ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus())
-        for kind, j, l, match in (("both", 1, 1, "kind"), ("pair", 2, 1, "out of range"),
-                                  ("single_a", None, 1, "out of range"),
-                                  ("single_b", 1, -1, "out of range")):
-            with pytest.raises(ValueError, match=match):
-                run_one(cfg, kind, j, l)
-            with pytest.raises(ValueError, match=match):
-                dense_run_protocol(cfg, [(kind, j, l)])
-
-
-def row(outcome: PlanOutcome, k: int) -> PlanOutcome:
-    """Setting k of a readout, as a one-setting ``PlanOutcome``."""
-    return PlanOutcome(*(getattr(outcome, field.name)[k:k + 1] for field in fields(PlanOutcome)))
+        # the one error path left to the readout: a divergent modular value
+        cfg = ProtocolConfig(system_state=phase_bell(math.pi), postselection=uniform_plus())
+        with pytest.raises(OrthogonalPostselection):
+            run_protocol(cfg)
+        with pytest.raises(OrthogonalPostselection):
+            dense_run_protocol(cfg, measurement_plan(*cfg.dims))
 
 
 def assert_same_bits(got, want):
@@ -248,7 +238,7 @@ _COUPLINGS = st.one_of(st.sampled_from([math.pi, 1.0, 2.5]),
 
 
 class TestBatchedReadoutMatchesPerSettingReference:
-    """run_protocol over a list of settings against the one-setting readout it replaced."""
+    """run_protocol over the plan against the one-setting readout it replaced."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(m=st.integers(2, 6), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
@@ -256,8 +246,8 @@ class TestBatchedReadoutMatchesPerSettingReference:
     def test_collect_probabilities(self, m, n, seed, epsilon, g):
         psi, phi = random_pair(np.random.default_rng(seed), (m, n))
         cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=epsilon, g=g)
-        got = collect_probabilities(cfg)
-        want = per_setting_probabilities(cfg)
+        got = run_protocol(cfg).probabilities
+        want = per_setting_run_protocol(cfg, measurement_plan(m, n)).probabilities
         assert got.shape == want.shape == (m * n - 1, 2)
         assert got.tobytes() == want.tobytes()
 
@@ -267,19 +257,21 @@ class TestBatchedReadoutMatchesPerSettingReference:
     def test_one_setting_is_a_row_of_the_batch(self, m, n, seed, epsilon, g):
         psi, phi = random_pair(np.random.default_rng(seed), (m, n))
         cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=epsilon, g=g)
-        plan_settings = all_settings((m, n))
-        outcome = run_protocol(cfg, plan_settings)
-        assert_same_bits(per_setting_run_protocol(cfg, plan_settings), outcome)
-        for k, setting in enumerate(plan_settings):
-            assert_same_bits(run_protocol(cfg, [setting]), row(outcome, k))
+        plan = measurement_plan(m, n)
+        outcome = run_protocol(cfg)
+        assert_same_bits(per_setting_run_protocol(cfg, plan), outcome)
+        for k, setting in enumerate(plan):
+            assert_same_bits(per_setting_run_protocol(cfg, [setting]), row(outcome, k))
 
     def test_collect_probabilities_is_one_batched_call(self, monkeypatch, rng):
+        # an exact reconstruction reads its probabilities out in one call
         configs = {dims: ProtocolConfig(*random_pair(rng, dims)) for dims in ((2, 2), (6, 5))}
         batches = []
 
-        def counted_run_protocol(cfg, plan_settings):
-            batches.append(len(plan_settings))
-            return run_protocol(cfg, plan_settings)
+        def counted_run_protocol(cfg):
+            outcome = run_protocol(cfg)
+            batches.append(len(outcome.probabilities))
+            return outcome
 
         built = Counter()
         post_init = PureState.__post_init__
@@ -291,39 +283,26 @@ class TestBatchedReadoutMatchesPerSettingReference:
         monkeypatch.setattr(reconstruction, "run_protocol", counted_run_protocol)
         monkeypatch.setattr(PureState, "__post_init__", counted_post_init)
         for current, cfg in configs.items():
-            collect_probabilities(cfg)
+            reconstruct_state(cfg)
         assert batches == [3, 29]
         assert not built  # the readout builds no PureState, whatever the plan size
 
     def test_blocks_of_settings_match_one_block(self, monkeypatch, rng):
         psi, phi = random_pair(rng, (4, 3))
         cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=0.4, g=2.5)
-        plan_settings = all_settings((4, 3))
-        whole = run_protocol(cfg, plan_settings)
+        whole = run_protocol(cfg)
         monkeypatch.setattr(protocol, "_BLOCK_ELEMENTS", 2 * 12 * 5)  # five settings a block
-        assert_same_bits(run_protocol(cfg, plan_settings), whole)
+        blocks = run_protocol(cfg)
+        assert_same_bits(blocks, whole)
+        assert_same_bits(blocks, per_setting_run_protocol(cfg, measurement_plan(4, 3)))
 
     def test_default_blocks_of_a_16x16_plan(self, rng):
         # the default block budget splits the 255 settings into blocks of 16
         psi, phi = random_pair(rng, (16, 16))
         cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=0.3, g=2.0)
-        plan_settings = measurement_plan(16, 16)
-        assert protocol._BLOCK_ELEMENTS // (2 * 16 * 16) < len(plan_settings)
-        assert_same_bits(run_protocol(cfg, plan_settings),
-                         per_setting_run_protocol(cfg, plan_settings))
-
-    def test_settings_keep_their_order_and_errors(self):
-        cfg = ProtocolConfig(system_state=phase_bell(0.3), postselection=uniform_plus())
-        plan_settings = [("single_b", None, 1), ("pair", 1, 1), ("single_a", 0, None)]
-        outcome = run_protocol(cfg, plan_settings)
-        assert outcome.p1.shape == (3,)
-        for k, setting in enumerate(plan_settings):
-            assert_same_bits(run_protocol(cfg, [setting]), row(outcome, k))
-        with pytest.raises(ValueError, match="out of range"):
-            run_protocol(cfg, [("pair", 1, 1), ("pair", 2, 1)])
-        cfg = ProtocolConfig(system_state=phase_bell(math.pi), postselection=uniform_plus())
-        with pytest.raises(OrthogonalPostselection):
-            run_protocol(cfg, plan_settings)
+        plan = measurement_plan(16, 16)
+        assert protocol._BLOCK_ELEMENTS // (2 * 16 * 16) < len(plan)
+        assert_same_bits(run_protocol(cfg), per_setting_run_protocol(cfg, plan))
 
 
 class TestConfigValidation:
@@ -331,6 +310,12 @@ class TestConfigValidation:
                                    math.nan, math.inf])
     def test_vanishing_or_non_finite_coupling(self, g):
         with pytest.raises(ValueError, match="coupling"):
+            ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus(), g=g)
+
+    # an int beyond the float range used to raise OverflowError from math.isfinite
+    @pytest.mark.parametrize("g", [10**400, -10**400], ids=["+10**400", "-10**400"])
+    def test_coupling_beyond_the_float_range(self, g):
+        with pytest.raises(ValueError, match="coupling g must be finite"):
             ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus(), g=g)
 
     def test_small_but_resolvable_coupling_accepted(self):

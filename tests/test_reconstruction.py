@@ -14,14 +14,12 @@ from modval.errors import NegativeDiscriminant, OrthogonalPostselection
 from modval.hilbert import PureState, inner
 from modval.presets import phase_bell, state_preset, uniform_plus
 from modval import protocol, reconstruction
-from modval.protocol import ProtocolConfig, run_protocol
+from modval.protocol import PlanOutcome, ProtocolConfig, measurement_plan, run_protocol
 from modval.reconstruction import (
     METHODS,
     _plan_diagonals,
-    collect_probabilities,
     definitional_modulars,
     invert_probabilities,
-    measurement_plan,
     modular_exact_inversion,
     modular_first_order,
     reconstruct,
@@ -149,9 +147,9 @@ class TestExactInversion:
     def test_exact_pipeline_raises_on_unreachable_probabilities(self, monkeypatch):
         # exact probabilities always invert; force one setting off the disk
         def off_disk(cfg):
-            return np.array([[0.5, 0.5], [1.0, 1.0], [0.5, 0.5]])
+            return PlanOutcome(None, None, np.array([[0.5, 0.5], [1.0, 1.0], [0.5, 0.5]]))
 
-        monkeypatch.setattr(reconstruction, "collect_probabilities", off_disk)
+        monkeypatch.setattr(reconstruction, "run_protocol", off_disk)
         cfg = ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus())
         with pytest.raises(NegativeDiscriminant, match=r"\(1\.000000, 1\.000000\)"):
             reconstruct_state(cfg, "exact_inversion")
@@ -231,6 +229,7 @@ class TestMeasurementPlan:
         assert plan == (("single_a", 1, None), ("single_b", None, 1), ("pair", 1, 1))
         # singles are projectors, the pair entry is their sum
         single_a, single_b, pair = _plan_diagonals((2, 2))
+        assert pair.dtype == np.intp
         np.testing.assert_array_equal(single_a * single_a, single_a)
         np.testing.assert_array_equal(single_b * single_b, single_b)
         np.testing.assert_array_equal(pair, single_a + single_b)
@@ -239,15 +238,16 @@ class TestMeasurementPlan:
     def test_observables_equal_the_projector_build(self, dims):
         # every plan observable, built as tensor(projector, identity) and, for
         # a pair, the sum of the two embedded projectors, is diagonal, and its
-        # diagonal is the closed form's row, bit for bit
+        # diagonal equals the closed form's integer row exactly
         plan = measurement_plan(*dims)
         diagonals = _plan_diagonals(dims)
         assert diagonals.shape == (len(plan), dims[0] * dims[1])
+        assert diagonals.dtype == np.intp
         for setting, diagonal in zip(plan, diagonals):
             reference = plan_observable(dims, *setting).mat
             np.testing.assert_array_equal(reference, np.diag(np.diag(reference)))
             assert not np.diag(reference).imag.any()
-            assert diagonal.tobytes() == np.diag(reference).real.tobytes(), setting
+            assert np.array_equal(diagonal, np.diag(reference).real), setting
 
     def test_plan_is_index_only(self, monkeypatch):
         # no method builds or exponentiates a system-space operator
@@ -288,10 +288,13 @@ class TestMeasurementPlan:
         assert isinstance(plan, tuple) and all(isinstance(st, tuple) for st in plan)
         with pytest.raises(TypeError):
             plan[0] = ("pair", 1, 1)
-        # the readout's run-independent coupling map: built once per plan, read-only;
+        # the readout's run-independent coupling map: built once per size, read-only;
         # -1 marks an uncoupled side, whose mask is all False
-        index = protocol._index_settings(plan, (4, 3))
-        assert protocol._index_settings(plan, (4, 3)) is index
+        index = protocol._plan_index((4, 3))
+        before = protocol._plan_index.cache_info()
+        assert protocol._plan_index((4, 3)) is index
+        after = protocol._plan_index.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         rows = [1, 2, 3, -1, -1] + [1, 1, 2, 2, 3, 3]
         cols = [-1, -1, -1, 1, 2] + [1, 2] * 3
         assert index.on_a.shape == (11, 4, 1) and index.on_b.shape == (11, 1, 3)
@@ -300,25 +303,17 @@ class TestMeasurementPlan:
         for array in index:
             assert array.dtype == bool and not array.flags.writeable
 
-    def test_collect_probabilities_reuses_the_plan(self, monkeypatch):
+    def test_collect_probabilities_reuses_the_plan(self):
+        # the readout and the definitional modulars index the plan once per size
         cfg = ProtocolConfig(system_state=random_state(np.random.default_rng(2), (4, 3)),
                              postselection=uniform_plus(4, 3), epsilon=0.3, g=2.0)
-        want = collect_probabilities(cfg)
-        calls = []
-
-        def counted_run_protocol(cfg, settings):
-            calls.append(settings)
-            return run_protocol(cfg, settings)
-
-        def no_validation(*args):
-            raise AssertionError("settings validated again")
-
-        monkeypatch.setattr(reconstruction, "run_protocol", counted_run_protocol)
-        monkeypatch.setattr(protocol, "_check_setting", no_validation)
+        want = run_protocol(cfg).probabilities
+        before = protocol._plan_index.cache_info()
         for _ in range(2):
-            assert collect_probabilities(cfg).tobytes() == want.tobytes()
-        assert len(calls) == 2
-        assert all(settings is measurement_plan(4, 3) for settings in calls)
+            assert run_protocol(cfg).probabilities.tobytes() == want.tobytes()
+            definitional_modulars(cfg)
+        after = protocol._plan_index.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 4, before.misses)
 
 
 class TestReconstruct:
@@ -595,7 +590,7 @@ def test_definitional_matches_the_exact_inversion_at_32x32():
                          postselection=uniform_plus(m, m))
     cfg = replace(cfg, epsilon=min(1.0, 0.5 / np.max(np.abs(definitional_modulars(cfg)))))
     definitional = definitional_modulars(cfg)
-    inverted = invert_probabilities(collect_probabilities(cfg), cfg.epsilon, "exact_inversion")
+    inverted = invert_probabilities(run_protocol(cfg).probabilities, cfg.epsilon, "exact_inversion")
     # measured at most 3.7e-15 over six seeds
     assert np.max(np.abs(inverted - definitional)) <= 1e-13 * max(1.0, np.max(np.abs(definitional)))
 

@@ -191,6 +191,14 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(np.stack([good, 2 * good]))
 
+    # a nan matrix used to pass every check, and an inf diagonal warned in the Hermitian one
+    @pytest.mark.parametrize("bad", [np.full((4, 4), np.nan), np.diag([np.inf, 0, 0, 0])],
+                             ids=["nan", "inf"])
+    def test_non_finite_entries_rejected(self, bad):
+        for mat in (bad, np.stack([np.eye(4) / 4, bad])):
+            with pytest.raises(ValueError, match="finite"):
+                DensityMatrix(mat)
+
     def test_spectrum_comes_from_the_matrix(self):
         rho = DensityMatrix(np.eye(4) / 4)
         assert rho.min_eigenvalue == 0.25 and rho.positive is True
