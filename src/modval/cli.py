@@ -28,22 +28,25 @@ every subcommand runs. Only the keys shown are read; a state or
 postselection object holds "preset" alone or "amps" (JSON numbers, never
 bools) with an optional "dims".
 
-The parser only splits the command line. Flags --method/--epsilon/--out/
---format replace those fields of the document and --pairs/--trials/--seed
-those of its noise object (created if absent), as the strings given and
-before anything is validated, so each is read by the one typed reader exactly
-as the field it replaces; --steps/--theta-min/--theta-max use the same
-reader. --no-timestamp removes the generated-at header so outputs are
-byte-identical for a fixed config and seed. Flags must be spelled in full:
-a prefix such as --pair is an unknown flag. A usage error (an unknown flag
-or subcommand, a missing --config or flag value) is a config error.
+The command line is only split, by the flag table ``_FLAGS``. A flag's value
+is the text after "=" (``--flag=value``) or the next token, unless that is
+missing or starts with "--" (``--epsilon -1e-3`` is a value); the last flag
+wins. --method/--epsilon/--out/--format replace those fields of the document
+and --pairs/--trials/--seed those of its noise object (created if absent), as
+the strings given and before anything is validated, so each is read by the
+one typed reader exactly as the field it replaces; --steps/--theta-min/
+--theta-max use the same reader. --no-timestamp (no value) drops the
+generated-at header so outputs are byte-identical for a fixed config and seed.
+Flags must be spelled in full (--pair is unknown). A usage error (an unknown
+flag or subcommand, a missing --config or flag value) is a config error; -h or
+--help, first or in a flag's place, prints the usage and exits 0.
 
 Exit codes: 0 success, else the error class's ``exit_code``: 2 config
 error, 3 orthogonal postselection, 4 inversion failure, 5 all trials
 rejected (a noisy ``reconstruct`` or ``compare`` in which no trial inverts).
 Every error prints one line ``error: <code>: <message>`` to stderr. Config
 errors include a config that cannot be read and an output that cannot be
-written (a directory, or a path in a missing directory); a wrongly typed
+written (a directory, a path in a missing directory, a closed stdout); a wrongly typed
 field or flag (a number is a JSON number, or a string that is one by the
 JSON number grammar
 ``-?(0|[1-9][0-9]*)([.][0-9]+)?([eE][+-]?[0-9]+)?`` in ASCII digits with no
@@ -65,11 +68,11 @@ which formats each value once (``str``; "" when empty) and quotes nothing.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -236,24 +239,6 @@ def _read_document(path: str) -> dict:
     return doc
 
 
-def _overlay(doc: dict, args: argparse.Namespace) -> dict:
-    """The config document with the given flags written over its fields, as strings.
-
-    --pairs/--trials/--seed go into the noise object, which they create if
-    it is absent; a noise that is not an object is left for the validation
-    to reject.
-    """
-    top = {"method": args.method, "epsilon": args.epsilon, "output_path": args.out,
-           "format": args.format}
-    noise = {"pairs_per_setting": args.pairs, "trials": args.trials, "seed": args.seed}
-    doc = {**doc, **{name: value for name, value in top.items() if value is not None}}
-    noise = {name: value for name, value in noise.items() if value is not None}
-    base = {} if doc.get("noise") is None else doc["noise"]
-    if noise and isinstance(base, dict):
-        doc["noise"] = {**base, **noise}
-    return doc
-
-
 def parse_config(doc: dict) -> RunConfig:
     """The run a config document describes, with every field validated and typed."""
     version = doc.get("schema_version")
@@ -301,16 +286,16 @@ def parse_config(doc: dict) -> RunConfig:
                      format=fmt)
 
 
-def _check_sweep(doc: dict, args: argparse.Namespace) -> tuple[float, float, int]:
+def _check_sweep(doc: dict, grid: dict) -> tuple[float, float, int]:
     """The sweep-theta grid (theta_min, theta_max, steps), its flags read by ``_read``;
     checked on the document before ``parse_config``, so these errors come first."""
-    steps = _read(args.steps, int, "--steps")
+    steps = _read(grid["--steps"], int, "--steps")
     if steps < 2:
         raise ConfigError("--steps must be at least 2")
     if steps > _MAX_STEPS:
         raise ConfigError(f"--steps must be at most {_MAX_STEPS}")
-    theta_min = _read(args.theta_min, float, "--theta-min")
-    theta_max = _read(args.theta_max, float, "--theta-max")
+    theta_min = _read(grid["--theta-min"], float, "--theta-min")
+    theta_max = _read(grid["--theta-max"], float, "--theta-max")
     state = doc.get("state")
     if not isinstance(state, dict) or state.get("preset") != "fig3":
         raise ConfigError("sweep-theta requires the fig3 state preset")
@@ -340,7 +325,7 @@ def write_table(columns: dict[str, tuple], *, meta: dict, output_path: str,
     empty. Cells are joined by "," and a row ends in "\n", unquoted: no value or
     name a table carries holds , " \r or \n. JSON gathers the raw values
     (None when empty) by the same layouts, one object per row. An output
-    file that cannot be opened or written raises ConfigError.
+    that cannot be opened or written (a closed stdout pipe too) raises ConfigError.
     """
     meta_out = {"schema_version": SCHEMA_VERSION, **meta}
     names = list(columns)
@@ -362,13 +347,17 @@ def write_table(columns: dict[str, tuple], *, meta: dict, output_path: str,
         doc["columns"] = names
         doc["rows"] = [dict(zip(names, row)) for row in rows]
         lines = [json.dumps(doc, indent=2) + "\n"]
-    if output_path == "-":
-        sys.stdout.writelines(lines)
-        return
     try:
+        if output_path == "-":
+            sys.stdout.writelines(lines)
+            sys.stdout.flush()  # a closed pipe fails here, not at exit
+            return
         with open(output_path, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(lines)
     except OSError as exc:
+        if output_path == "-":  # what is left in the buffer goes to devnull at exit
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         raise ConfigError(f"cannot write output {output_path}: {exc}") from None
 
 
@@ -545,64 +534,94 @@ def cmd_compare(cfg: RunConfig) -> tuple[dict, dict, None]:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# command line and dispatch
 
 # subcommand -> (function, help). Each function takes the run config (sweep-theta also
-# its grid) and returns the table's (columns, meta, json_extra); the parser is built
-# from this table and ``main`` dispatches on it.
+# its grid) and returns the table's (columns, meta, json_extra); ``main`` dispatches on it.
 _COMMANDS = {
     "reconstruct": (cmd_reconstruct, "amplitude table for one configuration"),
     "sweep-theta": (cmd_sweep_theta, "phase sweep of the fig3 state family"),
     "tomography": (cmd_tomography, "linear-inversion density matrix baseline"),
     "compare": (cmd_compare, "direct reconstruction vs tomography fidelities"),
 }
+# flag -> (where its value goes, under which name, help): "" is the document's top level,
+# "noise" its noise object; "run" is read by ``main`` and "sweep" by sweep-theta alone.
+_FLAGS = {
+    "--config": ("run", "config", "path to the JSON run config (required)"),
+    "--method": ("", "method", " | ".join(METHODS)),
+    "--epsilon": ("", "epsilon", "weak coupling strength, in [1e-8, 1]"),
+    "--pairs": ("noise", "pairs_per_setting", "photon pairs per setting (enables noise)"),
+    "--trials": ("noise", "trials", "Monte Carlo trials"),
+    "--seed": ("noise", "seed", "seed of the count draw"),
+    "--out": ("", "output_path", "output path ('-' for stdout)"),
+    "--format": ("", "format", "csv | json"),
+    "--no-timestamp": ("run", "no_timestamp", "omit the generated-at header line"),
+    "--theta-min": ("sweep", "--theta-min", "sweep-theta only (default -pi)"),
+    "--theta-max": ("sweep", "--theta-max", "sweep-theta only (default pi)"),
+    "--steps": ("sweep", "--steps", "sweep-theta only (default 41)"),
+}
+_SWEEP_DEFAULTS = {"--theta-min": -math.pi, "--theta-max": math.pi, "--steps": 41}
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are config errors (one line, exit 2)."""
+def _print_usage() -> None:
+    """Print the usage, made from ``_COMMANDS`` and ``_FLAGS``, and exit 0."""
+    sys.stdout.write("\n".join([
+        f"usage: modval {{{','.join(_COMMANDS)}}} --config PATH [--flag VALUE ...]", "",
+        "Direct measurement of bipartite pure states from modular values", "", "commands:",
+        *(f"  {name:<15} {text}" for name, (_, text) in _COMMANDS.items()), "",
+        "flags (--flag VALUE or --flag=VALUE; a later flag wins):",
+        *(f"  {flag:<15} {text}" for flag, (_, _, text) in _FLAGS.items()), ""]))
+    raise SystemExit(0)
 
-    def error(self, message):
-        raise ConfigError(message)
 
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later ``main``
-    calls (parsing leaves it unchanged). It types and checks no value."""
-    parser = _Parser(
-        prog="modval",
-        description="Direct measurement of bipartite pure states from modular values",
-        allow_abbrev=False,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        cmd.add_argument("--config", required=True, help="path to the JSON run config")
-        cmd.add_argument("--method", help=" | ".join(METHODS))
-        cmd.add_argument("--epsilon")
-        cmd.add_argument("--pairs", help="photon pairs per setting (enables noise)")
-        cmd.add_argument("--trials")
-        cmd.add_argument("--seed")
-        cmd.add_argument("--out", help="output path ('-' for stdout)")
-        cmd.add_argument("--format")
-        cmd.add_argument("--no-timestamp", action="store_true",
-                         help="omit the generated-at header line")
-        if name == "sweep-theta":
-            cmd.add_argument("--theta-min", default=-math.pi)
-            cmd.add_argument("--theta-max", default=math.pi)
-            cmd.add_argument("--steps", default=41)
-    return parser
+def _read_command_line(argv: list[str]) -> tuple[str, dict[str, dict]]:
+    """The subcommand of ``argv`` and its flags' values, by where ``_FLAGS`` puts them. Usage
+    errors come in argparse's order: a missing value, a missing --config, the stray tokens."""
+    if argv[:1] in (["-h"], ["--help"]):
+        _print_usage()
+    if not argv:
+        raise ConfigError("the following arguments are required: command")
+    command, *tokens = argv
+    if command not in _COMMANDS:
+        raise ConfigError(f"argument command: invalid choice: {command!r} "
+                          f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    given = {"": {}, "noise": {}, "run": {}, "sweep": dict(_SWEEP_DEFAULTS)}
+    stray = []
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _print_usage()
+        flag, has_value, value = token.partition("=")
+        where, name, _ = _FLAGS.get(flag, (None, None, None))
+        if where is None or (where == "sweep" and command != "sweep-theta"):
+            stray.append(token)
+            continue
+        if name == "no_timestamp" and has_value:
+            raise ConfigError(f"argument {flag}: ignored explicit argument {value!r}")
+        if name != "no_timestamp" and not has_value:
+            value = next(tokens, "--")
+            if value.startswith("--"):
+                raise ConfigError(f"argument {flag}: expected one argument")
+        given[where][name] = value
+    if "config" not in given["run"]:
+        raise ConfigError("the following arguments are required: --config")
+    if stray:
+        raise ConfigError(f"unrecognized arguments: {' '.join(stray)}")
+    return command, given
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        doc = _overlay(_read_document(args.config), args)
-        grid = _check_sweep(doc, args) if args.command == "sweep-theta" else ()
+        command, given = _read_command_line(sys.argv[1:] if argv is None else argv)
+        doc = {**_read_document(given["run"]["config"]), **given[""]}
+        base = {} if doc.get("noise") is None else doc["noise"]
+        if given["noise"] and isinstance(base, dict):  # any other noise is rejected later
+            doc["noise"] = {**base, **given["noise"]}
+        grid = _check_sweep(doc, given["sweep"]) if command == "sweep-theta" else ()
         cfg = parse_config(doc)
-        columns, meta, json_extra = _COMMANDS[args.command][0](cfg, *grid)
+        columns, meta, json_extra = _COMMANDS[command][0](cfg, *grid)
         write_table(columns, meta=meta, output_path=cfg.output_path, fmt=cfg.format,
-                    timestamp=not args.no_timestamp, json_extra=json_extra)
+                    timestamp="no_timestamp" not in given["run"], json_extra=json_extra)
     except ModvalError as exc:
         sys.stderr.write(f"error: {exc.code}: {exc}\n")
         return exc.exit_code

@@ -5,6 +5,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -17,6 +20,22 @@ from modval.cli import main
 from modval.errors import ModvalError, NegativeDiscriminant
 from modval.reconstruction import METHODS
 from tests import cli_digest
+
+
+ROOT = Path(__file__).parent.parent
+FIG4A = str(ROOT / "configs" / "fig4a.json")
+
+
+def src_env() -> dict:
+    """The environment with this tree's ``src`` first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    """A Python subprocess run on this tree's ``src``, its output captured as text."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=src_env())
 
 
 def write_config(tmp_path, name="run.json", **overrides):
@@ -155,6 +174,16 @@ class TestSweepCommand:
                 "", "error: config_error: --steps must be at most 10000\n")
         with pytest.raises(AssertionError, match="grid built"):  # the cap itself is allowed
             main(["sweep-theta", "--config", cfg, "--steps", "10000"])
+
+    def test_negative_bound_in_the_space_form(self, tmp_path, capsys):
+        # a value may start with "-": "-1e0" is read as "-1" is (argparse took it for a flag)
+        cfg = write_config(tmp_path, state={"preset": "fig3"})
+        outputs = []
+        for flags in (["--theta-min", "-1e0"], ["--theta-min=-1e0"], ["--theta-min", "-1"]):
+            assert main(["sweep-theta", "--config", cfg, "--steps", "3", *flags,
+                         "--no-timestamp"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] == outputs[2] and outputs[0].err == ""
 
     def test_sweep_checks_precede_the_document_fields(self, tmp_path, capsys):
         # the --steps, bound and fig3 checks run on the document before it is parsed
@@ -314,14 +343,16 @@ class TestDeterminismAndErrors:
     ])
     def test_sweep_non_finite_bounds_are_config_error(self, tmp_path, capsys, flag, value):
         cfg = write_config(tmp_path, state={"preset": "fig3"})
-        # "--flag=value": argparse would read a bare "-inf" as an option
-        code = main(["sweep-theta", "--config", cfg, "--steps", "3", f"{flag}={value}"])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: config_error:")
-        assert flag in captured.err
-        assert captured.err.count("\n") == 1
+        seen = []
+        for flags in ([f"{flag}={value}"], [flag, value]):  # "-inf" is a value in both forms
+            code = main(["sweep-theta", "--config", cfg, "--steps", "3", *flags])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: config_error: {flag} must be")
+            assert captured.err.count("\n") == 1
+            seen.append(captured)
+        assert seen[0] == seen[1]
 
     @pytest.mark.parametrize("flags", [
         ["--pairs", "-5"], ["--pairs", "0"], ["--pairs", "100", "--trials", "0"],
@@ -481,13 +512,8 @@ class TestDeterminismAndErrors:
         assert 1e-6 < deviation < 1e-3
 
     def test_module_invocation(self, tmp_path):
-        import subprocess
-        import sys
-
         cfg = write_config(tmp_path)
-        proc = subprocess.run([sys.executable, "-m", "modval", "reconstruct",
-                               "--config", cfg, "--no-timestamp"],
-                              capture_output=True, text=True)
+        proc = python("-m", "modval", "reconstruct", "--config", cfg, "--no-timestamp")
         assert proc.returncode == 0
         assert "amp_re" in proc.stdout
 
@@ -525,6 +551,13 @@ class TestDeterminismAndErrors:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "0", "0", "False"]
+
+    def test_import_loads_no_argparse(self):
+        # the command line is read by the flag table alone; argparse also pulled in gettext
+        code = "import sys, modval.cli; print('argparse' in sys.modules, 'gettext' in sys.modules)"
+        proc = python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
 
     def test_json_output_all_commands(self, tmp_path, capsys):
         cfg = write_config(tmp_path, state={"preset": "fig3"}, format="json")
@@ -578,9 +611,75 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: modval") and captured.err == ""
 
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep-theta", "--config", "x", "-h"]])
+    def test_usage_names_every_command_and_flag(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        out = capsys.readouterr().out
+        assert all(name in out for name in cli._COMMANDS)
+        assert all(f" {flag} " in out for flag in cli._FLAGS)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--config", "CFG", "--no-timestamp=x"],
+         "argument --no-timestamp: ignored explicit argument 'x'"),
+        (["--config", "CFG", "--method", "--out", "-"], "argument --method: expected one argument"),
+        (["--config", "CFG", "--steps", "3"], "unrecognized arguments: --steps 3"),
+        (["--config", "CFG", "--epsilon=0.3", "--epsilon", "-1e-3"],  # the last flag wins
+         "epsilon must lie in [1e-8, 1]"),
+    ])
+    def test_flag_values(self, tmp_path, capsys, argv, message):
+        cfg = write_config(tmp_path)
+        assert main(["reconstruct", *[cfg if arg == "CFG" else arg for arg in argv]]) == 2
+        assert capsys.readouterr() == ("", f"error: config_error: {message}\n")
+
+
+class TestEntryPoints:
+    """The module and the console entry, run out of process."""
+
+    # ``python -m modval.cli``, and the console script's ``entry`` reading sys.argv
+    @pytest.mark.parametrize("entry", [["-m", "modval.cli"],
+                                       ["-c", "import modval.cli; modval.cli.entry()"]])
+    def test_entry_paths(self, capsys, entry):
+        usage = python(*entry, "-h")
+        assert (usage.returncode, usage.stderr) == (0, "")
+        assert usage.stdout.startswith("usage: modval")
+        argv = ["reconstruct", "--config", FIG4A, "--no-timestamp"]
+        assert main(argv) == 0
+        run = python(*entry, *argv)
+        assert (run.returncode, run.stdout, run.stderr) == (0, capsys.readouterr().out, "")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("argv, after_one_line", [
+        # 586 kB of CSV, nine pipe buffers (64 KiB): the reader leaves after one line,
+        # while the writer still has lines to write
+        (["sweep-theta", "--config", str(ROOT / "configs" / "fig3_sweep.json"),
+          "--steps", "1000", "--no-timestamp"], True),
+        # the reader leaves before the run starts, and a table that fits the pipe buffer
+        # fails only at the flush
+        (["reconstruct", "--config", FIG4A, "--no-timestamp"], False),
+    ])
+    def test_closed_pipe_is_one_config_error_line(self, argv, after_one_line, unbuffered):
+        # the run starts when its stdin closes
+        code = "import sys; sys.stdin.read(); import modval.cli; modval.cli.entry()"
+        with subprocess.Popen([sys.executable, "-c", code, *argv], stdin=subprocess.PIPE,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env={**src_env(), "PYTHONUNBUFFERED": unbuffered}) as proc:
+            if after_one_line:
+                proc.stdin.close()
+                assert proc.stdout.readline() == b"# schema_version=1\n"
+                proc.stdout.close()
+            else:
+                proc.stdout.close()
+                proc.stdin.close()
+            assert proc.wait(timeout=60) == 2  # its one stderr line fits the pipe
+            err = proc.stderr.read().decode()
+        # one line, and no "Exception ignored" from the flush at exit
+        assert err.startswith("error: config_error: cannot write output -: ")
+        assert err.count("\n") == 1, err
+
 
 class TestParserReuse:
-    def test_consecutive_calls_match_a_fresh_parser(self, tmp_path, capsys):
+    def test_a_call_sequence_repeats_in_one_process(self, tmp_path, capsys):
         sweep = write_config(tmp_path, "sweep.json", state={"preset": "fig3"})
         recon = write_config(tmp_path, "recon.json")
         calls = [
@@ -599,14 +698,9 @@ class TestParserReuse:
             captured = capsys.readouterr()
             return code, captured.out, captured.err
 
-        fresh = []
-        for argv in calls:
-            cli._build_parser.cache_clear()
-            fresh.append(run(argv))
-        assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
-        cli._build_parser.cache_clear()
-        assert [run(argv) for argv in calls] == fresh
-        assert cli._build_parser() is cli._build_parser()
+        first = [run(argv) for argv in calls]
+        assert [code for code, _, _ in first] == [0, 0, 2, 0]
+        assert [run(argv) for argv in calls] == first
 
 
 def _error_codes(cls=ModvalError):

@@ -2,8 +2,9 @@
 
 Hypothesis draws JSON config documents (nulls, huge integers, ``1e400``,
 wrong types, bad dims, small states) and command lines (small trial and
-step counts, output paths under a temporary directory, one of them a
-directory, now and then an unknown flag). Every run must return an exit code
+step counts, some of them negative, output paths under a temporary
+directory, one of them a directory, now and then an unknown flag; each flag
+as ``--flag=value`` or as ``--flag value``). Every run must return an exit code
 in {0, 2, 3, 4, 5}, raise nothing, and on failure write exactly one
 ``error: <code>: <message>`` line to stderr, after at most the documented
 warning lines. A flag and the document field it replaces, given the same
@@ -159,14 +160,17 @@ def command_lines(draw):
     command = draw(st.sampled_from(["reconstruct", "sweep-theta", "tomography", "compare"]))
     values = dict(flag_values, **sweep_values) if command == "sweep-theta" else flag_values
     chosen = draw(st.lists(st.sampled_from(sorted(values)), unique=True, max_size=5))
-    flags = [f"{flag}={draw(values[flag])}" for flag in chosen]
+    pairs = [(flag, draw(values[flag])) for flag in chosen]
     if command == "sweep-theta":  # the default of 41 steps is slower than the fuzz needs
-        flags.append(f"--steps={draw(mostly(st.integers(2, 5), st.integers(-1, 1)))}")
+        pairs.append(("--steps", str(draw(mostly(st.integers(2, 5), st.integers(-1, 1))))))
+    # a value starting with "-" (a negative number, or "-" for stdout) is read in both forms
+    groups = [[f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+              for flag, value in pairs]
     if draw(st.booleans()):
-        flags.append("--no-timestamp")
+        groups.append(["--no-timestamp"])
     if draw(st.integers(0, 15)) == 0:  # a usage error
-        flags.insert(draw(st.integers(0, len(flags))), "--no-such-flag")
-    return command, flags
+        groups.insert(draw(st.integers(0, len(groups))), ["--no-such-flag"])
+    return command, [token for group in groups for token in group]
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +353,28 @@ def test_a_flag_ends_as_its_field_would(run_dir, flag_text, command):
     doc = fig4a(noise=dict(NOISY["noise"]))
     (doc["noise"] if in_noise else doc)[name] = text
     assert run(run_dir, NOISY, command, [f"{flag}={text}"]) == run(run_dir, doc, command, [])
+
+
+@pytest.mark.parametrize("text", ["-", "-1e-3", "-inf"])
+@pytest.mark.parametrize("flag", sorted(FLAG_FIELDS))
+def test_a_value_starting_with_one_dash_ends_as_its_field_would(run_dir, flag, text):
+    # argparse took "-1e-3" and "-inf" after a flag for flags, a usage error
+    in_noise, name = FLAG_FIELDS[flag]
+    doc = fig4a(noise=dict(NOISY["noise"]))
+    (doc["noise"] if in_noise else doc)[name] = text
+    want = run(run_dir, doc, "reconstruct", [])
+    assert want[0] == 2
+    assert run(run_dir, NOISY, "reconstruct", [flag, text]) == want
+
+
+@pytest.mark.parametrize("text, message", [
+    ("-", "field 'epsilon' must be a finite number, got '-'"),
+    ("-1e-3", "epsilon must lie in [1e-8, 1]"),
+    ("-inf", "field 'epsilon' must be a finite number, got '-inf'"),
+])
+def test_a_negative_epsilon_gets_the_typed_line(run_dir, text, message):
+    assert run(run_dir, NOISY, "reconstruct", ["--epsilon", text]) == (
+        2, f"error: config_error: {message}\n")
 
 
 @pytest.mark.parametrize("flag, text, message", FORMER_FLAG_COERCIONS)
