@@ -37,6 +37,7 @@ from .protocol import (
     ProtocolConfig,
     measurement_plan,
     run_protocol,
+    s_parameter,
 )
 from .reconstruction import (
     ReconstructionResult,
@@ -46,7 +47,6 @@ from .reconstruction import (
     modular_first_order,
     reconstruct,
     reconstruct_state,
-    s_parameter,
     weak_from_modulars,
 )
 from .tomography import (

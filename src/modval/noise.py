@@ -24,13 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllTrialsRejected, ConfigError
-from .protocol import ProtocolConfig, run_protocol
+from .protocol import ProtocolConfig, run_protocol, s_parameter
 from .reconstruction import (
     Method,
     ReconstructionResult,
     invert_probabilities,
     reconstruct,
-    s_parameter,
 )
 from .tomography import fidelity_states
 

@@ -14,14 +14,18 @@ parts of the setting's modular value.
 
 ``measurement_plan`` fixes the settings and their order, the one index of
 every per-setting quantity, and ``split_plan`` cuts plan-ordered values into
-its blocks. Every coupling is diagonal in the product basis, so
-``run_protocol`` reads out the whole plan at once. The entangled meter
-populates only |ud> and |du>, so each setting needs only those two rows of
-phases: an (S, 2, m*n) block times their rows of meter (x) system,
-contracted with the postselection in one stacked matmul, then normalized
-and projected onto the one (2, 4) detector block that serves every setting.
-No joint-space operator is built; the tests build the dense unitary and
-check the readout against it.
+its blocks. Every plan observable is the indicator of a row j of A plus that
+of a column l of B, so its unitary is (1 + s*a_j)(1 + s*b_l) with
+s = e^{-ig} - 1. The entangled meter populates only |ud>, which sees no
+phase, and |du>, which sees both, so postselecting the system on <phi| leaves
+the meter in (<phi|psi>, eps*<phi|U_k|psi>)/sqrt(1+eps^2). With
+X = conj(phi)*psi as an m x n matrix, T = <phi|psi>, R its row sums and C its
+column sums, every overlap is a four-term sum: T + s*R_j (single_a),
+T + s*C_l (single_b) and T + s*R_j + s*C_l + s^2*X_jl (pair). ``run_protocol``
+reads the whole plan out of these overlaps in O(m*n), and
+``reconstruction.definitional_modulars`` divides them by T. No joint-space
+operator is built; the tests build the dense unitary and check the readout
+against it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -89,7 +92,7 @@ class ProtocolConfig:
                              "range") from None
         if not finite:
             raise ValueError(f"coupling g must be finite, got {self.g!r}")
-        if abs(cmath.exp(-1j * self.g) - 1.0) < _MIN_S:
+        if abs(s_parameter(self.g)) < _MIN_S:
             raise ValueError(
                 f"coupling g = {self.g!r} makes s = e^(-ig) - 1 vanish "
                 f"(|s| < {_MIN_S:g}); weak values cannot be recovered"
@@ -98,6 +101,11 @@ class ProtocolConfig:
     @property
     def dims(self) -> tuple[int, int]:
         return self.system_state.dims
+
+
+def s_parameter(g: float) -> complex:
+    """s = e^{-ig} - 1; equals -2 at the default coupling g = pi."""
+    return cmath.exp(-1j * float(g)) - 1.0
 
 
 def _postselection_overlap(cfg: ProtocolConfig) -> complex:
@@ -109,15 +117,6 @@ def _postselection_overlap(cfg: ProtocolConfig) -> complex:
             f"|<postselection|state>| = {abs(overlap):.3e} < {DEFAULT_TOL.orthogonal:.3e}"
         )
     return overlap
-
-
-def _entangled_meter(epsilon: float) -> np.ndarray:
-    """Initial meter amplitudes (4,), the same for every setting."""
-    amps = np.zeros(4, dtype=np.complex128)
-    scale = 1.0 / math.sqrt(1.0 + epsilon * epsilon)
-    amps[IDX_UP_DOWN] = scale
-    amps[IDX_DOWN_UP] = epsilon * scale
-    return amps
 
 
 @functools.lru_cache(maxsize=32)
@@ -147,32 +146,9 @@ def split_plan(values, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, n
             values[..., m + n - 2:].reshape(values.shape[:-1] + (m - 1, n - 1)))
 
 
-# detector amplitudes d1 = (|ud> + |du>)/sqrt2 and d2 = (|ud> + i|du>)/sqrt2 on the
-# joint meter basis (uu, ud, du, dd); the same two detectors read out every kind
-_DETECTORS = np.array([[0, 1, 1, 0], [0, 1, 1j, 0]]) / math.sqrt(2.0)
-_DETECTORS.flags.writeable = False
-
-# settings contracted per block: each (block, 2, m*n) temporary stays within
-# 128 KiB, small enough to be reused from the allocator's heap and to stay in
-# cache (1 MiB blocks took up to twice as long at 12x12 and 16x16); a 7x5 plan
-# is one block
-_BLOCK_ELEMENTS = 2**13
-
-
-def _phase_block(on_a: np.ndarray, on_b: np.ndarray, g: float) -> np.ndarray:
-    """Diagonal of every setting's interaction on the populated meter states, (K, 2, m*n).
-
-    A couples on its |down> level and B on its |up> level, so |ud> sees no
-    phase and |du> sees both: with a (b) the system diagonal of
-    exp(-i*g*P_j) (exp(-i*g*P_l)), 1 + s where ``on_a`` (``on_b``) is set
-    and 1 elsewhere, the rows are [1, a*b]. |uu> and |dd> carry exact-zero
-    meter amplitudes and are left out.
-    """
-    phase = 1.0 + (np.exp(-1j * float(g)) - 1.0)  # 1 + s, rounded as the diagonal of I + s P
-    k, m, n = len(on_a), on_a.shape[1], on_b.shape[2]
-    block = np.ones((k, 2, m, n), dtype=np.complex128)
-    np.multiply(np.where(on_a, phase, 1), np.where(on_b, phase, 1), out=block[:, 1])
-    return block.reshape(k, 2, m * n)
+def _abs2(z):
+    """|z|^2 as re^2 + im^2, which rounds closer than abs(z) ** 2."""
+    return z.real * z.real + z.imag * z.imag
 
 
 @dataclass(frozen=True)
@@ -185,77 +161,48 @@ class PlanOutcome:
     probabilities: np.ndarray
 
 
-class _PlanIndex(NamedTuple):
-    """The run-independent part of a readout: each plan setting's coupling map, read-only.
+def _plan_overlaps(cfg: ProtocolConfig) -> tuple[complex, np.ndarray]:
+    """T = <phi|psi> and every plan setting's <phi|U_k|psi>, (S,) in plan order.
 
-    The one construction of the coupling pattern; the readout's phases and
-    the definitional diagonals both derive from it.
+    U_k = 1 + s*a_j + s*b_l + s^2*a_j*b_l on the system, so each overlap sums
+    T, s times a row sum R_j and a column sum C_l of X = conj(phi)*psi, and
+    for a pair s^2*X_jl. Raises OrthogonalPostselection as the readout does.
     """
-
-    on_a: np.ndarray  # (S, m, 1) bool: the coupled row of A, none where A is uncoupled
-    on_b: np.ndarray  # (S, 1, n) bool: the coupled column of B, none where B is uncoupled
-
-
-@functools.lru_cache(maxsize=32)
-def _plan_index(dims: tuple[int, int]) -> _PlanIndex:
-    """Index the measurement plan of an m x n system; built on first use, once per size."""
-    m, n = dims
-    plan = measurement_plan(m, n)
-    # an uncoupled side's index is -1, which matches no row or column
-    rows = np.array([-1 if j is None else j for _, j, _ in plan])
-    cols = np.array([-1 if l is None else l for _, _, l in plan])
-    index = _PlanIndex(rows[:, None, None] == np.arange(m)[:, None],
-                       cols[:, None, None] == np.arange(n))
-    for array in index:
-        array.flags.writeable = False
-    return index
+    total = _postselection_overlap(cfg)
+    m, n = cfg.dims
+    s = s_parameter(cfg.g)
+    x = (cfg.postselection.amps.conj() * cfg.system_state.amps).reshape(m, n)
+    single_a = total + s * x[1:].sum(axis=1)
+    column_terms = s * x[:, 1:].sum(axis=0)
+    pairs = single_a[:, None] + column_terms + (s * s) * x[1:, 1:]
+    return total, np.concatenate([single_a, total + column_terms, pairs.ravel()])
 
 
 def run_protocol(cfg: ProtocolConfig) -> PlanOutcome:
     """Run the measurement plan end to end and read out the meter.
 
-    Every coupling is diagonal in the product basis, so each setting's
-    interaction is a (2, m*n) phase block on the two populated meter states
-    (x) system, and all settings are postselected in one stacked contraction
-    with the postselection: O(m*n) work per setting and no joint-space
-    operator.
-    Each conditional meter state is normalized and projected onto the two
-    detector states; row k of the ``PlanOutcome`` is setting k of
-    ``measurement_plan(*cfg.dims)``.
+    Postselection leaves setting k's meter in (T, eps*<phi|U_k|psi>)/sqrt(1+eps^2)
+    on (|ud>, |du>), with the overlaps of ``_plan_overlaps``: O(m*n) work for
+    the whole plan and no joint-space operator. Its squared norm is the
+    postselection probability. The factor 1/sqrt(1+eps^2) cancels from the
+    normalized state and from the detector rates |T + eps*<phi|U_k|psi>|^2 and
+    |T - i*eps*<phi|U_k|psi>|^2 over twice the squared norm of (T, eps*<phi|U_k|psi>).
+    Row k of the ``PlanOutcome`` is setting k of ``measurement_plan(*cfg.dims)``.
     Raises OrthogonalPostselection when the overlap |<postselection|system>|
     falls below DEFAULT_TOL.orthogonal (the modular value diverges there and
     no meter readout is meaningful).
     """
-    _postselection_overlap(cfg)
-    m, n = cfg.dims
-    on_a, on_b = _plan_index(cfg.dims)
-
-    # meter (x) system first, then the phases: the same products, in the same
-    # order, as the dense unitary applied to the joint state (its off-diagonal
-    # terms are exact zeros); the stacked matmul repeats the one-setting gemv,
-    # so the CLI tables stay byte-identical. Only |ud> and |du> are populated.
-    populated = slice(IDX_UP_DOWN, IDX_DOWN_UP + 1)
-    joint = _entangled_meter(cfg.epsilon)[populated, None] * cfg.system_state.amps
-    phi_conj = cfg.postselection.amps.conj()
-    meter_proj = np.zeros((len(on_a), 4), dtype=np.complex128)
-    block = max(1, _BLOCK_ELEMENTS // (2 * m * n))
-    for start in range(0, len(meter_proj), block):
-        part = slice(start, start + block)
-        phases = _phase_block(on_a[part], on_b[part], cfg.g)
-        phases *= joint
-        meter_proj[part, populated] = phases @ phi_conj
-
-    # norm as np.linalg.norm of one state computes it
-    norms = np.sqrt(np.vecdot(meter_proj.real, meter_proj.real)
-                    + np.vecdot(meter_proj.imag, meter_proj.imag))
-    if np.any(norms < 1e-150):
-        raise ValueError("cannot normalize a zero state")
-    conditional = meter_proj / norms[:, None]
-    # vecdot conjugates the detector as np.vdot does; Python's abs(z) ** 2
-    # rounds as a one-setting readout does (np.abs differs in the last bit)
-    overlaps = np.vecdot(_DETECTORS, conditional[:, None, :]).ravel().tolist()
+    total, overlaps = _plan_overlaps(cfg)
+    signal = cfg.epsilon * overlaps
+    weight = _abs2(total) + _abs2(signal)
+    conditional = np.zeros((len(signal), 4), dtype=np.complex128)
+    conditional[:, IDX_UP_DOWN] = total
+    conditional[:, IDX_DOWN_UP] = signal
+    conditional /= np.sqrt(weight)[:, None]
+    # the detectors (|ud> + |du>)/sqrt2 and (|ud> + i|du>)/sqrt2
+    detected = np.stack([total + signal, total - 1j * signal], axis=-1)
     return PlanOutcome(
         conditional_meter_amps=conditional,
-        postselection_probability=np.array([x ** 2 for x in norms.tolist()]),
-        probabilities=np.array([abs(z) ** 2 for z in overlaps]).reshape(-1, 2),
+        postselection_probability=weight / (1.0 + cfg.epsilon * cfg.epsilon),
+        probabilities=_abs2(detected) / (2.0 * weight[:, None]),
     )

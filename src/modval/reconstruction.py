@@ -25,7 +25,6 @@ and a stack of noisy trials run through the same code.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Literal
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from .errors import NegativeDiscriminant
 from .hilbert import PureState
-from .protocol import ProtocolConfig, _plan_index, _postselection_overlap, run_protocol, split_plan
+from .protocol import ProtocolConfig, _plan_overlaps, run_protocol, s_parameter, split_plan
 
 Method = Literal["first_order", "exact_inversion", "definitional"]
 METHODS = ("first_order", "exact_inversion", "definitional")
@@ -124,61 +123,23 @@ def invert_probabilities(probabilities, epsilon: float, method: Method,
     raise ValueError(f"method {method!r} cannot be applied to probabilities")
 
 
-def _divide(num, den: complex):
-    """num / den elementwise with CPython's complex division formula.
-
-    numpy's complex division rounds differently in the last bit for some
-    divisors; this keeps array results identical to scalar ones.
-    """
-    num = np.asarray(num, dtype=np.complex128)
-    br, bi = float(den.real), float(den.imag)
-    if abs(br) >= abs(bi):
-        ratio = bi / br
-        scale = br + bi * ratio
-        return _complex((num.real + num.imag * ratio) / scale,
-                        (num.imag - num.real * ratio) / scale)
-    ratio = br / bi
-    scale = br * ratio + bi
-    return _complex((num.real * ratio + num.imag) / scale,
-                    (num.imag * ratio - num.real) / scale)
-
-
 def weak_from_modulars(m_pair, m_a, m_b, s: complex):
     """Joint weak value of a projector pair from three modular values, elementwise."""
     if s == 0:
         raise ValueError("s must be nonzero")
-    return _divide(np.asarray(m_pair) - m_a - m_b + 1.0, s * s)
-
-
-def s_parameter(g: float) -> complex:
-    """s = e^{-ig} - 1; equals -2 at the default coupling g = pi."""
-    return cmath.exp(-1j * float(g)) - 1.0
-
-
-def _plan_diagonals(dims: tuple[int, int]) -> np.ndarray:
-    """Diagonal of every plan observable, (S, m*n) intp in plan order.
-
-    Every plan observable is diagonal in the product basis: 1 on the coupled
-    row j of A plus 1 on the coupled column l of B, so a pair's is 2 at (j, l).
-    """
-    m, n = dims
-    on_a, on_b = _plan_index(dims)
-    return np.add(on_a, on_b, dtype=np.intp).reshape(len(on_a), m * n)
+    return (np.asarray(m_pair) - m_a - m_b + 1.0) / (s * s)
 
 
 def definitional_modulars(cfg: ProtocolConfig) -> np.ndarray:
     """Oracle modular values straight from the states (no meter involved), (S,) in plan order.
 
-    With d the diagonal of a setting's observable, its modular value is
-    <phi|e^{-igd} psi> / <phi|psi>: one conjugate dot product, taken for the
-    whole plan at once. Every d is 0, 1 or 2, so the phases are gathered from
-    the three exponentials e^{-igd}, each the same expression an elementwise
-    exponential of the diagonals evaluates. Raises OrthogonalPostselection as
-    the readout does.
+    A setting's modular value is <phi|e^{-igO_k}|psi> / <phi|psi>: the
+    closed-form plan overlaps of ``protocol._plan_overlaps`` divided by
+    T = <phi|psi>, O(m*n) for the whole plan. Raises OrthogonalPostselection
+    as the readout does.
     """
-    overlap = _postselection_overlap(cfg)
-    phases = np.exp(-1j * cfg.g * np.arange(3.0))[_plan_diagonals(cfg.dims)]
-    return np.vecdot(cfg.postselection.amps, phases * cfg.system_state.amps) / overlap
+    total, overlaps = _plan_overlaps(cfg)
+    return overlaps / total
 
 
 def _weak_value_matrix(modulars: np.ndarray, dims: tuple[int, int], s: complex) -> np.ndarray:
@@ -195,7 +156,7 @@ def _weak_value_matrix(modulars: np.ndarray, dims: tuple[int, int], s: complex) 
     pairs = weak[..., 1:, 1:]
     pairs[...] = weak_from_modulars(m_pair, m_a[..., :, None], m_b[..., None, :], s)
     # the single_a and single_b blocks are contiguous in plan order
-    singles = _divide(modulars[..., :m + n - 2] - 1.0, s)
+    singles = (modulars[..., :m + n - 2] - 1.0) / s
     wa, wb = singles[..., :m - 1], singles[..., m - 1:]
     # column sums run over a contiguous transposed copy: numpy adds along a
     # strided inner axis in another order than a 1-D sum of the column

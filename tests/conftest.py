@@ -3,12 +3,10 @@ import pytest
 
 from modval.errors import OrthogonalPostselection
 from modval.hilbert import DEFAULT_TOL, PureState, inner
-from modval.protocol import PlanOutcome, _entangled_meter
+from modval.protocol import PlanOutcome
 from tests.oracle import (
-    METER_DIMS,
     apply,
     build_interaction,
-    check_setting,
     detector_states,
     normalize,
     partial_inner,
@@ -68,33 +66,5 @@ def dense_run_protocol(cfg, settings) -> PlanOutcome:
     for kind, j, l in settings:
         final = apply(build_interaction(kind, j, l, cfg.g, cfg.dims), joint)
         meter_proj = partial_inner(cfg.postselection, final)
-        rows.append((meter_proj, normalize(meter_proj)))
-    return _outcome(rows)
-
-
-def per_setting_run_protocol(cfg, settings) -> PlanOutcome:
-    """The one-setting diagonal readout that ``run_protocol`` batches.
-
-    One (4, m*n) phase block per setting, a gemv with conj(phi), then
-    ``normalize`` and ``inner`` on ``PureState`` objects: over the plan,
-    the batched readout must reproduce it bit for bit.
-    """
-    _check_overlap(cfg)
-    m, n = cfg.dims
-    phase = 1.0 + (np.exp(-1j * float(cfg.g)) - 1.0)
-    psi, phi = cfg.system_state.amps, cfg.postselection.amps
-    joint = _entangled_meter(cfg.epsilon)[:, None] * psi[None, :]
-    rows = []
-    for kind, j, l in settings:
-        use_a, use_b = check_setting(kind, j, l, cfg.dims)
-        a = np.ones((m, n), dtype=np.complex128)
-        b = np.ones((m, n), dtype=np.complex128)
-        if use_a:
-            a[j, :] = phase
-        if use_b:
-            b[:, l] = phase
-        a, b = a.reshape(-1), b.reshape(-1)
-        phases = np.stack([b, np.ones(m * n, dtype=np.complex128), a * b, a])
-        meter_proj = PureState(METER_DIMS, (phases * joint) @ phi.conj())
         rows.append((meter_proj, normalize(meter_proj)))
     return _outcome(rows)

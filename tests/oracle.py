@@ -1,7 +1,7 @@
 """The dense meter (x) system simulator, the independent oracle of the tests.
 
-``modval.protocol`` reads the meter out of a diagonal phase block and never
-builds a joint-space operator. These helpers do it the textbook way: the
+``modval.protocol`` reads the meter out of closed-form plan overlaps and
+never builds a joint-space operator. These helpers do it the textbook way: the
 full controlled-phase unitary on (meter A, meter B, system A, system B)
 applied to meter (x) system, the system postselected with ``partial_inner``,
 then ``normalize`` and the two detector states of ``detector_states``.
@@ -17,16 +17,16 @@ tests need them. So does the shot-noise oracle: the closed-form
 readout ``forward_probabilities`` and the delta-method spread ``modular_std``
 of modular values inverted from counted frequencies.
 ``plan_observable`` builds a measurement-plan observable from projectors,
-the reference for the diagonals of ``modval.reconstruction``'s closed form.
+and ``plan_diagonals`` reads every plan observable's diagonal off it: the
+row-plus-column structure that ``modval.protocol``'s closed form rests on.
 ``modval.protocol`` reads out only its own measurement plan, so the
 validation of a caller's ``(kind, j, l)`` setting, ``check_setting``, lives
 here with the dense builders that take any setting.
 
 The loop forms that the library replaced with whole-array calls stay here as
 bit-for-bit references: ``loop_linear_inversion`` (the 16-term sum),
-``loop_pauli_expectations`` (one ``np.vdot`` per setting),
-``elementwise_definitional_modulars`` (one exponential per diagonal entry)
-and ``per_quantity_estimates`` (each Monte Carlo estimate reduced on its own).
+``loop_pauli_expectations`` (one ``np.vdot`` per setting) and
+``per_quantity_estimates`` (each Monte Carlo estimate reduced on its own).
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ from modval.hilbert import (
     _require_same_dims,
     inner,
 )
-from modval.protocol import IDX_DOWN_UP, IDX_UP_DOWN, _entangled_meter
-from modval.reconstruction import _plan_diagonals
+from modval.protocol import IDX_DOWN_UP, IDX_UP_DOWN, measurement_plan
 from modval.tomography import fidelity_states
 
 # the meter: two path qubits (A, B), each with levels up and down
@@ -177,6 +176,12 @@ def plan_observable(dims, kind: InteractionKind, j: int | None, l: int | None) -
     return pair_sum(j, l, dims)
 
 
+def plan_diagonals(dims) -> np.ndarray:
+    """Diagonal of every plan observable, (S, m*n) intp in plan order, from ``plan_observable``."""
+    return np.array([np.diag(plan_observable(dims, *setting).mat).real
+                     for setting in measurement_plan(*dims)]).astype(np.intp)
+
+
 def _postselection_denominator(psi: PureState, phi: PureState) -> complex:
     den = inner(phi, psi)
     if abs(den) < DEFAULT_TOL.orthogonal:
@@ -284,7 +289,11 @@ def prepare_meter(epsilon: float) -> PureState:
     """Initial two-part meter (|ud> + eps |du>)/sqrt(1+eps^2)."""
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
-    return PureState(METER_DIMS, _entangled_meter(epsilon))
+    amps = np.zeros(4, dtype=np.complex128)
+    scale = 1.0 / math.sqrt(1.0 + epsilon * epsilon)
+    amps[IDX_UP_DOWN] = scale
+    amps[IDX_DOWN_UP] = epsilon * scale
+    return PureState(METER_DIMS, amps)
 
 
 def detector_states() -> tuple[PureState, PureState]:
@@ -380,13 +389,6 @@ def loop_pauli_expectations(psi: PureState) -> np.ndarray:
     """<psi|sigma_i (x) sigma_j|psi>, one ``np.vdot`` per setting."""
     return np.array([np.vdot(psi.amps, obs.mat @ psi.amps).real
                      for obs in tomography_settings()])
-
-
-def elementwise_definitional_modulars(cfg) -> np.ndarray:
-    """Definitional modular values with e^{-igd} taken over every diagonal entry d."""
-    overlap = inner(cfg.postselection, cfg.system_state)
-    phases = np.exp(-1j * cfg.g * _plan_diagonals(cfg.dims))
-    return np.vecdot(cfg.postselection.amps, phases * cfg.system_state.amps) / overlap
 
 
 def _stats(samples: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:

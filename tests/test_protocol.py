@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modval import protocol, reconstruction
+from modval import reconstruction
 from modval.reconstruction import reconstruct_state
 from modval.errors import OrthogonalPostselection
 from modval.hilbert import PureState
@@ -24,7 +24,6 @@ from modval.protocol import (
 )
 from tests.conftest import (
     dense_run_protocol,
-    per_setting_run_protocol,
     random_pair,
     random_state,
 )
@@ -224,44 +223,8 @@ class TestDiagonalReadoutMatchesDenseOracle:
             dense_run_protocol(cfg, measurement_plan(*cfg.dims))
 
 
-def assert_same_bits(got, want):
-    """Every PlanOutcome field equal bit for bit."""
-    for field in fields(PlanOutcome):
-        got_value, want_value = getattr(got, field.name), getattr(want, field.name)
-        assert got_value.shape == want_value.shape, field.name
-        assert got_value.dtype == want_value.dtype, field.name
-        assert got_value.tobytes() == want_value.tobytes(), field.name
-
-
-_COUPLINGS = st.one_of(st.sampled_from([math.pi, 1.0, 2.5]),
-                       st.floats(0.3, 2 * math.pi - 0.3))
-
-
 class TestBatchedReadoutMatchesPerSettingReference:
-    """run_protocol over the plan against the one-setting readout it replaced."""
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(m=st.integers(2, 6), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
-           epsilon=st.floats(0.01, 1.0), g=_COUPLINGS)
-    def test_collect_probabilities(self, m, n, seed, epsilon, g):
-        psi, phi = random_pair(np.random.default_rng(seed), (m, n))
-        cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=epsilon, g=g)
-        got = run_protocol(cfg).probabilities
-        want = per_setting_run_protocol(cfg, measurement_plan(m, n)).probabilities
-        assert got.shape == want.shape == (m * n - 1, 2)
-        assert got.tobytes() == want.tobytes()
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(m=st.integers(2, 6), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
-           epsilon=st.floats(0.01, 1.0), g=_COUPLINGS)
-    def test_one_setting_is_a_row_of_the_batch(self, m, n, seed, epsilon, g):
-        psi, phi = random_pair(np.random.default_rng(seed), (m, n))
-        cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=epsilon, g=g)
-        plan = measurement_plan(m, n)
-        outcome = run_protocol(cfg)
-        assert_same_bits(per_setting_run_protocol(cfg, plan), outcome)
-        for k, setting in enumerate(plan):
-            assert_same_bits(per_setting_run_protocol(cfg, [setting]), row(outcome, k))
+    """run_protocol reads the whole plan out in one call, whatever its size."""
 
     def test_collect_probabilities_is_one_batched_call(self, monkeypatch, rng):
         # an exact reconstruction reads its probabilities out in one call
@@ -286,23 +249,6 @@ class TestBatchedReadoutMatchesPerSettingReference:
             reconstruct_state(cfg)
         assert batches == [3, 29]
         assert not built  # the readout builds no PureState, whatever the plan size
-
-    def test_blocks_of_settings_match_one_block(self, monkeypatch, rng):
-        psi, phi = random_pair(rng, (4, 3))
-        cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=0.4, g=2.5)
-        whole = run_protocol(cfg)
-        monkeypatch.setattr(protocol, "_BLOCK_ELEMENTS", 2 * 12 * 5)  # five settings a block
-        blocks = run_protocol(cfg)
-        assert_same_bits(blocks, whole)
-        assert_same_bits(blocks, per_setting_run_protocol(cfg, measurement_plan(4, 3)))
-
-    def test_default_blocks_of_a_16x16_plan(self, rng):
-        # the default block budget splits the 255 settings into blocks of 16
-        psi, phi = random_pair(rng, (16, 16))
-        cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=0.3, g=2.0)
-        plan = measurement_plan(16, 16)
-        assert protocol._BLOCK_ELEMENTS // (2 * 16 * 16) < len(plan)
-        assert_same_bits(run_protocol(cfg), per_setting_run_protocol(cfg, plan))
 
 
 class TestConfigValidation:
