@@ -197,11 +197,18 @@ def _parse_amplitudes(spec: dict, field: str) -> PureState:
         raise ConfigError(f"{field}.amps must be numbers, not true or false")
     if not np.all(np.isfinite(amps)):  # NaN or Infinity literals
         raise ConfigError(f"{field}.amps must be finite numbers")
-    norm = float(np.linalg.norm(amps))
-    if norm == 0.0:
+    parts = amps.view(np.float64)
+    largest = float(np.abs(parts).max(initial=0.0))
+    if largest == 0.0:
         raise ConfigError(f"{field}.amps must not be all zero")
-    if abs(norm - 1.0) > 1e-6:
-        sys.stderr.write(f"warning: {field} amplitudes renormalized (norm was {norm:.9f})\n")
+    # divided by the power of two that brings the largest part into [1, 2) first, so the
+    # norm neither overflows nor underflows; the scaling is exact, so amps / norm is unchanged
+    shift = 1 - math.frexp(largest)[1]
+    amps = np.ldexp(parts, shift).view(np.complex128)
+    norm = float(np.linalg.norm(amps))
+    given = math.ldexp(1.0, -shift) * norm  # inf past the float range
+    if abs(given - 1.0) > 1e-6:
+        sys.stderr.write(f"warning: {field} amplitudes renormalized (norm was {given:.9g})\n")
     try:
         return PureState(dims, amps / norm)
     except ValueError as exc:

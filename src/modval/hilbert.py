@@ -84,6 +84,11 @@ class PureState:
         return float(np.linalg.norm(self.amps))
 
 
+def _abs2(z):
+    """|z|^2 as re^2 + im^2, which rounds closer than abs(z) ** 2."""
+    return z.real * z.real + z.imag * z.imag
+
+
 def _require_same_dims(a, b):
     if a.dims != b.dims:
         raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")

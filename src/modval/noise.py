@@ -150,48 +150,29 @@ def monte_carlo(cfg: ProtocolConfig, counting: CountingConfig,
                 *, method: Method = "exact_inversion") -> MonteCarloResult:
     """Means and spreads of every reconstructed quantity over the kept ``noisy_trials``.
 
-    Five reductions give every estimate, each rounding as ``_complex_stats`` of
-    that quantity alone would. Amplitudes and weak values reduce over axis 0 of
-    one (K, 2, m, n) stack, which sums trial by trial: a complex mean, and the
-    std of its float view, whose last axis interleaves the real and imaginary
-    parts. The modulars' complex mean runs over a contiguous (S, K) copy, since
-    a complex pairwise sum rounds unlike a real one. The modulars' real and
-    imaginary parts, the normalizer and the fidelity are the rows of one
-    contiguous float (2S+2, K) array, whose rows reduce as 1-D arrays do.
+    Each kept trial is one row of a (K, F) complex table: its amplitudes, weak
+    values, modulars, normalizer and fidelity. One ``_complex_stats`` call
+    reduces the table over its trial axis, and the columns are cut back into
+    the five estimates.
     """
     kept, result, _ = noisy_trials(cfg, counting, method)
     n_kept = int(kept.sum())
     rejected = counting.trials - n_kept
-    modulars = result.modulars[kept]
     amplitudes = result.amplitudes[kept]
-    weak_values = result.weak_values[kept]
-    normalizer = result.normalizer[kept]
     fidelity = fidelity_states(cfg.system_state, amplitudes.reshape(n_kept, -1))
-
-    stack = np.stack((amplitudes, weak_values), axis=1)
-    means = stack.mean(axis=0)
-    if n_kept < 2:
-        stds = np.zeros_like(means)
-    else:
-        parts = stack.view(np.float64).std(axis=0, ddof=1)
-        stds = parts[..., ::2] + 1j * parts[..., 1::2]
-    mod_mean = np.ascontiguousarray(modulars.T).mean(axis=-1)
-    # concatenate would lay the rows out as the transposed modulars are, in F order
-    rows = np.empty((2 * modulars.shape[1] + 2, n_kept))
-    np.concatenate((modulars.view(np.float64).T, normalizer[None], fidelity[None]), out=rows)
-    row_means, row_stds = _complex_stats(rows, axis=-1)
-    mod_std = row_stds[:-2:2] + 1j * row_stds[1:-2:2]
-
-    def estimate(mean, std, samples):
-        return NoisyEstimate(mean, std, n_kept, rejected, samples)
-
-    return MonteCarloResult(
-        amplitudes=estimate(means[0], stds[0], amplitudes),
-        weak_values=estimate(means[1], stds[1], weak_values),
-        modulars=estimate(mod_mean, mod_std, modulars),
-        normalizer=estimate(row_means[-2].item(), row_stds[-2].item(), normalizer),
-        fidelity=estimate(row_means[-1].item(), row_stds[-1].item(), fidelity),
-    )
+    samples = (amplitudes, result.weak_values[kept], result.modulars[kept],
+               result.normalizer[kept], fidelity)
+    means, stds = _complex_stats(np.concatenate(
+        [quantity.reshape(n_kept, -1) for quantity in samples], axis=1))
+    cuts = np.cumsum([quantity[0].size for quantity in samples[:-1]])
+    estimates = []
+    for quantity, mean, std in zip(samples, np.split(means, cuts), np.split(stds, cuts)):
+        if quantity.ndim == 1:  # the normalizer and the fidelity are real
+            mean, std = mean.real.item(), std.real.item()
+        else:
+            mean, std = mean.reshape(quantity.shape[1:]), std.reshape(quantity.shape[1:])
+        estimates.append(NoisyEstimate(mean, std, n_kept, rejected, quantity))
+    return MonteCarloResult(*estimates)
 
 
 def pauli_plus_probabilities(expectations) -> np.ndarray:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrthogonalPostselection
-from .hilbert import DEFAULT_TOL, PureState, inner
+from .hilbert import DEFAULT_TOL, PureState, _abs2, inner
 
 # joint meter basis indices: |ud> is the reference component, |du> the signal
 IDX_UP_DOWN = 1
@@ -144,11 +144,6 @@ def split_plan(values, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, n
     values = np.asarray(values)
     return (values[..., :m - 1], values[..., m - 1:m + n - 2],
             values[..., m + n - 2:].reshape(values.shape[:-1] + (m - 1, n - 1)))
-
-
-def _abs2(z):
-    """|z|^2 as re^2 + im^2, which rounds closer than abs(z) ** 2."""
-    return z.real * z.real + z.imag * z.imag
 
 
 @dataclass(frozen=True)

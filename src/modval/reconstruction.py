@@ -25,6 +25,8 @@ and a stack of noisy trials run through the same code.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -65,20 +67,14 @@ class ReconstructionResult:
         return PureState(self.dims, self.amplitudes.reshape(-1))
 
 
-def _complex(re, im):
-    # parts are assigned, not summed as re + 1j*im, so -0.0 survives
-    out = np.empty(np.shape(re), dtype=np.complex128)
-    out.real = re
-    out.imag = im
-    return out[()]
-
-
 def modular_first_order(p1, p2, epsilon: float):
-    """First-order-in-epsilon readout (p1 - 1/2)/eps + i (p2 - 1/2)/eps, elementwise."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return _complex((np.asarray(p1, dtype=float) - 0.5) / epsilon,
-                    (np.asarray(p2, dtype=float) - 0.5) / epsilon)
+    """First-order-in-epsilon readout (p1 - 1/2)/eps + i (p2 - 1/2)/eps, elementwise.
+
+    epsilon must be finite and positive; nan or inf would turn every value into nan."""
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
+    return ((np.asarray(p1, dtype=float) - 0.5) / epsilon
+            + 1j * ((np.asarray(p2, dtype=float) - 0.5) / epsilon))
 
 
 def modular_exact_inversion(p1, p2, epsilon: float, *, clamp: bool = False):
@@ -109,7 +105,7 @@ def modular_exact_inversion(p1, p2, epsilon: float, *, clamp: bool = False):
     else:
         a, b = np.where(outside, np.nan, a), np.where(outside, np.nan, b)
     d = 2.0 / (1.0 + np.sqrt(np.where(outside, 0.0, disc)))
-    return _complex(a * d, b * d)
+    return a * d + 1j * (b * d)
 
 
 def invert_probabilities(probabilities, epsilon: float, method: Method,
@@ -125,8 +121,8 @@ def invert_probabilities(probabilities, epsilon: float, method: Method,
 
 def weak_from_modulars(m_pair, m_a, m_b, s: complex):
     """Joint weak value of a projector pair from three modular values, elementwise."""
-    if s == 0:
-        raise ValueError("s must be nonzero")
+    if not (cmath.isfinite(s) and s != 0):
+        raise ValueError(f"s must be finite and nonzero, got {s!r}")
     return (np.asarray(m_pair) - m_a - m_b + 1.0) / (s * s)
 
 
@@ -148,7 +144,8 @@ def _weak_value_matrix(modulars: np.ndarray, dims: tuple[int, int], s: complex) 
     Pairs with j, l >= 1 come from the three-modular combination; singles
     convert through (P)_w = ((P)_m - 1)/s; rows/columns touching index 0
     follow from completeness P_0 = I - sum_{k>=1} P_k and linearity of the
-    weak value (with (I)_w = 1).
+    weak value (with (I)_w = 1), the row and column sums of the pair block
+    taken over its last and second-to-last axes.
     """
     m, n = dims
     m_a, m_b, m_pair = split_plan(modulars, dims)
@@ -158,10 +155,8 @@ def _weak_value_matrix(modulars: np.ndarray, dims: tuple[int, int], s: complex) 
     # the single_a and single_b blocks are contiguous in plan order
     singles = (modulars[..., :m + n - 2] - 1.0) / s
     wa, wb = singles[..., :m - 1], singles[..., m - 1:]
-    # column sums run over a contiguous transposed copy: numpy adds along a
-    # strided inner axis in another order than a 1-D sum of the column
     weak[..., 1:, 0] = wa - pairs.sum(axis=-1)
-    weak[..., 0, 1:] = wb - np.ascontiguousarray(np.swapaxes(pairs, -1, -2)).sum(axis=-1)
+    weak[..., 0, 1:] = wb - pairs.sum(axis=-2)
     weak[..., 0, 0] = (1.0 - wa.sum(axis=-1) - wb.sum(axis=-1)
                        + pairs.sum(axis=(-2, -1)))
     return weak
@@ -174,9 +169,7 @@ def _select_reference(raw: np.ndarray) -> np.ndarray:
     give weak[0, 0] = 1."""
     m, n = raw.shape[-2:]
     magnitudes = np.abs(raw).reshape(raw.shape[:-2] + (m * n,))
-    first = raw[..., 0, 0]
-    # np.hypot rounds as abs() of a single complex does
-    keep = np.hypot(first.real, first.imag) > _REFERENCE_RTOL * magnitudes.max(axis=-1)
+    keep = magnitudes[..., 0] > _REFERENCE_RTOL * magnitudes.max(axis=-1)
     return np.where(keep, 0, np.argmax(magnitudes, axis=-1))
 
 

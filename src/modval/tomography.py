@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DEFAULT_TOL, PureState, _frozen_complex
+from .hilbert import DEFAULT_TOL, PureState, _abs2, _frozen_complex
 
 
 def _pauli_products() -> np.ndarray:
@@ -74,29 +74,13 @@ def pauli_expectations(psi: PureState) -> np.ndarray:
     return np.vecdot(psi.amps, np.matvec(_SETTINGS, psi.amps)).real
 
 
-@functools.cache
-def _inversion_terms() -> tuple[np.ndarray, np.ndarray]:
-    """The 4 nonzero Pauli terms of each of the 16 matrix entries (row-major):
-    their setting indices (16, 4), ascending as II, ..., ZZ, and their
-    coefficients (16, 4), each +-1 or +-1j. Built on first use."""
-    coefficients = _SETTINGS.reshape(16, 16).T  # (entry, setting)
-    index = np.nonzero(coefficients)[1].reshape(16, 4)
-    terms = index, np.take_along_axis(coefficients, index, axis=1)
-    for table in terms:
-        table.flags.writeable = False
-    return terms
-
-
 def linear_inversion(expectations) -> DensityMatrix:
     """Density matrix from the 16 Pauli expectations (II, IX, ..., ZZ order).
 
-    Each entry gathers its 4 nonzero terms, value times coefficient, and sums
-    them one after another in II, ..., ZZ order from +0.0 before dividing by
-    4: the terms and their order of the sum over all 16 settings, whose other
-    terms are zeros that leave a sum that is never -0.0 unchanged. The values
-    must be finite (an infinite one would make those zero terms nan). Leading
-    axes of the (..., 16) input are trials, each inverted bit for bit as a
-    one-trial call.
+    rho = (1/4) sum_i v_i sigma_i, as one product of the (16 entries, 16
+    settings) coefficient matrix with the values. The values must be finite.
+    Leading axes of the (..., 16) input are trials, each inverted bit for bit
+    as a one-trial call.
     """
     values = np.asarray(expectations, dtype=float)
     if values.shape[-1:] != (16,):
@@ -105,12 +89,7 @@ def linear_inversion(expectations) -> DensityMatrix:
         raise ValueError("expectation values must be finite")
     if np.any(np.abs(values[..., 0] - 1.0) > _IDENTITY_TOL):
         raise ValueError("the identity-identity expectation must equal 1")
-    index, coefficients = _inversion_terms()
-    # np.take keeps the trial axes outermost; values[..., index] would make them innermost,
-    # and the matrix, laid out that way, rounds differently in fidelity_pure's matvec
-    terms = np.take(values, index, axis=-1) * coefficients
-    mat = 0.0 + terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
-    mat /= 4.0
+    mat = np.matvec(_SETTINGS.reshape(16, 16).T, values) / 4.0
     return DensityMatrix(mat.reshape(values.shape[:-1] + (4, 4)))
 
 
@@ -136,14 +115,13 @@ def fidelity_pure(rho: DensityMatrix, psi) -> float | np.ndarray:
 
 
 def fidelity_states(psi, phi) -> float | np.ndarray:
-    """|<psi|phi>|^2 between pure states; invariant under global phases.
+    """|<psi|phi>|^2 between pure states, each overlap squared as re^2 + im^2;
+    invariant under global phases.
 
     Either state is a PureState or amplitudes (..., d); leading trial axes
     broadcast, and one pair of states gives a float.
     """
     if isinstance(psi, PureState) and isinstance(phi, PureState) and psi.dims != phi.dims:
         raise ValueError(f"dimension mismatch: {psi.dims} vs {phi.dims}")
-    overlap = np.vecdot(_amplitudes(psi), _amplitudes(phi))
-    # Python's abs(z) ** 2 of each overlap: np.abs rounds differently in the last bit
-    fidelities = np.array([abs(z) ** 2 for z in np.ravel(overlap).tolist()])
-    return float(fidelities[0]) if overlap.ndim == 0 else fidelities.reshape(overlap.shape)
+    fidelities = _abs2(np.vecdot(_amplitudes(psi), _amplitudes(phi)))
+    return float(fidelities) if fidelities.ndim == 0 else fidelities

@@ -106,6 +106,28 @@ class TestReconstructCommand:
         amps = amp_table(parse_csv(captured.out))
         assert abs(amps[(0, 0)] - 1 / math.sqrt(2)) <= 1e-10
 
+    # a norm past the float range overflowed (a numpy overflow warning, then exit 2), and
+    # one that underflowed read as all-zero amplitudes
+    @pytest.mark.parametrize("raw, expected", [
+        ([[1e308, 0], [1e308, 0], [0, 0], [0, 0]], [1 / math.sqrt(2)] * 2 + [0, 0]),
+        ([[1e-320, 0]] * 4, [0.5] * 4),
+    ], ids=["huge", "subnormal"])
+    def test_extreme_amplitudes_renormalized_with_one_warning(self, tmp_path, capsys, raw,
+                                                              expected):
+        cfg = write_config(tmp_path, state={"amps": raw})
+        assert main(["reconstruct", "--config", cfg, "--no-timestamp"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("warning: state amplitudes renormalized (norm was ")
+        assert captured.err.count("\n") == 1
+        amps = amp_table(parse_csv(captured.out))
+        for key, value in zip(((0, 0), (0, 1), (1, 0), (1, 1)), expected):
+            assert abs(amps[key] - value) <= 1e-10
+
+    def test_no_amplitudes_read_as_all_zero(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, state={"amps": []})
+        assert main(["reconstruct", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: config_error: state.amps must not be all zero\n"
+
     def test_noise_adds_std_columns(self, tmp_path, capsys):
         cfg = write_config(tmp_path, noise={"pairs_per_setting": 20000, "trials": 25,
                                             "seed": 4})
@@ -538,18 +560,17 @@ class TestDeterminismAndErrors:
         assert proc.stdout.strip() == ""
 
     def test_import_builds_no_table(self):
-        # the cached layouts and the inversion's gather table are built on first use,
-        # so importing modval.cli pays for neither; numpy.random stays unloaded
+        # the cached layouts are built on first use, so importing modval.cli does not pay
+        # for them; numpy.random stays unloaded
         import subprocess
         import sys
 
-        code = ("import sys, modval.cli; from modval import cli, tomography; "
+        code = ("import sys, modval.cli; from modval import cli; "
                 "print(cli._component_layouts.cache_info().currsize, "
-                "tomography._inversion_terms.cache_info().currsize, "
                 "any(m.startswith('numpy.random') for m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "0", "False"]
+        assert proc.stdout.split() == ["0", "False"]
 
     def test_import_loads_no_argparse(self):
         # the command line is read by the flag table alone; argparse also pulled in gettext
@@ -656,8 +677,8 @@ class TestEntryPoints:
         # the reader leaves before the run starts, and a table that fits the pipe buffer
         # fails only at the flush
         (["reconstruct", "--config", FIG4A, "--no-timestamp"], False),
-        # the same as JSON, 1.27 MB for the sweep: written as one string, the sweep's
-        # table came back cut short with exit 0 and no error line
+        # the same as JSON, 1.27 MB for the sweep: written as one unbuffered string, the
+        # sweep's table came back cut short with exit 0 and no error line
         (["sweep-theta", "--config", str(ROOT / "configs" / "fig3_sweep.json"),
           "--steps", "1000", "--format", "json", "--no-timestamp"], True),
         (["reconstruct", "--config", FIG4A, "--format", "json", "--no-timestamp"], False),
@@ -669,10 +690,13 @@ class TestEntryPoints:
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                               env={**src_env(), "PYTHONUNBUFFERED": unbuffered}) as proc:
             if after_one_line:
-                proc.stdin.close()
-                first = b"{\n" if "json" in argv else b"# schema_version=1\n"
-                assert proc.stdout.readline() == first
-                proc.stdout.close()
+                # a real `head -n 1` holds the only read end, as in a shell pipeline
+                with subprocess.Popen(["head", "-n", "1"], stdin=proc.stdout,
+                                      stdout=subprocess.PIPE) as head:
+                    proc.stdout.close()
+                    proc.stdin.close()
+                    first = b"{\n" if "json" in argv else b"# schema_version=1\n"
+                    assert head.stdout.read() == first
             else:
                 proc.stdout.close()
                 proc.stdin.close()

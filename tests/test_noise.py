@@ -41,6 +41,22 @@ def bell_config(theta=0.0, epsilon=0.2):
                           epsilon=epsilon)
 
 
+# largest gap between a Monte Carlo estimate and the same statistic of its quantity reduced
+# alone as a 1-D array, per real and imaginary part, over the largest magnitude of the kept
+# samples (at least 1): 600 random runs of each of the two tests below measured at most
+# 5.6e-16
+_REDUCTION_TOL = 6e-16
+
+
+def assert_reduced_alike(got, want, samples):
+    """``got`` within _REDUCTION_TOL of ``want``, scaled by the kept samples, per part."""
+    got, want = np.asarray(got), np.asarray(want)
+    size = np.maximum(1.0, np.abs(samples).max(axis=0))
+    for part in ("real", "imag"):
+        gap = np.abs(getattr(got, part) - getattr(want, part))
+        assert np.all(gap <= _REDUCTION_TOL * size), (part, np.max(gap / size))
+
+
 class TestMonteCarlo:
     def test_std_scales_with_pair_count(self):
         cfg = bell_config()
@@ -129,8 +145,8 @@ class TestMonteCarlo:
             patch.setattr(noise, "noisy_trials", lambda *args: (kept, result, None))
             mc = monte_carlo(bell_config(), counting)
         columns = [_complex_stats(modulars[kept][:, k]) for k in range(settings_)]
-        assert mc.modulars.mean.tobytes() == np.array([m for m, _ in columns]).tobytes()
-        assert mc.modulars.std.tobytes() == np.array([s for _, s in columns]).tobytes()
+        assert_reduced_alike(mc.modulars.mean, [m for m, _ in columns], modulars[kept])
+        assert_reduced_alike(mc.modulars.std, [s for _, s in columns], modulars[kept])
         assert mc.modulars.samples_kept == trials and mc.modulars.samples_rejected == 2
         if trials == 1:
             assert not mc.modulars.std.any()
@@ -167,8 +183,12 @@ class TestMonteCarlo:
         n_kept = int(kept.sum())
         for name, (mean, std) in per_quantity_estimates(kept, result, psi).items():
             estimate = getattr(mc, name)
-            assert np.asarray(estimate.mean).tobytes() == mean.tobytes(), name
-            assert np.asarray(estimate.std).tobytes() == std.tobytes(), name
+            if estimate.samples.ndim == 1:  # a 1-D sum adds pairwise, the table row by row
+                assert_reduced_alike(estimate.mean, mean, estimate.samples)
+                assert_reduced_alike(estimate.std, std, estimate.samples)
+            else:  # both add row by row over the trial axis
+                assert np.asarray(estimate.mean).tobytes() == mean.tobytes(), name
+                assert np.asarray(estimate.std).tobytes() == std.tobytes(), name
             assert estimate.samples_kept == n_kept == len(estimate.samples), name
             assert estimate.samples_rejected == trials - n_kept, name
         assert type(mc.normalizer.mean) is type(mc.fidelity.std) is float
@@ -307,8 +327,9 @@ class TestNoisyTrials:
         cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=0.5)
         counting = CountingConfig(pairs_per_setting=300, trials=40, seed=seed)
         kept, result, _ = noisy_trials(cfg, counting)
-        want = [abs(inner(psi, PureState(dims, result.amplitudes[k].reshape(-1)))) ** 2
-                for k in np.flatnonzero(kept)]
+        overlaps = [inner(psi, PureState(dims, result.amplitudes[k].reshape(-1)))
+                    for k in np.flatnonzero(kept)]
+        want = [z.real * z.real + z.imag * z.imag for z in overlaps]
         mc = monte_carlo(cfg, counting)
         assert mc.fidelity.samples.tobytes() == np.array(want).tobytes()
         assert mc.fidelity.samples_kept == kept.sum()

@@ -223,10 +223,10 @@ class TestDiagonalReadoutMatchesDenseOracle:
             dense_run_protocol(cfg, measurement_plan(*cfg.dims))
 
 
-class TestBatchedReadoutMatchesPerSettingReference:
+class TestOneBatchedReadout:
     """run_protocol reads the whole plan out in one call, whatever its size."""
 
-    def test_collect_probabilities_is_one_batched_call(self, monkeypatch, rng):
+    def test_run_protocol_is_one_batched_call(self, monkeypatch, rng):
         # an exact reconstruction reads its probabilities out in one call
         configs = {dims: ProtocolConfig(*random_pair(rng, dims)) for dims in ((2, 2), (6, 5))}
         batches = []

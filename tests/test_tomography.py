@@ -21,13 +21,11 @@ from tests.conftest import random_state
 from tests.oracle import loop_linear_inversion, loop_pauli_expectations, tomography_settings
 
 
-def one_trial_inversion(values):
-    """The one-trial linear inversion: the 16 terms summed in order into one matrix."""
-    mat = np.zeros((4, 4), dtype=np.complex128)
-    for value, obs in zip(values, tomography_settings()):
-        mat += value * obs.mat
-    mat /= 4.0
-    return mat, float(np.linalg.eigvalsh(mat)[0])
+# largest gap between the one-product inversion and the 16-term loop it replaced, over
+# expectations in [-1, 1]: per matrix entry, and for a spectrum or fidelity read off the
+# matrix; 20 000 random batches and 6000 random states measured at most 1.1e-16 and 4.4e-16
+_LOOP_ENTRY_TOL = 1.2e-16
+_LOOP_DERIVED_TOL = 4.5e-16
 
 
 class TestSettings:
@@ -135,9 +133,11 @@ class TestBatchedTrials:
         for k in range(trials):
             one = linear_inversion(expectations[k])
             state = PureState((2, 2), direct[k])
-            mat, min_eig = one_trial_inversion(expectations[k])
-            assert rho.mat[k].tobytes() == one.mat.tobytes() == mat.tobytes()
-            assert float(rho.min_eigenvalue[k]).hex() == one.min_eigenvalue.hex() == min_eig.hex()
+            mat = loop_linear_inversion(expectations[k])
+            assert rho.mat[k].tobytes() == one.mat.tobytes()
+            assert np.max(np.abs(one.mat - mat)) <= _LOOP_ENTRY_TOL
+            assert float(rho.min_eigenvalue[k]).hex() == one.min_eigenvalue.hex()
+            assert abs(one.min_eigenvalue - np.linalg.eigvalsh(mat)[0]) <= _LOOP_DERIVED_TOL
             assert bool(rho.positive[k]) is one.positive
             for got, want, former in (
                 (tomography_vs_truth[k], fidelity_pure(one, truth),
@@ -147,7 +147,8 @@ class TestBatchedTrials:
                 (direct_vs_truth[k], fidelity_states(truth, state),
                  abs(complex(np.vdot(truth.amps, direct[k]))) ** 2),
             ):
-                assert float(got).hex() == want.hex() == float(former).hex()
+                assert float(got).hex() == want.hex()
+                assert abs(want - former) <= _LOOP_DERIVED_TOL
 
     def test_one_trial_returns_python_scalars(self):
         rho = linear_inversion(pauli_expectations(phase_bell(0.4)))
@@ -210,10 +211,10 @@ class TestDensityMatrixValidation:
 
 
 class TestLoopReferences:
-    """The whole-array forms equal the loops they replaced, bit for bit."""
+    """The whole-array forms match the loops they replaced: the expectations bit for bit,
+    the inversion within _LOOP_ENTRY_TOL."""
 
-    # signed zeros, +-1 and thirds: the loop also adds the other 12 settings' zero
-    # terms, which the gather skips
+    # signed zeros, +-1 and thirds: the loop adds the 16 terms in another order
     SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 1 / 3, -1 / 3, 2 / 3, -2 / 3])
 
     @settings(max_examples=120, deadline=None, derandomize=True)
@@ -233,7 +234,7 @@ class TestLoopReferences:
         reference = loop_linear_inversion(values)
         assert rho.mat.shape == reference.shape
         assert rho.mat.flags.c_contiguous
-        assert rho.mat.tobytes() == reference.tobytes()
+        assert np.max(np.abs(rho.mat - reference)) <= _LOOP_ENTRY_TOL
 
     # a nan or infinite expectation used to give a nan matrix that passed validation
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -244,7 +245,7 @@ class TestLoopReferences:
             linear_inversion(values)
 
     def test_inversion_of_signed_zeros(self):
-        # every term -0.0 but the identity: the loop's sums start from +0.0
+        # every term -0.0 but the identity: no entry comes out -0.0, as in the loop from +0.0
         values = np.full(16, -0.0)
         values[0] = 1.0
         assert linear_inversion(values).mat.tobytes() == loop_linear_inversion(values).tobytes()
