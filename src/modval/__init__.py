@@ -14,7 +14,6 @@ from .errors import (
     OrthogonalPostselection,
 )
 from .hilbert import (
-    DEFAULT_TOL,
     PureState,
     inner,
 )

@@ -12,6 +12,8 @@ Conventions shared by every module in the package:
   the tests live in ``tests/oracle.py``).
 
 Dimensions are capped at a total of 4096 (desk-scale protocols only).
+``STRUCTURAL_TOL`` is the tolerance of every structural check; each other
+bound sits beside the one check that applies it.
 """
 
 from __future__ import annotations
@@ -24,19 +26,8 @@ import numpy as np
 MAX_TOTAL_DIM = 4096
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric tolerance policy, one record for the whole package.
-
-    structural: idempotence / unitarity / normalization checks.
-    orthogonal: smallest postselection overlap |<phi|psi>| still accepted.
-    """
-
-    structural: float = 1e-10
-    orthogonal: float = 1e-6
-
-
-DEFAULT_TOL = Tolerances()
+# unit norm of a configured state; Hermiticity, unit trace, positivity of a density matrix
+STRUCTURAL_TOL = 1e-10
 
 
 def _product(dims) -> int:

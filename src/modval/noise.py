@@ -142,8 +142,8 @@ def noisy_trials(cfg: ProtocolConfig, counting: CountingConfig, method: Method =
     if not kept.any():
         raise AllTrialsRejected(f"all {counting.trials} trials failed inversion; "
                                 "increase pairs_per_setting or enable clamping")
-    return kept, reconstruct(dims=cfg.dims, postselection=cfg.postselection,
-                             s=s_parameter(cfg.g), modulars=modulars), counts[:, exact.size:]
+    return kept, reconstruct(postselection=cfg.postselection, s=s_parameter(cfg.g),
+                             modulars=modulars), counts[:, exact.size:]
 
 
 def monte_carlo(cfg: ProtocolConfig, counting: CountingConfig,

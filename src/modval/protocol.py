@@ -31,7 +31,6 @@ against it.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrthogonalPostselection
-from .hilbert import DEFAULT_TOL, PureState, _abs2, inner
+from .hilbert import STRUCTURAL_TOL, PureState, _abs2, inner
 
 # joint meter basis indices: |ud> is the reference component, |du> the signal
 IDX_UP_DOWN = 1
@@ -52,6 +51,15 @@ _MIN_S = 1e-6
 # fig4a-d and near-uniform 7x5 states grows from 1e-13 at 1e-8 to 2e-5 at
 # 1e-12 and 0.27 at 1e-14
 _MIN_EPSILON = 1e-8
+# smallest postselection overlap |<phi|psi>| accepted: modular values divide by it
+ORTHOGONAL_TOL = 1e-6
+
+
+def _check_epsilon(epsilon) -> None:
+    """The meter asymmetry's one rule, for ``ProtocolConfig`` and every inversion of
+    detector probabilities: epsilon lies in [1e-8, 1], which nan and inf fail."""
+    if not _MIN_EPSILON <= epsilon <= 1.0:
+        raise ValueError("epsilon must lie in [1e-8, 1]")
 
 
 @dataclass(frozen=True)
@@ -81,10 +89,9 @@ class ProtocolConfig:
             raise ValueError("postselection dims must match the system state")
         for name, state in (("system_state", self.system_state),
                             ("postselection", self.postselection)):
-            if abs(state.norm() - 1.0) > DEFAULT_TOL.structural:
+            if abs(state.norm() - 1.0) > STRUCTURAL_TOL:
                 raise ValueError(f"{name} must be normalized")
-        if not _MIN_EPSILON <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [1e-8, 1]")
+        _check_epsilon(self.epsilon)
         try:
             finite = math.isfinite(self.g)
         except OverflowError:  # an int beyond the float range
@@ -110,16 +117,15 @@ def s_parameter(g: float) -> complex:
 
 def _postselection_overlap(cfg: ProtocolConfig) -> complex:
     """<postselection|state>, or OrthogonalPostselection when its magnitude falls
-    below DEFAULT_TOL.orthogonal: every modular value diverges there."""
+    below ORTHOGONAL_TOL: every modular value diverges there."""
     overlap = inner(cfg.postselection, cfg.system_state)
-    if abs(overlap) < DEFAULT_TOL.orthogonal:
+    if abs(overlap) < ORTHOGONAL_TOL:
         raise OrthogonalPostselection(
-            f"|<postselection|state>| = {abs(overlap):.3e} < {DEFAULT_TOL.orthogonal:.3e}"
+            f"|<postselection|state>| = {abs(overlap):.3e} < {ORTHOGONAL_TOL:.3e}"
         )
     return overlap
 
 
-@functools.lru_cache(maxsize=32)
 def measurement_plan(m: int, n: int) -> tuple[tuple[str, int | None, int | None], ...]:
     """Settings ``(kind, j, l)`` for an m x n system: singles on each side, then all pairs.
 
@@ -127,8 +133,8 @@ def measurement_plan(m: int, n: int) -> tuple[tuple[str, int | None, int | None]
     Plan size is (m-1)+(n-1)+(m-1)(n-1) = m*n - 1 settings; with a real and
     an imaginary part each that is 2*m*n - 2 numbers, exactly the parameter
     count of a normalized state with one global phase removed. The plan
-    depends only on (m, n), so it is built once per size (the last 32 sizes
-    are kept), shared, and immutable.
+    depends only on (m, n) and is an immutable tuple; the readout follows its
+    order in closed form (``_plan_overlaps``) and never builds it.
     """
     if m < 2 or n < 2:
         raise ValueError("both subsystem dimensions must be at least 2")
@@ -184,7 +190,7 @@ def run_protocol(cfg: ProtocolConfig) -> PlanOutcome:
     |T - i*eps*<phi|U_k|psi>|^2 over twice the squared norm of (T, eps*<phi|U_k|psi>).
     Row k of the ``PlanOutcome`` is setting k of ``measurement_plan(*cfg.dims)``.
     Raises OrthogonalPostselection when the overlap |<postselection|system>|
-    falls below DEFAULT_TOL.orthogonal (the modular value diverges there and
+    falls below ORTHOGONAL_TOL (the modular value diverges there and
     no meter readout is meaningful).
     """
     total, overlaps = _plan_overlaps(cfg)

@@ -26,7 +26,6 @@ and a stack of noisy trials run through the same code.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -34,6 +33,7 @@ import numpy as np
 
 from .errors import NegativeDiscriminant
 from .hilbert import PureState
+from .protocol import _MIN_S, _check_epsilon
 from .protocol import ProtocolConfig, _plan_overlaps, run_protocol, s_parameter, split_plan
 
 Method = Literal["first_order", "exact_inversion", "definitional"]
@@ -48,10 +48,10 @@ class ReconstructionResult:
     """Amplitudes plus every intermediate quantity of the pipeline.
 
     A batched reconstruction carries the same leading trial axes on every
-    field; ``result[k]`` is trial k on its own.
+    field; ``result[k]`` is trial k on its own. The (m, n) size is the shape
+    of the last two axes of ``amplitudes``.
     """
 
-    dims: tuple[int, int]
     amplitudes: np.ndarray  # (..., m, n) complex, unit norm, reference real-positive
     weak_values: np.ndarray  # (..., m, n) complex, completed over all components
     modulars: np.ndarray  # (..., S) complex, plan order
@@ -59,20 +59,20 @@ class ReconstructionResult:
     reference_component: tuple[int, int] | np.ndarray  # (..., 2) for a batch
 
     def __getitem__(self, k: int) -> ReconstructionResult:
-        return ReconstructionResult(self.dims, self.amplitudes[k], self.weak_values[k],
+        return ReconstructionResult(self.amplitudes[k], self.weak_values[k],
                                     self.modulars[k], float(self.normalizer[k]),
                                     tuple(int(i) for i in self.reference_component[k]))
 
     def state(self) -> PureState:
-        return PureState(self.dims, self.amplitudes.reshape(-1))
+        return PureState(self.amplitudes.shape[-2:], self.amplitudes.reshape(-1))
 
 
 def modular_first_order(p1, p2, epsilon: float):
     """First-order-in-epsilon readout (p1 - 1/2)/eps + i (p2 - 1/2)/eps, elementwise.
 
-    epsilon must be finite and positive; nan or inf would turn every value into nan."""
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
+    epsilon must lie in [1e-8, 1], the range ``ProtocolConfig`` accepts: below it
+    the readout loses too many digits, and 1/epsilon overflows for a subnormal one."""
+    _check_epsilon(epsilon)
     return ((np.asarray(p1, dtype=float) - 0.5) / epsilon
             + 1j * ((np.asarray(p2, dtype=float) - 0.5) / epsilon))
 
@@ -120,9 +120,12 @@ def invert_probabilities(probabilities, epsilon: float, method: Method,
 
 
 def weak_from_modulars(m_pair, m_a, m_b, s: complex):
-    """Joint weak value of a projector pair from three modular values, elementwise."""
-    if not (cmath.isfinite(s) and s != 0):
-        raise ValueError(f"s must be finite and nonzero, got {s!r}")
+    """Joint weak value of a projector pair from three modular values, elementwise.
+
+    s must be finite with |s| >= 1e-6, the bound ``ProtocolConfig`` applies to
+    s(g): a smaller s^2 would scale the modulars' rounding by more than 1e12."""
+    if not (cmath.isfinite(s) and abs(s) >= _MIN_S):
+        raise ValueError(f"s must be finite and nonzero (|s| >= {_MIN_S:g}), got {s!r}")
     return (np.asarray(m_pair) - m_a - m_b + 1.0) / (s * s)
 
 
@@ -187,10 +190,10 @@ def require_full_support(postselection: PureState) -> None:
                          f"(amplitude {component} vanishes)")
 
 
-def reconstruct(*, dims: tuple[int, int], postselection: PureState, s: complex,
-                modulars) -> ReconstructionResult:
+def reconstruct(*, postselection: PureState, s: complex, modulars) -> ReconstructionResult:
     """Turn plan-ordered modular values (..., S) into normalized amplitudes.
 
+    The (m, n) size is the postselection's ``dims``, so S = m*n - 1.
     Leading axes are independent trials, each reconstructed bit for bit as
     an unbatched call would; a trial holding nan stays nan. Per-component
     weak values are divided by the conjugated postselection amplitude (for
@@ -198,12 +201,12 @@ def reconstruct(*, dims: tuple[int, int], postselection: PureState, s: complex,
     weak value and the norm factor), then scaled so the reference component
     is real and positive and the matrix has unit norm.
     """
-    m, n = (int(d) for d in dims)
+    if len(postselection.dims) != 2:
+        raise ValueError("postselection must have exactly two factors")
+    m, n = postselection.dims
     modulars = np.asarray(modulars, dtype=np.complex128)
     if modulars.ndim == 0 or modulars.shape[-1] != m * n - 1:
         raise ValueError(f"modulars must have {m * n - 1} plan entries on the last axis")
-    if postselection.dims != (m, n):
-        raise ValueError("postselection dims must match the reconstruction dims")
     require_full_support(postselection)
     phi = postselection.amps.reshape(m, n)
     weak = _weak_value_matrix(modulars, (m, n), s)
@@ -219,7 +222,7 @@ def reconstruct(*, dims: tuple[int, int], postselection: PureState, s: complex,
     if not lead:
         normalizer = float(normalizer)
         reference_component = (int(reference_component[0]), int(reference_component[1]))
-    return ReconstructionResult(dims=(m, n), amplitudes=amplitudes, weak_values=weak,
+    return ReconstructionResult(amplitudes=amplitudes, weak_values=weak,
                                 modulars=modulars, normalizer=normalizer,
                                 reference_component=reference_component)
 
@@ -238,5 +241,5 @@ def reconstruct_state(cfg: ProtocolConfig, method: Method = "exact_inversion") -
             raise NegativeDiscriminant(
                 f"probabilities ({p1:.6f}, {p2:.6f}) are outside the reachable set"
             )
-    return reconstruct(dims=cfg.dims, postselection=cfg.postselection,
-                       s=s_parameter(cfg.g), modulars=modulars)
+    return reconstruct(postselection=cfg.postselection, s=s_parameter(cfg.g),
+                       modulars=modulars)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DEFAULT_TOL, PureState, _abs2, _frozen_complex
+from .hilbert import STRUCTURAL_TOL, PureState, _abs2, _frozen_complex
 
 
 def _pauli_products() -> np.ndarray:
@@ -30,9 +30,6 @@ def _pauli_products() -> np.ndarray:
 
 
 _SETTINGS = _pauli_products()
-
-# largest accepted deviation of the identity-identity expectation from 1
-_IDENTITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -51,9 +48,9 @@ class DensityMatrix:
         mat = _frozen_complex(self.mat, np.shape(self.mat))  # nan or inf fails here
         if mat.shape[-2:] != (4, 4):
             raise ValueError("density matrix must be 4x4")
-        if np.max(np.abs(mat - np.swapaxes(mat, -1, -2).conj())) > DEFAULT_TOL.structural:
+        if np.max(np.abs(mat - np.swapaxes(mat, -1, -2).conj())) > STRUCTURAL_TOL:
             raise ValueError("density matrix must be Hermitian")
-        if np.max(np.abs(np.trace(mat, axis1=-2, axis2=-1).real - 1.0)) > DEFAULT_TOL.structural:
+        if np.max(np.abs(np.trace(mat, axis1=-2, axis2=-1).real - 1.0)) > STRUCTURAL_TOL:
             raise ValueError("density matrix must have unit trace")
         object.__setattr__(self, "mat", mat)
 
@@ -64,7 +61,7 @@ class DensityMatrix:
 
     @functools.cached_property
     def positive(self) -> bool | np.ndarray:
-        return self.min_eigenvalue >= -DEFAULT_TOL.structural
+        return self.min_eigenvalue >= -STRUCTURAL_TOL
 
 
 def pauli_expectations(psi: PureState) -> np.ndarray:
@@ -87,7 +84,7 @@ def linear_inversion(expectations) -> DensityMatrix:
         raise ValueError(f"expected 16 expectation values, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise ValueError("expectation values must be finite")
-    if np.any(np.abs(values[..., 0] - 1.0) > _IDENTITY_TOL):
+    if np.any(np.abs(values[..., 0] - 1.0) > STRUCTURAL_TOL):
         raise ValueError("the identity-identity expectation must equal 1")
     mat = np.matvec(_SETTINGS.reshape(16, 16).T, values) / 4.0
     return DensityMatrix(mat.reshape(values.shape[:-1] + (4, 4)))

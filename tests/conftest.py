@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from modval.errors import OrthogonalPostselection
-from modval.hilbert import DEFAULT_TOL, PureState, inner
-from modval.protocol import PlanOutcome
+from modval.hilbert import PureState, inner
+from modval.protocol import ORTHOGONAL_TOL, PlanOutcome
 from tests.oracle import (
     apply,
     build_interaction,
@@ -36,7 +36,7 @@ def rng():
 
 def _check_overlap(cfg):
     overlap = inner(cfg.postselection, cfg.system_state)
-    if abs(overlap) < DEFAULT_TOL.orthogonal:
+    if abs(overlap) < ORTHOGONAL_TOL:
         raise OrthogonalPostselection("postselection orthogonal to the state")
 
 

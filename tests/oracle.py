@@ -41,7 +41,7 @@ import numpy as np
 
 from modval.errors import OrthogonalPostselection
 from modval.hilbert import (
-    DEFAULT_TOL,
+    STRUCTURAL_TOL,
     PureState,
     _checked_dims,
     _frozen_complex,
@@ -50,7 +50,7 @@ from modval.hilbert import (
     inner,
 )
 from modval.noise import _complex_stats
-from modval.protocol import IDX_DOWN_UP, IDX_UP_DOWN, measurement_plan
+from modval.protocol import IDX_DOWN_UP, IDX_UP_DOWN, ORTHOGONAL_TOL, measurement_plan
 from modval.tomography import fidelity_states
 
 # the meter: two path qubits (A, B), each with levels up and down
@@ -133,7 +133,7 @@ def projector(dims, target) -> LinearOperator:
                          dtype=np.complex128).reshape(-1)
         if vec.size != total:
             raise ValueError(f"vector length {vec.size} does not match dims {dims}")
-        if abs(np.linalg.norm(vec) - 1.0) > DEFAULT_TOL.structural:
+        if abs(np.linalg.norm(vec) - 1.0) > STRUCTURAL_TOL:
             raise ValueError("projector target vector is not normalized")
     return LinearOperator(dims, np.outer(vec, vec.conj()))
 
@@ -187,9 +187,9 @@ def plan_diagonals(dims) -> np.ndarray:
 
 def _postselection_denominator(psi: PureState, phi: PureState) -> complex:
     den = inner(phi, psi)
-    if abs(den) < DEFAULT_TOL.orthogonal:
+    if abs(den) < ORTHOGONAL_TOL:
         raise OrthogonalPostselection(
-            f"|<phi|psi>| = {abs(den):.3e} < {DEFAULT_TOL.orthogonal:.3e}"
+            f"|<phi|psi>| = {abs(den):.3e} < {ORTHOGONAL_TOL:.3e}"
         )
     return den
 
@@ -209,7 +209,7 @@ def modular_definitional(observable, g: float, psi: PureState, phi: PureState) -
                          f"(side {psi.dim})")
     if not np.all(np.isfinite(mat)):
         raise ValueError("observable entries must be finite")
-    if np.max(np.abs(mat - mat.conj().T)) > DEFAULT_TOL.structural:
+    if np.max(np.abs(mat - mat.conj().T)) > STRUCTURAL_TOL:
         raise ValueError("modular_definitional requires a Hermitian observable")
     den = _postselection_denominator(psi, phi)
     lam, vecs = np.linalg.eigh(mat)
@@ -242,7 +242,7 @@ def tomography_settings() -> tuple[LinearOperator, ...]:
 
 
 def is_idempotent(op: LinearOperator) -> bool:
-    return bool(np.max(np.abs(op.mat @ op.mat - op.mat)) <= DEFAULT_TOL.structural)
+    return bool(np.max(np.abs(op.mat @ op.mat - op.mat)) <= STRUCTURAL_TOL)
 
 
 def exp_projector_phase(proj: LinearOperator, g: float) -> LinearOperator:

@@ -10,7 +10,7 @@ PUBLIC_NAMES = {
     "AllTrialsRejected", "ConfigError", "ModvalError", "NegativeDiscriminant",
     "OrthogonalPostselection",
     # hilbert
-    "DEFAULT_TOL", "PureState", "inner",
+    "PureState", "inner",
     # noise
     "CountingConfig", "MonteCarloResult", "NoisyEstimate", "monte_carlo", "noisy_trials",
     # presets
@@ -33,7 +33,7 @@ TEST_ONLY = ("LinearOperator", "basis_state", "identity", "projector", "tensor",
              "weak_definitional", "row_by_row_counts")
 REMOVED = ("Setting", "PlanEntry", "MeasurementPlan", "MeterOutcome", "MeterMode",
            "ZeroReferenceWeakValue", "sample_pauli_expectations", "trial_rngs",
-           "collect_probabilities", "InteractionKind")
+           "collect_probabilities", "InteractionKind", "Tolerances", "DEFAULT_TOL")
 
 
 def test_public_names_are_the_explicit_list():

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modval.errors import NegativeDiscriminant, OrthogonalPostselection
@@ -196,21 +196,30 @@ _BAD_EPSILONS = [0.0, -0.2, math.nan, math.inf, -math.inf]
 _BAD_S = [0.0, math.nan, math.inf, complex(0.0, math.nan), complex(-math.inf, 1.0)]
 
 
+def _refused(call) -> bool:
+    """True when ``call()`` raises ValueError, False when it returns."""
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
 class TestParameterDomain:
     @pytest.mark.parametrize("epsilon", _BAD_EPSILONS)
     def test_first_order_needs_a_finite_positive_epsilon(self, epsilon):
-        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[1e-8, 1\]"):
             modular_first_order(0.6, 0.5, epsilon)
 
     @pytest.mark.parametrize("epsilon", _BAD_EPSILONS)
     def test_exact_inversion_needs_a_finite_positive_epsilon(self, epsilon):
-        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[1e-8, 1\]"):
             modular_exact_inversion(0.6, 0.5, epsilon)
 
     @pytest.mark.parametrize("method", ["first_order", "exact_inversion"])
     @pytest.mark.parametrize("epsilon", _BAD_EPSILONS)
     def test_invert_probabilities_needs_a_finite_positive_epsilon(self, epsilon, method):
-        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[1e-8, 1\]"):
             invert_probabilities(np.full((2, 3, 2), 0.5), epsilon, method)
 
     @pytest.mark.parametrize("s", _BAD_S)
@@ -221,8 +230,58 @@ class TestParameterDomain:
     @pytest.mark.parametrize("s", _BAD_S)
     def test_reconstruct_needs_a_finite_nonzero_s(self, s):
         with pytest.raises(ValueError, match="s must be finite and nonzero"):
-            reconstruct(dims=(2, 2), postselection=uniform_plus(), s=s,
+            reconstruct(postselection=uniform_plus(), s=s,
                         modulars=np.ones((2, 3), dtype=complex))
+
+    # an epsilon or s that the config refuses used to pass the helpers, which
+    # returned 1e8j, nan+infj, 1e14 or inf for these examples
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(epsilon=st.floats())
+    @example(epsilon=5e-324)
+    @example(epsilon=1e-9)
+    @example(epsilon=1e-8)
+    @example(epsilon=1.0)
+    @example(epsilon=2.0)
+    def test_config_and_inversions_share_one_epsilon_domain(self, epsilon):
+        probabilities = np.array([[0.6, 0.5], [0.4, 0.55], [0.5, 0.5]])
+        calls = {
+            "config": lambda: ProtocolConfig(system_state=phase_bell(0.3),
+                                             postselection=uniform_plus(), epsilon=epsilon),
+            "first_order": lambda: modular_first_order(0.6, 0.5, epsilon),
+            "exact_inversion": lambda: modular_exact_inversion(0.6, 0.5, epsilon),
+            **{f"invert {method}": lambda method=method: invert_probabilities(
+                probabilities, epsilon, method) for method in ("first_order", "exact_inversion")},
+        }
+        refused = {name: _refused(call) for name, call in calls.items()}
+        assert len(set(refused.values())) == 1, refused
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(g=st.floats(allow_nan=False, allow_infinity=False))
+    @example(g=2 * math.pi)
+    @example(g=2 * math.pi + 5e-7)
+    @example(g=2 * math.pi + 2e-6)
+    def test_config_and_weak_values_share_one_s_domain(self, g):
+        s = s_parameter(g)
+        refused = {
+            "config": _refused(lambda: ProtocolConfig(system_state=phase_bell(0.3),
+                                                      postselection=uniform_plus(), g=g)),
+            "weak_from_modulars": _refused(lambda: weak_from_modulars(1.0, 0.5, 0.5, s)),
+            "reconstruct": _refused(lambda: reconstruct(
+                postselection=uniform_plus(), s=s, modulars=np.ones(3, dtype=complex))),
+        }
+        assert len(set(refused.values())) == 1, refused
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(s=st.one_of(st.complex_numbers(max_magnitude=2.0), st.sampled_from(_BAD_S)))
+    @example(s=1e-200)
+    @example(s=1e-7)
+    @example(s=1e-6)
+    def test_weak_values_refuse_the_s_the_config_refuses(self, s):
+        # every real g gives |s| <= 2; the config refuses |s| < 1e-6
+        want = not (cmath.isfinite(s) and abs(s) >= 1e-6)
+        assert _refused(lambda: weak_from_modulars(1.0, 0.5, 0.5, s)) == want
+        assert _refused(lambda: reconstruct(postselection=uniform_plus(), s=s,
+                                            modulars=np.ones((2, 3), dtype=complex))) == want
 
 
 class TestShiftModular:
@@ -293,7 +352,6 @@ class TestMeasurementPlan:
 
         cfg = ProtocolConfig(system_state=random_state(np.random.default_rng(5), (4, 3)),
                              postselection=uniform_plus(4, 3))
-        measurement_plan.cache_clear()
         monkeypatch.setattr(np.linalg, "eigh", no_exponential)
         plan = measurement_plan(4, 3)
         assert all(len(setting) == 3 for setting in plan)
@@ -319,9 +377,8 @@ class TestMeasurementPlan:
         with pytest.raises(ValueError):
             measurement_plan(1, 2)
 
-    def test_plan_is_cached_and_immutable(self):
+    def test_plan_is_an_immutable_tuple(self):
         plan = measurement_plan(4, 3)
-        assert measurement_plan(4, 3) is plan
         assert isinstance(plan, tuple) and all(isinstance(st, tuple) for st in plan)
         with pytest.raises(TypeError):
             plan[0] = ("pair", 1, 1)
@@ -366,7 +423,7 @@ class TestReconstruct:
                 modular_definitional(plan_observable((2, 2), *setting).mat, cfg.g,
                                      cfg.system_state, cfg.postselection), eps)
                 for setting in plan]
-            model = reconstruct(dims=(2, 2), postselection=uniform_plus(),
+            model = reconstruct(postselection=uniform_plus(),
                                 s=s_parameter(cfg.g),
                                 modulars=invert_probabilities(model_probs, eps, "first_order"))
             np.testing.assert_allclose(pipeline.amplitudes, model.amplitudes, atol=1e-12)
@@ -423,8 +480,15 @@ class TestReconstruct:
 
     def test_modulars_must_cover_the_plan(self):
         with pytest.raises(ValueError, match="3 plan entries"):
-            reconstruct(dims=(2, 2), postselection=uniform_plus(), s=-2.0,
+            reconstruct(postselection=uniform_plus(), s=-2.0,
                         modulars=np.ones(4))
+
+    @pytest.mark.parametrize("dims", [(4,), (2, 2, 2)])
+    def test_postselection_must_be_bipartite(self, dims):
+        # the postselection sizes the reconstruction
+        phi = PureState(dims, np.full(math.prod(dims), math.prod(dims) ** -0.5))
+        with pytest.raises(ValueError, match="exactly two factors"):
+            reconstruct(postselection=phi, s=-2.0, modulars=np.ones(3))
 
     def test_postselection_must_cover_all_components(self):
         cfg_state = phase_bell(0.3)
@@ -432,7 +496,7 @@ class TestReconstruct:
                                                     postselection=uniform_plus()))
         bare = PureState((2, 2), np.array([1.0, 0.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="overlap every"):
-            reconstruct(dims=(2, 2), postselection=bare, s=-2.0, modulars=mods)
+            reconstruct(postselection=bare, s=-2.0, modulars=mods)
 
     def test_qutrit_by_qubit_roundtrip(self, rng):
         # the plan/completion algebra is not qubit-specific
@@ -507,7 +571,7 @@ class TestProperties:
                 phi = uniform_plus(m, n)
                 stack = (1.0 + rng.normal(size=(5, m * n - 1))
                          + 1j * rng.normal(size=(5, m * n - 1)))
-                batched = reconstruct(dims=(m, n), postselection=phi, s=s, modulars=stack)
+                batched = reconstruct(postselection=phi, s=s, modulars=stack)
                 for k in range(5):
                     reference = loop_weak_value_matrix(stack[k], (m, n), s)
                     gap = np.max(np.abs(batched.weak_values[k] - reference))
@@ -551,11 +615,11 @@ class TestProperties:
                                       + 1j * rng.normal(size=m * n - 1)))
         stack = np.stack(rows)
         s = s_parameter(g)
-        batched = reconstruct(dims=(m, n), postselection=phi, s=s, modulars=stack)
+        batched = reconstruct(postselection=phi, s=s, modulars=stack)
         assert np.all(np.isnan(batched.amplitudes[2]))
         assert batched[1].reference_component != (0, 0)
         for k in (0, 1, 3):
-            single = reconstruct(dims=(m, n), postselection=phi, s=s, modulars=stack[k])
+            single = reconstruct(postselection=phi, s=s, modulars=stack[k])
             row = batched[k]
             for name in ("amplitudes", "weak_values", "modulars"):
                 assert getattr(row, name).tobytes() == getattr(single, name).tobytes(), name

@@ -69,11 +69,21 @@ class TestLinearInversion:
             np.testing.assert_allclose(rho.mat, np.outer(psi.amps, psi.amps.conj()),
                                        atol=1e-12)
 
-    def test_identity_expectation_checked(self):
+    # 1 +- 1e-7 lies inside the structural trace tolerance's old dead band: it
+    # passed a looser identity check, then failed as "unit trace"
+    @pytest.mark.parametrize("identity", [0.9, 1 + 1e-7, 1 - 1e-7])
+    def test_identity_expectation_checked(self, identity):
         values = pauli_expectations(phase_bell(0.0))
-        values[0] = 0.9
+        values[0] = identity
         with pytest.raises(ValueError, match="identity"):
             linear_inversion(values)
+
+    def test_identity_within_the_structural_tolerance_inverts(self):
+        values = pauli_expectations(phase_bell(0.0))
+        values[0] = 1 + 1e-11
+        for batch in (values, np.array([values] * 3)):
+            trace = np.trace(linear_inversion(batch).mat, axis1=-2, axis2=-1).real
+            np.testing.assert_allclose(trace, 1 + 1e-11, rtol=0, atol=1e-15)
 
     def test_length_checked(self):
         with pytest.raises(ValueError, match="16"):
@@ -157,9 +167,10 @@ class TestBatchedTrials:
         assert type(fidelity_pure(rho, phase_bell(0.4))) is float
         assert type(fidelity_states(phase_bell(0.4), phase_bell(0.1))) is float
 
-    def test_identity_expectation_checked_in_every_trial(self):
+    @pytest.mark.parametrize("identity", [0.9, 1 + 1e-7, 1 - 1e-7])
+    def test_identity_expectation_checked_in_every_trial(self, identity):
         values = np.array([pauli_expectations(phase_bell(0.0))] * 3)
-        values[2, 0] = 0.9
+        values[2, 0] = identity
         with pytest.raises(ValueError, match="identity"):
             linear_inversion(values)
 
