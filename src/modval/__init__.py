@@ -34,7 +34,6 @@ from .presets import (
 from .protocol import (
     PlanOutcome,
     ProtocolConfig,
-    measurement_plan,
     run_protocol,
     s_parameter,
 )

@@ -436,8 +436,7 @@ def cmd_reconstruct(cfg: RunConfig) -> tuple[dict, dict, None]:
         mc = monte_carlo(pcfg, cfg.noise, method=cfg.method)
         meta.update(pairs_per_setting=cfg.noise.pairs_per_setting,
                     trials=cfg.noise.trials, seed=cfg.noise.seed,
-                    trials_kept=mc.amplitudes.samples_kept,
-                    trials_rejected=mc.amplitudes.samples_rejected)
+                    trials_kept=mc.trials_kept, trials_rejected=mc.trials_rejected)
         columns.update(_component_columns(pcfg.dims, mc.amplitudes.mean, mc.weak_values.mean,
                                           mc.modulars.mean, float(mc.normalizer.mean)))
         columns.update(_component_columns(pcfg.dims, mc.amplitudes.std, mc.weak_values.std,

@@ -75,36 +75,41 @@ class CountingConfig:
 
 @dataclass(frozen=True)
 class NoisyEstimate:
-    """Mean and spread of one reconstructed quantity over kept trials.
+    """Mean and spread of one reconstructed quantity over the kept trials.
 
     For complex quantities the std packs the componentwise spreads as
-    std(Re) + 1j*std(Im). ``samples`` holds the kept per-trial values.
+    std(Re) + 1j*std(Im). ``samples`` holds the kept per-trial values, one
+    row per kept trial.
     """
 
     mean: np.ndarray | complex | float
     std: np.ndarray | complex | float
-    samples_kept: int
-    samples_rejected: int
     samples: np.ndarray
 
 
 @dataclass(frozen=True)
 class MonteCarloResult:
+    """The five estimates over the kept trials, and how many trials were kept and
+    rejected; the two counts sum to ``CountingConfig.trials``."""
+
     amplitudes: NoisyEstimate
     weak_values: NoisyEstimate
     modulars: NoisyEstimate  # (S,) in plan order
     normalizer: NoisyEstimate
     fidelity: NoisyEstimate  # |<truth|estimate>|^2 against the configured state
+    trials_kept: int
+    trials_rejected: int
 
 
-def _complex_stats(samples: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    mean = samples.mean(axis=axis)
-    if samples.shape[axis] < 2:
+def _complex_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and ddof=1 spread over axis 0 (the trials); the spread is 0 for one trial."""
+    mean = samples.mean(axis=0)
+    if len(samples) < 2:
         std = np.zeros_like(mean)
     elif np.iscomplexobj(samples):
-        std = samples.real.std(axis=axis, ddof=1) + 1j * samples.imag.std(axis=axis, ddof=1)
+        std = samples.real.std(axis=0, ddof=1) + 1j * samples.imag.std(axis=0, ddof=1)
     else:
-        std = samples.std(axis=axis, ddof=1)
+        std = samples.std(axis=0, ddof=1)
     return mean, std
 
 
@@ -157,7 +162,6 @@ def monte_carlo(cfg: ProtocolConfig, counting: CountingConfig,
     """
     kept, result, _ = noisy_trials(cfg, counting, method)
     n_kept = int(kept.sum())
-    rejected = counting.trials - n_kept
     amplitudes = result.amplitudes[kept]
     fidelity = fidelity_states(cfg.system_state, amplitudes.reshape(n_kept, -1))
     samples = (amplitudes, result.weak_values[kept], result.modulars[kept],
@@ -171,8 +175,9 @@ def monte_carlo(cfg: ProtocolConfig, counting: CountingConfig,
             mean, std = mean.real.item(), std.real.item()
         else:
             mean, std = mean.reshape(quantity.shape[1:]), std.reshape(quantity.shape[1:])
-        estimates.append(NoisyEstimate(mean, std, n_kept, rejected, quantity))
-    return MonteCarloResult(*estimates)
+        estimates.append(NoisyEstimate(mean, std, quantity))
+    return MonteCarloResult(*estimates, trials_kept=n_kept,
+                            trials_rejected=counting.trials - n_kept)
 
 
 def pauli_plus_probabilities(expectations) -> np.ndarray:

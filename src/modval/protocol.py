@@ -12,9 +12,11 @@ is read out against two detector states, (|ud> + |du>)/sqrt2 and
 (|ud> + i|du>)/sqrt2, whose probabilities carry the real and imaginary
 parts of the setting's modular value.
 
-``measurement_plan`` fixes the settings and their order, the one index of
-every per-setting quantity, and ``split_plan`` cuts plan-ordered values into
-its blocks. Every plan observable is the indicator of a row j of A plus that
+The plan's settings come in one order, the one index of every per-setting
+quantity: the m-1 single_a settings (j = 1..m-1), the n-1 single_b settings
+(l = 1..n-1), then the pairs (j, l) row-major. ``split_plan`` cuts
+plan-ordered values into those blocks, and ``_plan_overlaps`` concatenates
+them. Every plan observable is the indicator of a row j of A plus that
 of a column l of B, so its unitary is (1 + s*a_j)(1 + s*b_l) with
 s = e^{-ig} - 1. The entangled meter populates only |ud>, which sees no
 phase, and |du>, which sees both, so postselecting the system on <phi| leaves
@@ -39,10 +41,6 @@ import numpy as np
 
 from .errors import OrthogonalPostselection
 from .hilbert import STRUCTURAL_TOL, PureState, _abs2, inner
-
-# joint meter basis indices: |ud> is the reference component, |du> the signal
-IDX_UP_DOWN = 1
-IDX_DOWN_UP = 2
 
 # smallest |s| = |e^{-ig} - 1| accepted: weak values are divided by s and s^2
 _MIN_S = 1e-6
@@ -126,26 +124,14 @@ def _postselection_overlap(cfg: ProtocolConfig) -> complex:
     return overlap
 
 
-def measurement_plan(m: int, n: int) -> tuple[tuple[str, int | None, int | None], ...]:
-    """Settings ``(kind, j, l)`` for an m x n system: singles on each side, then all pairs.
-
-    ``kind`` is "single_a", "single_b" or "pair"; an unused index is None.
-    Plan size is (m-1)+(n-1)+(m-1)(n-1) = m*n - 1 settings; with a real and
-    an imaginary part each that is 2*m*n - 2 numbers, exactly the parameter
-    count of a normalized state with one global phase removed. The plan
-    depends only on (m, n) and is an immutable tuple; the readout follows its
-    order in closed form (``_plan_overlaps``) and never builds it.
-    """
-    if m < 2 or n < 2:
-        raise ValueError("both subsystem dimensions must be at least 2")
-    return (tuple(("single_a", j, None) for j in range(1, m))
-            + tuple(("single_b", None, l) for l in range(1, n))
-            + tuple(("pair", j, l) for j in range(1, m) for l in range(1, n)))
-
-
 def split_plan(values, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cut plan-ordered values (..., S) into the single_a (..., m-1), single_b
-    (..., n-1) and pair (..., m-1, n-1) blocks; index j >= 1 sits at j-1."""
+    (..., n-1) and pair (..., m-1, n-1) blocks; index j >= 1 sits at j-1.
+
+    S = (m-1)+(n-1)+(m-1)(n-1) = m*n - 1 settings; with a real and an
+    imaginary part each that is 2*m*n - 2 numbers, exactly the parameter
+    count of a normalized state with one global phase removed.
+    """
     m, n = dims
     values = np.asarray(values)
     return (values[..., :m - 1], values[..., m - 1:m + n - 2],
@@ -156,7 +142,6 @@ def split_plan(values, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, n
 class PlanOutcome:
     """Meter readout of the S plan settings; every field has the leading (S,) plan axis."""
 
-    conditional_meter_amps: np.ndarray  # (S, 4) complex, unit norm
     postselection_probability: np.ndarray  # (S,)
     # (S, 2) rates of detectors d1 and d2, which carry Re and Im of the modular value
     probabilities: np.ndarray
@@ -186,9 +171,9 @@ def run_protocol(cfg: ProtocolConfig) -> PlanOutcome:
     on (|ud>, |du>), with the overlaps of ``_plan_overlaps``: O(m*n) work for
     the whole plan and no joint-space operator. Its squared norm is the
     postselection probability. The factor 1/sqrt(1+eps^2) cancels from the
-    normalized state and from the detector rates |T + eps*<phi|U_k|psi>|^2 and
-    |T - i*eps*<phi|U_k|psi>|^2 over twice the squared norm of (T, eps*<phi|U_k|psi>).
-    Row k of the ``PlanOutcome`` is setting k of ``measurement_plan(*cfg.dims)``.
+    detector rates |T + eps*<phi|U_k|psi>|^2 and |T - i*eps*<phi|U_k|psi>|^2
+    over twice the squared norm of (T, eps*<phi|U_k|psi>).
+    Row k of the ``PlanOutcome`` is setting k in plan order (``split_plan``).
     Raises OrthogonalPostselection when the overlap |<postselection|system>|
     falls below ORTHOGONAL_TOL (the modular value diverges there and
     no meter readout is meaningful).
@@ -196,14 +181,9 @@ def run_protocol(cfg: ProtocolConfig) -> PlanOutcome:
     total, overlaps = _plan_overlaps(cfg)
     signal = cfg.epsilon * overlaps
     weight = _abs2(total) + _abs2(signal)
-    conditional = np.zeros((len(signal), 4), dtype=np.complex128)
-    conditional[:, IDX_UP_DOWN] = total
-    conditional[:, IDX_DOWN_UP] = signal
-    conditional /= np.sqrt(weight)[:, None]
     # the detectors (|ud> + |du>)/sqrt2 and (|ud> + i|du>)/sqrt2
     detected = np.stack([total + signal, total - 1j * signal], axis=-1)
     return PlanOutcome(
-        conditional_meter_amps=conditional,
         postselection_probability=weight / (1.0 + cfg.epsilon * cfg.epsilon),
         probabilities=_abs2(detected) / (2.0 * weight[:, None]),
     )

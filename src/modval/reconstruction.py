@@ -14,11 +14,10 @@ components involving index 0 are completed through projector completeness
 (P_0 = I - sum of the others) at the weak-value level, and the amplitude
 matrix is fixed by normalization with a real-positive reference component.
 
-Plan order (``protocol.measurement_plan``: the m-1 single_a settings, the
-n-1 single_b settings, then the pairs row-major in (j, l)) is the one index
-of every per-setting quantity: detector probabilities are an (S, 2) array and
-modular values an (..., S) complex array; ``split_plan`` cuts them into the
-single_a, single_b and pair blocks. The inversions act elementwise, and
+Plan order (see ``protocol``) is the one index of every per-setting
+quantity: detector probabilities are an (S, 2) array and modular values an
+(..., S) complex array; ``split_plan`` cuts them into the single_a,
+single_b and pair blocks. The inversions act elementwise, and
 ``reconstruct`` takes optional leading trial axes, so the exact pipeline
 and a stack of noisy trials run through the same code.
 """
@@ -64,7 +63,9 @@ class ReconstructionResult:
                                     tuple(int(i) for i in self.reference_component[k]))
 
     def state(self) -> PureState:
-        return PureState(self.amplitudes.shape[-2:], self.amplitudes.reshape(-1))
+        if self.amplitudes.ndim != 2:
+            raise ValueError(".state() takes one trial; use result[k].state() on a batch")
+        return PureState(self.amplitudes.shape, self.amplitudes.reshape(-1))
 
 
 def modular_first_order(p1, p2, epsilon: float):

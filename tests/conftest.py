@@ -40,31 +40,36 @@ def _check_overlap(cfg):
         raise OrthogonalPostselection("postselection orthogonal to the state")
 
 
-def _outcome(rows) -> PlanOutcome:
-    """One ``PlanOutcome`` from per-setting (meter_proj, conditional) states."""
+def dense_meter(cfg, kind, j=None, l=None) -> PureState:
+    """The meter that setting ``(kind, j, l)`` leaves once the system is postselected,
+    unnormalized, on the full meter (x) system space: the dense controlled-phase
+    unitary of ``build_interaction`` applied to meter (x) system, then ``partial_inner``.
+    Its squared norm is the postselection probability."""
+    joint = tensor(prepare_meter(cfg.epsilon), cfg.system_state)
+    final = apply(build_interaction(kind, j, l, cfg.g, cfg.dims), joint)
+    return partial_inner(cfg.postselection, final)
+
+
+def _outcome(meters) -> PlanOutcome:
+    """One ``PlanOutcome`` from per-setting unnormalized meter states."""
     d1, d2 = detector_states()
+    conditionals = [normalize(meter) for meter in meters]
     return PlanOutcome(
-        conditional_meter_amps=np.array([conditional.amps for _, conditional in rows]),
-        postselection_probability=np.array([meter_proj.norm() ** 2 for meter_proj, _ in rows]),
+        postselection_probability=np.array([meter.norm() ** 2 for meter in meters]),
         probabilities=np.array([[abs(inner(d1, conditional)) ** 2,
-                                 abs(inner(d2, conditional)) ** 2] for _, conditional in rows]),
+                                 abs(inner(d2, conditional)) ** 2]
+                                for conditional in conditionals]),
     )
 
 
 def dense_run_protocol(cfg, settings) -> PlanOutcome:
     """Reference meter readout on the full meter (x) system space.
 
-    For each setting in turn, builds the dense controlled-phase unitary with
-    ``build_interaction``, applies it to meter (x) system, postselects the
-    system with ``partial_inner`` and projects onto the detector states.
-    Over ``measurement_plan(*cfg.dims)``, the library's ``run_protocol``
-    must agree with it field by field.
+    For each setting in turn, takes the postselected meter of ``dense_meter``,
+    normalizes it and projects it onto the detector states. Over the oracle's
+    ``measurement_plan(*cfg.dims)``, the library's ``run_protocol`` must agree
+    with it field by field: the postselection probability and the two
+    detector rates.
     """
     _check_overlap(cfg)
-    joint = tensor(prepare_meter(cfg.epsilon), cfg.system_state)
-    rows = []
-    for kind, j, l in settings:
-        final = apply(build_interaction(kind, j, l, cfg.g, cfg.dims), joint)
-        meter_proj = partial_inner(cfg.postselection, final)
-        rows.append((meter_proj, normalize(meter_proj)))
-    return _outcome(rows)
+    return _outcome([dense_meter(cfg, *setting) for setting in settings])

@@ -16,6 +16,10 @@ reference for ``modval.noise._binomial_counts``) live here too: only the
 tests need them. So does the shot-noise oracle: the closed-form
 readout ``forward_probabilities`` and the delta-method spread ``modular_std``
 of modular values inverted from counted frequencies.
+``measurement_plan`` lists the plan's ``(kind, j, l)`` settings in the order
+the library's readout follows, and the meter basis indices ``IDX_UP_DOWN``
+and ``IDX_DOWN_UP`` name the two populated meter components; the oracle
+states both on its own, so it takes from ``modval`` nothing that it checks.
 ``plan_observable`` builds a measurement-plan observable from projectors,
 and ``plan_diagonals`` reads every plan observable's diagonal off it: the
 row-plus-column structure that ``modval.protocol``'s closed form rests on.
@@ -50,12 +54,15 @@ from modval.hilbert import (
     inner,
 )
 from modval.noise import _complex_stats
-from modval.protocol import IDX_DOWN_UP, IDX_UP_DOWN, ORTHOGONAL_TOL, measurement_plan
+from modval.protocol import ORTHOGONAL_TOL
 from modval.tomography import fidelity_states
 
 # the meter: two path qubits (A, B), each with levels up and down
 UP, DOWN = 0, 1
 METER_DIMS = (2, 2)
+# joint meter basis indices: |ud> is the reference component, |du> the signal
+IDX_UP_DOWN = 1
+IDX_DOWN_UP = 2
 
 InteractionKind = Literal["pair", "single_a", "single_b"]
 
@@ -152,6 +159,19 @@ def pair_sum(j: int, l: int, dims=(2, 2)) -> LinearOperator:
 
 def pair_product(j: int, l: int, dims=(2, 2)) -> LinearOperator:
     return LinearOperator(dims, embedded("a", j, dims).mat @ embedded("b", l, dims).mat)
+
+
+def measurement_plan(m: int, n: int) -> tuple[tuple[str, int | None, int | None], ...]:
+    """Settings ``(kind, j, l)`` for an m x n system: singles on each side, then all pairs.
+
+    ``kind`` is "single_a", "single_b" or "pair"; an unused index is None.
+    The plan depends only on (m, n) and is an immutable tuple.
+    """
+    if m < 2 or n < 2:
+        raise ValueError("both subsystem dimensions must be at least 2")
+    return (tuple(("single_a", j, None) for j in range(1, m))
+            + tuple(("single_b", None, l) for l in range(1, n))
+            + tuple(("pair", j, l) for j in range(1, m) for l in range(1, n)))
 
 
 def check_setting(kind: InteractionKind, j: int | None, l: int | None,

@@ -14,7 +14,7 @@ import pytest
 from modval.errors import OrthogonalPostselection
 from modval.noise import CountingConfig, monte_carlo
 from modval.presets import alt_postselection, phase_bell, state_preset, uniform_plus
-from modval.protocol import ProtocolConfig, measurement_plan, run_protocol
+from modval.protocol import ProtocolConfig, run_protocol
 from modval.reconstruction import (
     modular_first_order,
     reconstruct,
@@ -28,6 +28,7 @@ from tests.oracle import (
     build_interaction,
     embedded,
     forward_probabilities,
+    measurement_plan,
     modular_definitional,
     pair_product,
     pair_sum,

@@ -68,8 +68,8 @@ class TestMonteCarlo:
     def test_rejections_reported_near_divergence(self):
         cfg = bell_config(theta=0.9 * math.pi)
         mc = monte_carlo(cfg, CountingConfig(pairs_per_setting=100, trials=50, seed=11))
-        assert mc.fidelity.samples_rejected > 0
-        assert mc.fidelity.samples_kept + mc.fidelity.samples_rejected == 50
+        assert mc.trials_rejected > 0
+        assert mc.trials_kept + mc.trials_rejected == 50
 
     def test_all_trials_rejected(self):
         # one photon pair per setting gives p_hat in {0, 1}; at eps = 0.2
@@ -91,10 +91,10 @@ class TestMonteCarlo:
         cfg = bell_config(theta=0.9 * math.pi)
         strict = CountingConfig(pairs_per_setting=100, trials=50, seed=11)
         clamped = CountingConfig(pairs_per_setting=100, trials=50, seed=11, clamp=True)
-        assert monte_carlo(cfg, strict).fidelity.samples_rejected > 0
+        assert monte_carlo(cfg, strict).trials_rejected > 0
         mc = monte_carlo(cfg, clamped)
-        assert mc.fidelity.samples_rejected == 0
-        assert mc.fidelity.samples_kept == 50
+        assert mc.trials_rejected == 0
+        assert mc.trials_kept == 50
 
     def test_mean_bias_shrinks_with_pair_count(self):
         cfg = bell_config()
@@ -147,7 +147,8 @@ class TestMonteCarlo:
         columns = [_complex_stats(modulars[kept][:, k]) for k in range(settings_)]
         assert_reduced_alike(mc.modulars.mean, [m for m, _ in columns], modulars[kept])
         assert_reduced_alike(mc.modulars.std, [s for _, s in columns], modulars[kept])
-        assert mc.modulars.samples_kept == trials and mc.modulars.samples_rejected == 2
+        assert mc.trials_kept == trials and mc.trials_rejected == 2
+        assert len(mc.modulars.samples) == trials
         if trials == 1:
             assert not mc.modulars.std.any()
 
@@ -189,8 +190,8 @@ class TestMonteCarlo:
             else:  # both add row by row over the trial axis
                 assert np.asarray(estimate.mean).tobytes() == mean.tobytes(), name
                 assert np.asarray(estimate.std).tobytes() == std.tobytes(), name
-            assert estimate.samples_kept == n_kept == len(estimate.samples), name
-            assert estimate.samples_rejected == trials - n_kept, name
+            assert len(estimate.samples) == n_kept, name
+        assert (mc.trials_kept, mc.trials_rejected) == (n_kept, trials - n_kept)
         assert type(mc.normalizer.mean) is type(mc.fidelity.std) is float
         assert mc.amplitudes.mean.shape == mc.weak_values.std.shape == dims
         if clamp:
@@ -230,7 +231,7 @@ def oracle_run(name):
 class TestDeltaMethodOracle:
     def test_std_lies_in_the_chi_square_band(self, name):
         mc, _, predicted = oracle_run(name)
-        assert mc.modulars.samples_rejected == 0
+        assert mc.trials_rejected == 0
         band = ORACLE_K / math.sqrt(2 * (ORACLE_TRIALS - 1))
         for part in ("real", "imag"):
             ratio = getattr(mc.modulars.std, part) / getattr(predicted, part)
@@ -239,7 +240,7 @@ class TestDeltaMethodOracle:
     def test_mean_lies_within_k_standard_errors(self, name):
         mc, truth, predicted = oracle_run(name)
         for part in ("real", "imag"):
-            error = getattr(predicted, part) / math.sqrt(mc.modulars.samples_kept)
+            error = getattr(predicted, part) / math.sqrt(mc.trials_kept)
             z = (getattr(mc.modulars.mean, part) - getattr(truth, part)) / error
             assert np.all(np.abs(z) <= ORACLE_K), (part, z)
 
@@ -309,6 +310,17 @@ class TestNoisyTrials:
         assert extra_counts_l[:30].tobytes() == extra_counts.tobytes()
         assert result_l.amplitudes[:30].tobytes() == result.amplitudes.tobytes()
 
+    def test_batched_state_asks_for_one_trial(self):
+        # a batched result used to fail inside numpy: cannot reshape array of size 12
+        kept, result, _ = noisy_trials(bell_config(), CountingConfig(
+            pairs_per_setting=100_000, trials=3, seed=4))
+        assert kept.all()
+        with pytest.raises(ValueError, match=r"^\.state\(\) takes one trial; "
+                                             r"use result\[k\]\.state\(\) on a batch$"):
+            result.state()
+        for k in range(3):
+            assert result[k].state().amps.tobytes() == result.amplitudes[k].tobytes()
+
     def test_rejected_trials_are_masked(self):
         cfg = bell_config(theta=0.9 * math.pi)
         counting = CountingConfig(pairs_per_setting=100, trials=50, seed=11)
@@ -317,7 +329,7 @@ class TestNoisyTrials:
         assert np.all(np.isnan(result.amplitudes[~kept]))
         assert np.all(np.isfinite(result.amplitudes[kept]))
         mc = monte_carlo(cfg, counting)
-        assert mc.amplitudes.samples_rejected == counting.trials - kept.sum()
+        assert mc.trials_rejected == counting.trials - kept.sum()
         assert np.array_equal(mc.amplitudes.samples, result.amplitudes[kept])
 
     @pytest.mark.parametrize("dims, seed", [((2, 2), 11), ((3, 2), 5), ((4, 3), 8)])
@@ -332,7 +344,7 @@ class TestNoisyTrials:
         want = [z.real * z.real + z.imag * z.imag for z in overlaps]
         mc = monte_carlo(cfg, counting)
         assert mc.fidelity.samples.tobytes() == np.array(want).tobytes()
-        assert mc.fidelity.samples_kept == kept.sum()
+        assert mc.trials_kept == kept.sum()
 
 
 def compare_config(tmp_path, **noise_fields):

@@ -1,6 +1,7 @@
 """The public surface of the ``modval`` package."""
 
 import types
+from dataclasses import fields
 
 import modval
 import modval.cli  # noqa: F401  (its names are checked too)
@@ -19,7 +20,7 @@ PUBLIC_NAMES = {
     "PlanOutcome", "ProtocolConfig", "run_protocol",
     # reconstruction
     "ReconstructionResult", "definitional_modulars",
-    "invert_probabilities", "measurement_plan", "modular_exact_inversion",
+    "invert_probabilities", "modular_exact_inversion",
     "modular_first_order", "reconstruct", "reconstruct_state", "s_parameter",
     "weak_from_modulars",
     # tomography
@@ -30,7 +31,8 @@ PUBLIC_NAMES = {
 # names that only the tests use; they live in tests/oracle.py
 TEST_ONLY = ("LinearOperator", "basis_state", "identity", "projector", "tensor",
              "tomography_settings", "modular_definitional", "shift_modular",
-             "weak_definitional", "row_by_row_counts")
+             "weak_definitional", "row_by_row_counts", "measurement_plan", "IDX_UP_DOWN",
+             "IDX_DOWN_UP")
 REMOVED = ("Setting", "PlanEntry", "MeasurementPlan", "MeterOutcome", "MeterMode",
            "ZeroReferenceWeakValue", "sample_pauli_expectations", "trial_rngs",
            "collect_probabilities", "InteractionKind", "Tolerances", "DEFAULT_TOL")
@@ -48,3 +50,10 @@ def test_removed_and_test_only_names_are_absent_everywhere():
     for module in modules:
         for name in TEST_ONLY + REMOVED:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_records_hold_only_the_fields_callers_read():
+    # the readout keeps no (S, 4) meter state; the trial counts live once, on the result
+    assert tuple(f.name for f in fields(modval.PlanOutcome)) == (
+        "postselection_probability", "probabilities")
+    assert tuple(f.name for f in fields(modval.NoisyEstimate)) == ("mean", "std", "samples")

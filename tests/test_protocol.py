@@ -14,23 +14,21 @@ from modval.reconstruction import reconstruct_state
 from modval.errors import OrthogonalPostselection
 from modval.hilbert import PureState
 from modval.presets import alt_postselection, phase_bell, postselection_preset, uniform_plus
-from modval.protocol import (
-    IDX_DOWN_UP,
-    IDX_UP_DOWN,
-    PlanOutcome,
-    ProtocolConfig,
-    measurement_plan,
-    run_protocol,
-)
+from modval.protocol import PlanOutcome, ProtocolConfig, _plan_overlaps, run_protocol
 from tests.conftest import (
+    dense_meter,
     dense_run_protocol,
     random_pair,
     random_state,
 )
 from tests.oracle import (
+    IDX_DOWN_UP,
+    IDX_UP_DOWN,
     build_interaction,
     embedded,
+    measurement_plan,
     modular_definitional,
+    normalize,
     pair_sum,
     prepare_meter,
     tensor,
@@ -110,11 +108,12 @@ class TestRunProtocol:
         out = run_one(cfg, "pair", 1, 1)
         assert abs(out.probabilities[0, 0] - 9 / 13) <= 1e-12
         assert abs(out.probabilities[0, 1] - 0.5) <= 1e-12
-        # conditional state (|ud> + 0.2|du>)/sqrt(1.04), modular value 1
+        # the oracle's conditional state (|ud> + 0.2|du>)/sqrt(1.04), modular value 1
         expected = np.zeros(4, dtype=complex)
         expected[IDX_UP_DOWN] = 1 / math.sqrt(1.04)
         expected[IDX_DOWN_UP] = 0.2 / math.sqrt(1.04)
-        np.testing.assert_allclose(out.conditional_meter_amps[0], expected, atol=1e-12)
+        np.testing.assert_allclose(normalize(dense_meter(cfg, "pair", 1, 1)).amps, expected,
+                                   atol=1e-12)
 
     def test_vanishing_asymmetry_limit(self):
         cfg = ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus(),
@@ -130,27 +129,32 @@ class TestRunProtocol:
     @pytest.mark.parametrize("kind,j,l", [("pair", 1, 1), ("single_a", 1, None),
                                           ("single_b", None, 1)])
     def test_entangled_meter_stays_in_signal_subspace(self, rng, kind, j, l):
+        # the oracle's postselected meter is (0, T, eps*o_k, 0), normalized, with the
+        # closed-form overlaps T and o_k = <phi|U_k|psi> of the readout
+        k = measurement_plan(2, 2).index((kind, j, l))
         for _ in range(10):
             psi, phi = random_pair(rng)
             cfg = ProtocolConfig(system_state=psi, postselection=phi,
                                  epsilon=rng.uniform(0.05, 1.0))
-            amps = run_one(cfg, kind, j, l).conditional_meter_amps[0]
+            amps = normalize(dense_meter(cfg, kind, j, l)).amps
             assert amps[0] == 0 and amps[3] == 0  # |uu> and |dd> are never populated
+            total, overlaps = _plan_overlaps(cfg)
+            want = np.array([0, total, cfg.epsilon * overlaps[k], 0])
+            np.testing.assert_allclose(amps, want / np.linalg.norm(want), rtol=0, atol=1e-12)
 
     def test_conditional_state_carries_the_modular_value(self, rng):
         # final meter = N [ eps * M |du> + |ud> ] with M from the
-        # definitional oracle; the amplitude ratio is phase-free
+        # definitional oracle; the amplitude ratio eps*o_k/T is phase-free
         # the 2x2 plan's observables, in plan order
         observables = (embedded("a", 1), embedded("b", 1), pair_sum(1, 1))
         for _ in range(10):
             psi, phi = random_pair(rng)
             eps = rng.uniform(0.05, 0.5)
             cfg = ProtocolConfig(system_state=psi, postselection=phi, epsilon=eps)
-            out = run_protocol(cfg)
+            total, overlaps = _plan_overlaps(cfg)
             for k, obs in enumerate(observables):
                 m_val = modular_definitional(obs.mat, cfg.g, psi, phi)
-                amps = out.conditional_meter_amps[k]
-                ratio = amps[IDX_DOWN_UP] / amps[IDX_UP_DOWN]
+                ratio = eps * overlaps[k] / total
                 assert abs(ratio - eps * m_val) <= 1e-10
 
     def test_postselection_probability_formula(self, rng):
@@ -176,8 +180,9 @@ class TestRunProtocol:
             eps = 0.3
             cfg = ProtocolConfig(system_state=PureState((2, 2), psi.amps),
                                  postselection=PureState((2, 2), phi.amps), epsilon=eps)
-            amps = run_protocol(cfg).conditional_meter_amps  # single_a, single_b, pair
-            single_a, single_b, pair = amps[:, IDX_DOWN_UP] / amps[:, IDX_UP_DOWN] / eps
+            # the meter ratio eps*o_k/T over eps: single_a, single_b, pair
+            total, overlaps = _plan_overlaps(cfg)
+            single_a, single_b, pair = overlaps / total
             assert abs(pair - single_a * single_b) <= 1e-10
 
 

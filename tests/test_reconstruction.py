@@ -14,7 +14,7 @@ from modval.errors import NegativeDiscriminant, OrthogonalPostselection
 from modval.hilbert import MAX_TOTAL_DIM, PureState, inner
 from modval.presets import phase_bell, state_preset, uniform_plus
 from modval import reconstruction
-from modval.protocol import PlanOutcome, ProtocolConfig, measurement_plan, run_protocol
+from modval.protocol import PlanOutcome, ProtocolConfig, run_protocol, split_plan
 from modval.reconstruction import (
     METHODS,
     definitional_modulars,
@@ -30,6 +30,7 @@ from tests.conftest import random_pair, random_state
 from tests.oracle import (
     embedded,
     forward_probabilities,
+    measurement_plan,
     modular_definitional,
     pair_product,
     pair_sum,
@@ -146,7 +147,7 @@ class TestExactInversion:
     def test_exact_pipeline_raises_on_unreachable_probabilities(self, monkeypatch):
         # exact probabilities always invert; force one setting off the disk
         def off_disk(cfg):
-            return PlanOutcome(None, None, np.array([[0.5, 0.5], [1.0, 1.0], [0.5, 0.5]]))
+            return PlanOutcome(None, np.array([[0.5, 0.5], [1.0, 1.0], [0.5, 0.5]]))
 
         monkeypatch.setattr(reconstruction, "run_protocol", off_disk)
         cfg = ProtocolConfig(system_state=phase_bell(0.0), postselection=uniform_plus())
@@ -376,6 +377,22 @@ class TestMeasurementPlan:
     def test_minimum_dimension(self):
         with pytest.raises(ValueError):
             measurement_plan(1, 2)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(m=st.integers(2, 6), n=st.integers(2, 6))
+    def test_split_plan_cuts_the_oracle_plan(self, m, n):
+        # the library states plan order only through split_plan: cutting the plan
+        # indices puts the oracle plan's entry k at its (j, l) in its block
+        single_a, single_b, pairs = split_plan(np.arange(m * n - 1), (m, n))
+        assert single_a.shape == (m - 1,) and single_b.shape == (n - 1,)
+        assert pairs.shape == (m - 1, n - 1)
+        for k, (kind, j, l) in enumerate(measurement_plan(m, n)):
+            if kind == "single_a":
+                assert single_a[j - 1] == k
+            elif kind == "single_b":
+                assert single_b[l - 1] == k
+            else:
+                assert pairs[j - 1, l - 1] == k
 
     def test_plan_is_an_immutable_tuple(self):
         plan = measurement_plan(4, 3)
